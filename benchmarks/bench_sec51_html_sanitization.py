@@ -12,13 +12,19 @@ same size range (DESIGN.md documents the substitution), comparing:
 
 All three must agree on every output.  We also report the LoC of our
 Fast program vs. the Python substrate, the paper's maintainability
-argument.
+argument, and the p50 of the composed transducer run alone
+(``rem_esc.apply_one`` on the encoded page, no parse or decode) per
+page size — the §5.1 timing baseline recorded in ``BENCH_baseline.json``.
 
-SEC51_PAGES limits how many of the 10 sizes run (default all 10).
+SEC51_PAGES limits how many of the 10 sizes run (default all 10).  With
+``--obs-json`` the snapshot's ``exec.classify`` counts the sign vectors
+the compiled tier computed; run with ``--benchmark-disable`` so the
+pytest-benchmark tests run once and that count is deterministic.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -26,11 +32,15 @@ import pytest
 from repro.apps.html import (
     FastHtmlSanitizer,
     MonolithicSanitizer,
+    encode_html,
     fast_sanitizer_source,
     paper_page_suite,
 )
 
 from conftest import env_int
+
+#: Timed ``apply_one`` runs per page; the table reports their median.
+APPLY_ROUNDS = 3
 
 
 @pytest.fixture(scope="module")
@@ -55,21 +65,31 @@ def page_sweep(sanitizers):
         t_mono = time.perf_counter() - t0
         assert out_fast == out_two == out_mono, f"outputs disagree on {name}"
         assert "<script" not in out_fast
-        rows.append((name, len(html), t_fast, t_two, t_mono))
+        tree = encode_html(html)
+        t_apply = []
+        for _ in range(APPLY_ROUNDS):
+            t0 = time.perf_counter()
+            fast.rem_esc.apply_one(tree)
+            t_apply.append(time.perf_counter() - t0)
+        rows.append(
+            (name, len(html), t_fast, t_two, t_mono, statistics.median(t_apply))
+        )
     return rows
 
 
 def test_sec51_page_sweep(benchmark, page_sweep, report):
     benchmark.pedantic(lambda: page_sweep, rounds=1, iterations=1)
     lines = [
-        f"{'page':>12} | {'size':>7} | {'composed':>10} | {'two-pass':>10} | {'monolithic':>10}",
+        f"{'page':>12} | {'size':>7} | {'composed':>10} | {'two-pass':>10} "
+        f"| {'monolithic':>10} | {'apply p50':>10}",
     ]
-    for name, size, t_fast, t_two, t_mono in page_sweep:
+    for name, size, t_fast, t_two, t_mono, t_apply in page_sweep:
         lines.append(
             f"{name:>12} | {size // 1000:>4} KB | {t_fast * 1e3:>7.0f} ms "
-            f"| {t_two * 1e3:>7.0f} ms | {t_mono * 1e3:>7.1f} ms"
+            f"| {t_two * 1e3:>7.0f} ms | {t_mono * 1e3:>7.1f} ms "
+            f"| {t_apply * 1e3:>7.0f} ms"
         )
-    speedups = [t_two / t_fast for _, _, t_fast, t_two, _ in page_sweep]
+    speedups = [t_two / t_fast for _, _, t_fast, t_two, _, _ in page_sweep]
     lines.append("")
     lines.append(
         f"composition saves one traversal: two-pass/composed = "
@@ -88,7 +108,7 @@ def test_sec51_page_sweep(benchmark, page_sweep, report):
 
     # Shape assertions: all three agree (checked in fixture); composed
     # beats two-pass; time grows roughly linearly with page size.
-    assert all(t_fast < t_two for _, _, t_fast, t_two, _ in page_sweep)
+    assert all(t_fast < t_two for _, _, t_fast, t_two, _, _ in page_sweep)
     first, last = page_sweep[0], page_sweep[-1]
     size_ratio = last[1] / first[1]
     time_ratio = last[2] / first[2]

@@ -8,7 +8,8 @@ section runs automata over list-shaped trees thousands of nodes deep,
 far beyond Python's recursion limit.
 
 Note membership of a *concrete* tree never calls the solver: guards are
-evaluated directly on the attribute values.
+evaluated directly on the attribute values — once per distinct (symbol,
+attribute tuple) per pass, since the pass memoizes on it.
 """
 
 from __future__ import annotations
@@ -20,29 +21,51 @@ from ..trees.tree import Tree, dag_post_order
 from .sta import STA, State
 
 
-def acceptance_table(sta: STA, tree: Tree) -> dict[int, frozenset[State]]:
+def acceptance_table(
+    sta: STA, tree: Tree, order: list[Tree] | None = None
+) -> dict[int, frozenset[State]]:
     """Map ``id(node)`` to the set of states accepting that subtree.
 
     One bottom-up pass over distinct subtree objects (linear even for
-    DAG-shaped trees with shared subtrees).
+    DAG-shaped trees with shared subtrees).  ``order`` is that pass's
+    walk, ``dag_post_order(tree)``, for callers that already have it.
+
+    A node's accepting set depends only on its symbol, its attribute
+    tuple and its children's accepting sets, so the pass memoizes it on
+    that key; the guards that pass are memoized on ``(symbol,
+    attributes)`` alone.  Each distinct (symbol, attribute tuple) thus
+    evaluates each guard at most once per call — a page's thousands of
+    nodes share a few dozen such pairs.  Keys compare attribute tuples
+    by value, so ``(True,)`` and ``(1,)`` share an entry; that is sound
+    because guard evaluation gives equal results on equal values, and
+    the memo holds only truth values and state sets, never attributes.
     """
     by_ctor: dict[str, list] = {}
     for r in sta.rules:
         by_ctor.setdefault(r.ctor, []).append(r)
+    attr_env = sta.tree_type.attr_env
+    passing: dict[tuple, tuple] = {}
+    accepting: dict[tuple, frozenset[State]] = {}
     table: dict[int, frozenset[State]] = {}
-    for t in dag_post_order(tree):
-        env = sta.tree_type.attr_env(t.attrs)
-        accepted: set[State] = set()
-        for r in by_ctor.get(t.ctor, []):
-            if r.state in accepted:
-                continue
-            if not bool(r.guard.evaluate(env)):
-                continue
-            if all(
-                l <= table[id(c)] for l, c in zip(r.lookahead, t.children)
-            ):
-                accepted.add(r.state)
-        table[id(t)] = frozenset(accepted)
+    for t in dag_post_order(tree) if order is None else order:
+        symbol = (t.ctor, t.attrs)
+        kids = tuple(table[id(c)] for c in t.children)
+        accepted = accepting.get((symbol, kids))
+        if accepted is None:
+            rules = passing.get(symbol)
+            if rules is None:
+                env = attr_env(t.attrs)
+                rules = tuple(
+                    r for r in by_ctor.get(t.ctor, ()) if bool(r.guard.evaluate(env))
+                )
+                passing[symbol] = rules
+            accepted = frozenset(
+                r.state
+                for r in rules
+                if all(l <= k for l, k in zip(r.lookahead, kids))
+            )
+            accepting[(symbol, kids)] = accepted
+        table[id(t)] = accepted
     return table
 
 

@@ -7,9 +7,12 @@ factors that work out of the hot loop:
 * **Guards are deduplicated per symbol.**  All rules for a constructor
   share one ordered tuple of *distinct* guard terms (hash-consing makes
   duplicates identical objects, so dedup is an identity test).  A node
-  is classified once into a **sign vector** — the tuple of guard truth
+  is classified into a **sign vector** — the tuple of guard truth
   values under its attributes — which is exactly a minterm id over the
   symbol's guard predicates (paper Section 4's minterm construction).
+  The vector depends only on ``(symbol, attributes)``, so a run
+  computes it once per distinct pair (``exec.classify`` counts those
+  computations), not once per node.
 
 * **Dispatch is a table lookup.**  ``(state, symbol, sign vector) ->
   tuple of applicable rules`` is memoized: the guard subset test runs
@@ -24,11 +27,13 @@ factors that work out of the hot loop:
   products via the shared ``run._cross``), so the per-task work is
   calls, not ``isinstance`` dispatch over output terms.
 
-:func:`run_compiled_checked` replicates the interpreter's observable
-semantics *exactly* — task discovery order, height-sorted evaluation,
-``limit``/probe truncation and taint propagation, one
-``transducer.task`` budget tick per task, the provenance note — and is
-property-tested equivalent (``tests/exec/test_compiled_equivalence``).
+:func:`run_compiled_checked` walks the tree once (the lookahead pass
+and the height sort share one post-order) and replicates the
+interpreter's observable semantics *exactly* — task discovery order,
+height-sorted evaluation, ``limit``/probe truncation and taint
+propagation, one ``transducer.task`` budget tick per task, the
+provenance note — and is property-tested equivalent
+(``tests/exec/test_compiled_equivalence``).
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from ..trees.tree import Tree, dag_post_order
 _OBS_COMPILES = obs_metrics.counter("exec.compile")
 _OBS_DISPATCH = obs_metrics.counter("exec.dispatch")
 _OBS_DISPATCH_MEMO = obs_metrics.counter("exec.dispatch.table_fills")
+_OBS_CLASSIFY = obs_metrics.counter("exec.classify")
 
 #: ``emit(env, node, results, probe) -> (outputs, hit-the-probe-cap?)``
 Emit = Callable[[dict, Tree, dict, Optional[int]], tuple[list[Tree], bool]]
@@ -202,14 +208,18 @@ def run_compiled_checked(
     """
     sttr = compiled.sttr
     root_state = sttr.initial if state is None else state
-    la_table = acceptance_table(sttr.lookahead_sta, tree)
+    order = dag_post_order(tree)
+    la_table = acceptance_table(sttr.lookahead_sta, tree, order)
     attr_env = sttr.input_type.attr_env
 
-    # Per-run caches: each distinct node is classified (attr env built,
-    # every distinct guard evaluated) at most once, however many states
-    # visit it.
+    # Per-run caches.  A sign vector depends only on the node's symbol
+    # and attribute tuple, so each distinct (symbol, attribute tuple)
+    # evaluates each distinct guard at most once, however many nodes
+    # carry it and however many states visit them.  Attribute envs stay
+    # per node: output expressions copy values out of them, and a value
+    # keyed memo would let ``1`` stand in for ``True``.
     envs: dict[int, dict] = {}
-    signs_of: dict[int, tuple[bool, ...]] = {}
+    signs_of: dict[tuple, tuple[bool, ...]] = {}
 
     def node_env(t: Tree) -> dict:
         env = envs.get(id(t))
@@ -219,10 +229,13 @@ def run_compiled_checked(
         return env
 
     def node_signs(t: Tree) -> tuple[bool, ...]:
-        signs = signs_of.get(id(t))
+        key = (t.ctor, t.attrs)
+        signs = signs_of.get(key)
         if signs is None:
             signs = compiled.classify(t, node_env(t))
-            signs_of[id(t)] = signs
+            signs_of[key] = signs
+            if obs_config.ENABLED:
+                _OBS_CLASSIFY.inc()
         return signs
 
     # Discovery: identical traversal order to run._discover_tasks, with
@@ -250,7 +263,7 @@ def run_compiled_checked(
     # Bottom-up evaluation sorted by subtree height (see run_checked for
     # why discovery order is not topological over shared subtrees).
     heights: dict[int, int] = {}
-    for n in dag_post_order(tree):
+    for n in order:
         heights[id(n)] = 1 + max((heights[id(c)] for c in n.children), default=0)
     tasks.sort(key=lambda task: heights[id(task[1])])
 

@@ -21,7 +21,7 @@ from .compose import compose as _compose
 from .domain import domain as _domain
 from .preimage import preimage as _preimage
 from .restrict import restrict_input, restrict_output
-from .run import OutputTruncated, run_checked as _run_checked, run_one as _run_one
+from .run import OutputTruncated, run_checked as _run_checked
 from .sttr import STTR
 from .typecheck import type_check as _type_check
 
@@ -109,17 +109,13 @@ class Transducer:
         return outputs
 
     def apply_one(self, tree: Tree) -> Optional[Tree]:
-        """One output, or None when ``tree`` is outside the domain."""
-        from ..exec import config as exec_config
+        """One output, or None when ``tree`` is outside the domain.
 
-        if exec_config.compiled_enabled():
-            compiled = self._compiled()
-            if compiled is not None:
-                from ..exec.compiled import run_compiled_checked
-
-                outputs, _ = run_compiled_checked(compiled, tree, limit=1)
-                return outputs[0] if outputs else None
-        return _run_one(self.sttr, tree)
+        Complete for the reason :func:`repro.transducers.run.run_one`
+        gives: a per-task cap of one output preserves non-emptiness.
+        """
+        outputs, _ = self._checked(tree, 1)
+        return outputs[0] if outputs else None
 
     def __call__(self, tree: Tree) -> Optional[Tree]:
         return self.apply_one(tree)

@@ -5,20 +5,29 @@ deletion, child swaps) over random trees must produce the *same output
 list* (same order), the same truncation flag, and the same budget step
 charges through :func:`repro.exec.compiled.run_compiled_checked` as
 through :func:`repro.transducers.run.run_checked`.
+
+Trees share subtree objects (DAGs) and carry equal-valued attributes of
+different Python types (``1`` and ``Fraction(1)`` both inhabit
+``Real``).  ``Tree`` equality cannot tell those apart, so outputs are
+also compared by ``repr``: a memo that let one node's attribute values
+stand in for another's would show there.
 """
 
-from hypothesis import given, settings
+from fractions import Fraction
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.automata import STA, rule
 from repro.exec.compiled import CompiledSTTR, run_compiled_checked
 from repro.guard import Budget, scope
-from repro.smt import INT, Solver, mk_add, mk_eq, mk_gt, mk_int, mk_var
+from repro.smt import INT, REAL, Solver, mk_add, mk_eq, mk_gt, mk_int, mk_real, mk_var
 from repro.transducers import OutApply, OutNode, STTR, Transducer, run_checked, trule
-from repro.trees import make_tree_type, node
+from repro.trees import Tree, make_tree_type, node
 
-ET = make_tree_type("ET", [("x", INT)], {"L": 0, "U": 1, "B": 2})
+ET = make_tree_type("ET", [("x", INT), ("y", REAL)], {"L": 0, "U": 1, "B": 2})
 x = mk_var("x", INT)
+y = mk_var("y", REAL)
 
 #: Guard pool; ``None`` means ``true`` (via ``trule``).
 GUARDS = (
@@ -26,6 +35,7 @@ GUARDS = (
     mk_gt(x, mk_int(0)),
     mk_eq(x, mk_int(0)),
     mk_gt(mk_int(2), x),
+    mk_eq(y, mk_real(1)),
 )
 
 #: Lookahead automaton: state ``a`` accepts trees whose leaves are all > -1.
@@ -40,7 +50,9 @@ LA = STA(
 
 STATES = ("p", "q")
 
-ATTR_EXPRS = (x, mk_add(x, mk_int(1)))
+#: Output attribute tuples; ``y`` is copied or recomputed, so its
+#: Python type flows from the input node into the output tree.
+ATTR_EXPRS = ((x, y), (mk_add(x, mk_int(1)), y), (x, mk_add(y, mk_real(1))))
 
 
 def _outputs_for(ctor, draw, states):
@@ -49,16 +61,16 @@ def _outputs_for(ctor, draw, states):
     s2 = draw(st.sampled_from(states))
     e = draw(st.sampled_from(ATTR_EXPRS))
     if ctor == "L":
-        return OutNode("L", (e,), ())
+        return OutNode("L", e, ())
     if ctor == "U":
         return draw(
             st.sampled_from(
                 [
                     OutApply(s, 0),  # copy the transformed child
-                    OutNode("U", (e,), (OutApply(s, 0),)),
-                    OutNode("L", (e,), ()),  # delete the child
+                    OutNode("U", e, (OutApply(s, 0),)),
+                    OutNode("L", e, ()),  # delete the child
                     # duplication: same child in two states
-                    OutNode("B", (x,), (OutApply(s, 0), OutApply(s2, 0))),
+                    OutNode("B", (x, y), (OutApply(s, 0), OutApply(s2, 0))),
                 ]
             )
         )
@@ -67,9 +79,9 @@ def _outputs_for(ctor, draw, states):
             [
                 OutApply(s, 0),
                 OutApply(s, 1),
-                OutNode("B", (e,), (OutApply(s, 0), OutApply(s2, 1))),
-                OutNode("B", (x,), (OutApply(s, 1), OutApply(s2, 0))),  # swap
-                OutNode("U", (e,), (OutApply(s, 0),)),  # drop one child
+                OutNode("B", e, (OutApply(s, 0), OutApply(s2, 1))),
+                OutNode("B", (x, y), (OutApply(s, 1), OutApply(s2, 0))),  # swap
+                OutNode("U", e, (OutApply(s, 0),)),  # drop one child
             ]
         )
     )
@@ -98,22 +110,83 @@ def sttrs(draw):
                 lookahead=la,
             )
         )
+    # Unguarded fallbacks make most runs total, so outputs are usually
+    # non-empty and attribute values reach the compared output trees.
+    for state in STATES:
+        for ctor, rank in RANK.items():
+            if draw(st.booleans()):
+                out = _outputs_for(ctor, draw, STATES)
+                rules.append(trule(state, ctor, out, rank=rank))
     return STTR("rand", ET, ET, "p", tuple(rules), lookahead_sta=LA)
 
 
-attrs = st.integers(min_value=-2, max_value=3)
-trees = st.recursive(
-    attrs.map(lambda v: node("L", v)),
-    lambda kids: st.one_of(
-        st.tuples(attrs, kids).map(lambda t: node("U", t[0], t[1])),
-        st.tuples(attrs, kids, kids).map(lambda t: node("B", t[0], t[1], t[2])),
-    ),
-    max_leaves=8,
+#: Few distinct values, so equal attribute tuples recur across nodes.
+attrs = st.tuples(
+    st.integers(min_value=-1, max_value=2),
+    st.sampled_from([0, 1, Fraction(1, 2)]),
 )
 
+#: Cap on a drawn tree's size counted as a tree (shared objects once
+#: per occurrence), which bounds the cross products of duplication.
+MAX_UNFOLDED = 15
 
-@given(sttr=sttrs(), tree=trees, limit=st.sampled_from([None, 1, 2]))
-@settings(max_examples=80, deadline=None)
+
+def _twin(values):
+    """Equal attribute values of another Python type (``1`` <-> ``Fraction(1)``)."""
+    x_value, y_value = values
+    if isinstance(y_value, int):
+        return x_value, Fraction(y_value)
+    if y_value.denominator == 1:
+        return x_value, int(y_value)
+    return values
+
+
+@st.composite
+def trees(draw):
+    """Random trees over a few leaves, whose inner nodes take children
+    from the last few subtrees built, so one subtree object often
+    occurs several times.  A node may take the twin of an earlier
+    node's attributes: equal values, different Python types."""
+    drawn: list[tuple] = []
+
+    def node_attrs():
+        values = draw(attrs)
+        if drawn and draw(st.booleans()):
+            values = _twin(draw(st.sampled_from(drawn)))
+        drawn.append(values)
+        return values
+
+    pool = [Tree("L", node_attrs()) for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        ctor = draw(st.sampled_from(("U", "B")))
+        kids = tuple(draw(st.sampled_from(pool[-3:])) for _ in range(RANK[ctor]))
+        if sum(k.size() for k in kids) < MAX_UNFOLDED:
+            pool.append(Tree(ctor, node_attrs(), kids))
+    return pool[-1]
+
+
+#: The identity transducer and a tree whose two leaves carry equal
+#: attribute tuples of different types: every output attribute is
+#: copied, so sharing one leaf's values with the other shows in ``repr``.
+IDENTITY = STTR(
+    "identity",
+    ET,
+    ET,
+    "p",
+    (
+        trule("p", "L", OutNode("L", (x, y), ()), rank=0),
+        trule("p", "U", OutNode("U", (x, y), (OutApply("p", 0),)), rank=1),
+        trule(
+            "p", "B", OutNode("B", (x, y), (OutApply("p", 0), OutApply("p", 1))), rank=2
+        ),
+    ),
+)
+TWIN_LEAVES = node("B", (0, 0), node("L", (0, 1)), node("L", (0, Fraction(1))))
+
+
+@given(sttr=sttrs(), tree=trees(), limit=st.sampled_from([None, 1, 2]))
+@example(sttr=IDENTITY, tree=TWIN_LEAVES, limit=None)
+@settings(max_examples=150, deadline=None)
 def test_compiled_matches_interpreter(sttr, tree, limit):
     interp_budget = Budget()
     with scope(interp_budget):
@@ -127,13 +200,14 @@ def test_compiled_matches_interpreter(sttr, tree, limit):
             compiled, tree, limit=limit
         )
     assert actual_outputs == expected_outputs
+    assert repr(actual_outputs) == repr(expected_outputs)
     assert actual_truncated == expected_truncated
     # Same guard-budget charges: caching classification must not change
     # what a budget-governed run is billed.
     assert compiled_budget.steps == interp_budget.steps
 
 
-@given(sttr=sttrs(), tree=trees)
+@given(sttr=sttrs(), tree=trees())
 @settings(max_examples=25, deadline=None)
 def test_precomputed_table_matches_lazy(sttr, tree):
     lazy = CompiledSTTR(sttr)
@@ -152,15 +226,15 @@ def test_precompute_fills_table():
             trule(
                 "p",
                 "L",
-                OutNode("L", (x,), ()),
+                OutNode("L", (x, y), ()),
                 guard=mk_gt(x, mk_int(0)),
                 rank=0,
             ),
-            trule("p", "L", OutNode("L", (mk_add(x, mk_int(1)),), ()), rank=0),
+            trule("p", "L", OutNode("L", (mk_add(x, mk_int(1)), y), ()), rank=0),
             trule(
                 "p",
                 "U",
-                OutNode("U", (x,), (OutApply("p", 0),)),
+                OutNode("U", (x, y), (OutApply("p", 0),)),
                 rank=1,
             ),
         ),
@@ -170,7 +244,7 @@ def test_precompute_fills_table():
     filled = compiled.precompute(Solver())
     assert filled == compiled.table_size() > 0
     # A warm table answers without growing.
-    t = node("U", 1, node("L", 2))
+    t = node("U", (1, 0), node("L", (2, 0)))
     out, truncated = run_compiled_checked(compiled, t)
     assert not truncated
     assert out == run_checked(sttr, t)[0]
@@ -184,16 +258,16 @@ def test_facade_routes_through_compiled_tier(monkeypatch):
         ET,
         "p",
         (
-            trule("p", "L", OutNode("L", (mk_add(x, mk_int(1)),), ()), rank=0),
+            trule("p", "L", OutNode("L", (mk_add(x, mk_int(1)), y), ()), rank=0),
             trule(
                 "p",
                 "B",
-                OutNode("B", (x,), (OutApply("p", 0), OutApply("p", 1))),
+                OutNode("B", (x, y), (OutApply("p", 0), OutApply("p", 1))),
                 rank=2,
             ),
         ),
     )
-    t = node("B", 0, node("L", 1), node("L", 2))
+    t = node("B", (0, 0), node("L", (1, 0)), node("L", (2, 0)))
     trans = Transducer(sttr)
     monkeypatch.setenv("REPRO_EXEC", "compiled")
     compiled_out = trans.apply(t)
