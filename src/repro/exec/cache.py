@@ -23,6 +23,12 @@ the entry is dropped, the program recompiles, and the incident is
 counted under ``exec.cache.disk_errors``.  Corruption can cost a
 recompile; it can never produce a wrong program.
 
+Encoding: a store encodes the payload once, canonically (sorted keys,
+compact separators, the C encoder), then hashes and writes those same
+bytes — ``{"sha256":"<hex>","payload":<canonical text>}`` in one write.
+A load re-encodes the parsed payload canonically to check it, so an
+entry in any JSON layout with the same content stays valid.
+
 Budget discipline: a cache hit **replays** the front end's
 ``fast.decl`` budget charge (one step per declaration of the original
 program).  A budget too small to compile a program must stay too small
@@ -67,10 +73,18 @@ _OBS_DISK_ERRORS = obs_metrics.counter("exec.cache.disk_errors")
 _SALT = f"{__version__}:{ARTIFACT_SCHEMA}"
 
 
+def _canonical(payload: object) -> str:
+    """A payload's canonical JSON: the text the checksum is taken over."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(blob: str) -> str:
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def _payload_digest(payload: object) -> str:
     """SHA-256 of a payload's canonical JSON (the envelope checksum)."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _digest(_canonical(payload))
 
 
 def cache_key(source: str) -> str:
@@ -163,13 +177,11 @@ class ArtifactCache:
             os.makedirs(directory, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
             try:
-                payload = artifact_to_json(artifact)
-                envelope = {
-                    "sha256": _payload_digest(payload),
-                    "payload": payload,
-                }
+                # One canonical encoding, hashed and written as is
+                # (json.dump to a file would re-encode in pure Python).
+                blob = _canonical(artifact_to_json(artifact))
                 with os.fdopen(fd, "w", encoding="utf-8") as f:
-                    json.dump(envelope, f)
+                    f.write(f'{{"sha256":"{_digest(blob)}","payload":{blob}}}')
                 os.replace(tmp, self._path(key))
             except BaseException:
                 try:

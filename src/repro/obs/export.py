@@ -196,8 +196,7 @@ def events_for_trace(
 def write_chrome_trace(path: str, journal: Optional[Journal] = None) -> None:
     """Write :func:`chrome_trace` output to ``path`` as JSON."""
     with open(path, "w") as f:
-        json.dump(chrome_trace(journal), f)
-        f.write("\n")
+        f.write(json.dumps(chrome_trace(journal)) + "\n")
 
 
 def collapsed_stacks(

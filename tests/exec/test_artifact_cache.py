@@ -6,7 +6,10 @@ process-wide memory layer around every test, so counter assertions here
 are deltas, never absolutes.
 """
 
+import hashlib
+import json
 import os
+import pathlib
 
 import pytest
 
@@ -14,7 +17,7 @@ from repro.errors import ReproError
 from repro.exec.artifact import CompiledArtifact, build_artifact
 from repro.exec.cache import DEFAULT_CACHE, ArtifactCache, cache_key, cached_artifact
 from repro.fast.cli import EXIT_BUDGET, EXIT_OK, main
-from repro.fast.evaluator import run_artifact
+from repro.fast.evaluator import explain_artifact, run_artifact
 from repro.obs import metrics as obs_metrics
 from repro.smt import Solver
 
@@ -161,8 +164,6 @@ class TestIntegrity:
     def test_unenveloped_legacy_entry_is_dropped(self):
         # A pre-envelope cache file (raw payload, no checksum) is
         # treated as corrupt: dropped, counted, recompiled.
-        import json
-
         cached_artifact(EASY)
         path = self._entry_path()
         with open(path, encoding="utf-8") as f:
@@ -189,6 +190,91 @@ class TestIntegrity:
         cached_artifact(EASY)  # no disk entry yet: plain miss
         assert delta(before, "exec.cache.miss") == 1
         assert delta(before, "exec.cache.disk_errors") == 0
+
+
+EXAMPLES = sorted(
+    (pathlib.Path(__file__).resolve().parents[2] / "examples" / "fast_programs")
+    .glob("*.fast")
+)
+
+
+def _without_query_counts(node):
+    """Drop the ``queries`` provenance notes of an explain dict, recursively.
+
+    They count the solver calls a derivation actually made: a fresh
+    artifact shares the solver its compile warmed, a revived one starts
+    with a cold solver, so the counts differ by design while verdicts,
+    rules, decisive queries and witnesses may not.
+    """
+    if isinstance(node, list):
+        return [_without_query_counts(n) for n in node]
+    if not isinstance(node, dict):
+        return node
+    return {
+        k: _without_query_counts(
+            [c for c in v if c.get("kind") != "queries"]
+            if k == "children"
+            else v
+        )
+        for k, v in node.items()
+    }
+
+
+class TestDiskEncoding:
+    """A stored entry is one canonical encoding, hashed and written once."""
+
+    def _entry_text(self, source=EASY):
+        cached_artifact(source)
+        path = os.path.join(cache_dir(), f"{cache_key(source)}.json")
+        with open(path, encoding="utf-8") as f:
+            return path, f.read()
+
+    def test_entry_is_exactly_one_canonical_encoding(self):
+        _path, text = self._entry_text()
+        envelope = json.loads(text)
+        payload_text = text[text.index('"payload":') + len('"payload":') : -1]
+        canonical = json.dumps(
+            json.loads(payload_text), sort_keys=True, separators=(",", ":")
+        )
+        assert payload_text == canonical
+        digest = hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
+        assert envelope["sha256"] == digest
+        assert text == f'{{"sha256":"{digest}","payload":{payload_text}}}'
+
+    def test_entry_written_by_json_dump_still_loads(self):
+        # The layout written before stores encoded the payload once:
+        # json.dump of the envelope, default separators, insertion-order
+        # keys.  Same content, same checksum: it must stay a hit.
+        path, text = self._entry_text()
+        envelope = json.loads(text)
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(envelope, f)
+        DEFAULT_CACHE.clear()
+        before = counts()
+        assert run_artifact(cached_artifact(EASY)).ok
+        assert delta(before, "exec.cache.hit") == 1
+        assert delta(before, "exec.cache.disk_errors") == 0
+        assert delta(before, "exec.artifact.builds") == 0
+
+    @pytest.mark.parametrize("program", EXAMPLES, ids=lambda p: p.stem)
+    def test_disk_revived_artifact_explains_like_fresh(self, program):
+        # Memory-vs-disk redundant pair: the revived artifact (sorted
+        # env dict order after the round trip) must explain every
+        # assertion exactly as the freshly built one does.
+        source = program.read_text(encoding="utf-8")
+        fresh = cached_artifact(source)
+        DEFAULT_CACHE.clear()
+        before = counts()
+        revived = cached_artifact(source)
+        assert revived is not fresh
+        assert delta(before, "exec.cache.hit") == 1
+        assert delta(before, "exec.artifact.builds") == 0
+        fresh_report = explain_artifact(fresh).to_dict()
+        revived_report = explain_artifact(revived).to_dict()
+        assert fresh_report["assertions"]
+        assert _without_query_counts(revived_report) == _without_query_counts(
+            fresh_report
+        )
 
 
 class TestBypasses:
