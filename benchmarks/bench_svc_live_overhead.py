@@ -4,8 +4,8 @@ PR18 puts two new pieces of work on the served path of every request:
 request-scoped trace propagation (``trace_context`` + the
 ``svc.admission``/``svc.dispatch`` spans and gate instants, journaled
 when observability is on) and rolling-window aggregation
-(:class:`repro.obs.live.LiveStats` fed by the
-:class:`~repro.svc.telemetry.ServeStats` tracker).  Both run once per
+(the :class:`repro.obs.live.LiveStats` windows the admission gate
+records every served request into).  Both run once per
 request, so their cost must be measured against an honest request, not
 assumed away.
 
@@ -47,6 +47,7 @@ os.environ.setdefault("REPRO_CACHE", "off")
 from repro.obs import journal as obs_journal  # noqa: E402
 from repro.obs import metrics as obs_metrics  # noqa: E402
 from repro.obs import tracer as obs_tracer  # noqa: E402
+from repro.obs.live import LiveStats  # noqa: E402
 from repro.svc import (  # noqa: E402
     AnalysisService,
     GateConfig,
@@ -57,7 +58,6 @@ from repro.svc import (  # noqa: E402
 )
 from repro.svc.gate import AdmissionGate  # noqa: E402
 from repro.svc.serve import parse_line  # noqa: E402
-from repro.svc.telemetry import ServeStats  # noqa: E402
 
 POOL_SIZE = int(os.environ.get("SVC_LIVE_POOL", 2))
 CORPUS_SIZE = int(os.environ.get("SVC_LIVE_CORPUS", 10))
@@ -103,12 +103,15 @@ def request_lines(n: int, tag: str) -> list[str]:
     ]
 
 
-def _gate() -> AdmissionGate:
+def _gate(windows: bool) -> AdmissionGate:
     # Big queue, no quotas: nothing sheds, so both arms measure the
-    # *served* path only.
-    return AdmissionGate(
+    # *served* path only.  The bare arm's gate keeps no live windows.
+    gate = AdmissionGate(
         GateConfig(max_queue=1024, max_deadline=60.0, workers=POOL_SIZE)
     )
+    if not windows:
+        gate.live = LiveStats(windows=(), clock=gate.clock)
+    return gate
 
 
 def _serve_bare(svc: AnalysisService, gate: AdmissionGate, line: str) -> float:
@@ -120,19 +123,14 @@ def _serve_bare(svc: AnalysisService, gate: AdmissionGate, line: str) -> float:
     released = gate.release(decision)
     assert not isinstance(released, Shed)
     result = svc.run_job(released)
-    gate.note_served(result.duration)
+    gate.note_served(result, request.tenant)
     doc = result.to_dict()
     doc["id"] = request.client_id
     json.dumps(doc)
     return time.perf_counter() - t0
 
 
-def _serve_live(
-    svc: AnalysisService,
-    gate: AdmissionGate,
-    tracker: ServeStats,
-    line: str,
-) -> float:
+def _serve_live(svc: AnalysisService, gate: AdmissionGate, line: str) -> float:
     """One request through the full live path: trace context + spans
     (against an active journal) + window recording — the exact
     per-request work :func:`repro.svc.serve.serve_lines` does."""
@@ -151,12 +149,11 @@ def _serve_live(
             released = gate.release(decision)
         assert not isinstance(released, Shed)
         result = svc.run_job(released)
-    gate.note_served(result.duration)
+    gate.note_served(result, request.tenant)
     doc = result.to_dict()
     doc["id"] = request.client_id
     doc.setdefault("trace_id", request.trace_id)
     json.dumps(doc)
-    tracker.record(result, request.tenant)
     return time.perf_counter() - t0
 
 
@@ -169,17 +166,14 @@ def measure_overhead() -> dict[str, float]:
     live_lat: list[float] = []
     with AnalysisService(config) as svc:
         svc.run_job(JobSpec("warmup", "run", PASSING))  # pay spawn once
-        gate_bare, gate_live = _gate(), _gate()
-        tracker = ServeStats()
+        gate_bare, gate_live = _gate(windows=False), _gate(windows=True)
         for round_no in range(ROUNDS):
             lines = request_lines(CORPUS_SIZE, f"r{round_no}")
             for line in lines:
                 bare_lat.append(_serve_bare(svc, gate_bare, line))
             with obs_journal.journaled():
                 for line in lines:
-                    live_lat.append(
-                        _serve_live(svc, gate_live, tracker, line)
-                    )
+                    live_lat.append(_serve_live(svc, gate_live, line))
     p50_bare = statistics.median(bare_lat)
     p50_live = statistics.median(live_lat)
     overhead_pct = (p50_live - p50_bare) / p50_bare * 100.0

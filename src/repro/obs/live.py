@@ -15,8 +15,9 @@ about the last minute's brownout).  This module keeps *recent* truth:
 
 * :class:`LiveStats` — the serving aggregator: one set of windows
   (default 10 s / 1 min / 5 min) per dimension value, where dimensions
-  are the overall stream, the job *kind*, and the *tenant*.  Records
-  served/shed/error events with latencies; snapshots to a JSON-able
+  are the overall stream, the job *kind*, and the *tenant*.  The
+  serving admission gate owns one and records every served and shed
+  event into it, with latencies; it snapshots to a JSON-able
   dict (the ``stats`` request kind and ``fast serve --stats``) and to
   flat gauge samples for the ``/metrics`` exposition.
 
@@ -476,13 +477,11 @@ def render_prometheus(
                 help_text="requests refused with a shed response",
             )
     if breakers is not None:
-        for kind, breaker in sorted(
-            getattr(breakers, "breakers", {}).items()
-        ):
+        for kind, current in sorted(breakers.states().items()):
             for state in _BREAKER_STATES:
                 exp.add(
                     "svc_breaker_state", "gauge",
-                    1.0 if breaker.state == state else 0.0,
+                    1.0 if current == state else 0.0,
                     labels={"kind": kind, "state": state},
                     help_text="one-hot circuit-breaker state per job kind",
                 )

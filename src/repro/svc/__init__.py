@@ -25,7 +25,8 @@ process survives anything a job does:
 * :mod:`~repro.svc.telemetry` — cross-process observability: worker
   journals/metrics/spans ship back over the job boundary as size-capped
   blobs and merge into the host journal (per-worker Perfetto tracks),
-  registry, and trace tree;
+  registry, and trace tree; plus the per-kind latency ledger and the
+  ``--stats`` renderers;
 * :mod:`~repro.svc.gate` — admission control: bounded pending queue
   with explicit load shedding, per-tenant token-bucket quotas, a
   server-side deadline ceiling with remaining-time propagation, health
@@ -81,7 +82,7 @@ from .serve import (
     serve_socket,
 )
 from .service import AnalysisService, ServiceConfig, chaos_from_env
-from .telemetry import ServeStats, TelemetryConfig, latency_summary
+from .telemetry import TelemetryConfig
 
 __all__ = [
     "AdmissionGate",
@@ -103,7 +104,6 @@ __all__ = [
     "RequestError",
     "RequestLimits",
     "RetryPolicy",
-    "ServeStats",
     "ServiceConfig",
     "Shed",
     "SocketFrontEnd",
@@ -116,7 +116,6 @@ __all__ = [
     "collect_program_paths",
     "current_rss_bytes",
     "execute_job",
-    "latency_summary",
     "mint_trace_id",
     "parse_line",
     "parse_size",

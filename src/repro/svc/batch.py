@@ -25,7 +25,7 @@ from typing import Any, Optional
 from ..guard import Budget, scope as _budget_scope
 from .job import BudgetSpec, ERROR, JobResult, JobSpec, PROVED, REFUTED, UNKNOWN
 from .service import AnalysisService, ServiceConfig
-from .telemetry import latency_summary
+from .telemetry import KindLatency, breaker_line
 
 #: Wall-clock cap on compiling any single shared source during prewarm:
 #: the supervisor must never be taken down (or stalled) by a
@@ -126,36 +126,12 @@ class BatchReport:
 
     def latency(self) -> dict[str, dict[str, Any]]:
         """Per-kind latency quantiles + retry counts (worker durations)."""
-        return latency_summary(self.results)
+        return KindLatency(self.results).summary()
 
     def render_stats(self) -> str:
         """The ``fast top``-style per-kind latency/retry table."""
-        lines = ["== batch stats =="]
-        header = (
-            f"{'kind':<12} {'jobs':>6} {'retries':>8} "
-            f"{'p50':>9} {'p95':>9} {'p99':>9} {'max':>9}"
-        )
-        lines.append(header)
-        for kind, entry in self.latency().items():
-            if entry.get("count"):
-                lines.append(
-                    f"{kind:<12} {entry['count']:>6} {entry['retries']:>8} "
-                    f"{entry['p50_ms']:>7.1f}ms {entry['p95_ms']:>7.1f}ms "
-                    f"{entry['p99_ms']:>7.1f}ms {entry['max_ms']:>7.1f}ms"
-                )
-            else:
-                lines.append(
-                    f"{kind:<12} {0:>6} {entry['retries']:>8} "
-                    f"{'-':>9} {'-':>9} {'-':>9} {'-':>9}"
-                )
-        if self.breakers:
-            lines.append(
-                "breakers: "
-                + " ".join(
-                    f"{k}={v}" for k, v in sorted(self.breakers.items())
-                )
-            )
-        return "\n".join(lines)
+        lines = KindLatency(self.results).render("batch stats")
+        return "\n".join(lines + breaker_line(self.breakers))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -226,11 +202,7 @@ def run_batch(
         prewarm_shared_sources(specs)
     if service is not None:
         results = service.run_jobs(specs)
-        return BatchReport(results, _breaker_states(service))
+        return BatchReport(results, service.breakers.states())
     with AnalysisService(config) as svc:
         results = svc.run_jobs(specs)
-        return BatchReport(results, _breaker_states(svc))
-
-
-def _breaker_states(service: AnalysisService) -> dict[str, str]:
-    return {kind: b.state for kind, b in service.breakers.breakers.items()}
+        return BatchReport(results, svc.breakers.states())

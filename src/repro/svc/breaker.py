@@ -30,20 +30,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..obs import config as obs_config
-from ..obs import journal as obs_journal
 from ..obs import metrics as obs_metrics
+from ..obs import tracer as obs_tracer
 
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
 
 _OBS_TRIPS = obs_metrics.counter("svc.breaker_trips")
 _OBS_REJECTIONS = obs_metrics.counter("svc.breaker_rejections")
 _OBS_CLOSES = obs_metrics.counter("svc.breaker_closes")
-
-
-def _journal(event: str, detail: dict) -> None:
-    j = obs_journal.ACTIVE
-    if j is not None:
-        j.emit("I", event, detail)
 
 
 @dataclass
@@ -89,7 +83,7 @@ class CircuitBreaker:
             assert self.opened_at is not None
             if self.clock() - self.opened_at >= self.config.cooldown:
                 self.state = HALF_OPEN
-                _journal(
+                obs_tracer.instant(
                     "svc.breaker.half_open",
                     {"kind": self.kind},
                 )
@@ -117,7 +111,7 @@ class CircuitBreaker:
             self.opened_at = None
             if obs_config.ENABLED:
                 _OBS_CLOSES.inc()
-            _journal("svc.breaker.close", {"kind": self.kind})
+            obs_tracer.instant("svc.breaker.close", {"kind": self.kind})
 
     def record_failure(self) -> None:
         """The dispatched job failed (crash, timeout, corrupt reply)."""
@@ -137,7 +131,7 @@ class CircuitBreaker:
         self.trips += 1
         if obs_config.ENABLED:
             _OBS_TRIPS.inc()
-        _journal(
+        obs_tracer.instant(
             "svc.breaker.trip",
             {"kind": self.kind, "failures": self.consecutive_failures},
         )
@@ -155,3 +149,7 @@ class BreakerRegistry:
         if kind not in self.breakers:
             self.breakers[kind] = CircuitBreaker(kind, self.config, self.clock)
         return self.breakers[kind]
+
+    def states(self) -> dict[str, str]:
+        """Each consulted kind's breaker state (``closed``/``open``/...)."""
+        return {kind: b.state for kind, b in self.breakers.items()}

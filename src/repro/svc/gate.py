@@ -36,6 +36,14 @@ that implicit, unbounded queue with explicit, deliberate policy:
   depth, per-reason shed counters, and per-kind breaker states into
   one JSON-able dict — the payload of the ``health`` request kind.
 
+* **The serving ledger.**  The gate is the one record of served and
+  shed requests: its counters, its :class:`~repro.obs.live.LiveStats`
+  windows (fed by every shed — admit, release or drain — and every
+  :meth:`AdmissionGate.note_served`), and its per-kind
+  :class:`~repro.svc.telemetry.KindLatency`.  ``health``, ``/metrics``,
+  the ``stats`` request and the ``--stats`` output all read it, so they
+  agree by construction.
+
 * **Graceful drain.**  :meth:`AdmissionGate.start_drain` stops
   admission (new requests shed with ``reason: "draining"``) while
   letting the dispatcher finish what was already admitted, up to the
@@ -61,7 +69,9 @@ from typing import Any, Callable, Optional
 from ..obs import config as obs_config
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
-from .job import BudgetSpec, JobSpec
+from ..obs.live import LiveStats
+from .job import BudgetSpec, JobResult, JobSpec
+from .telemetry import KindLatency
 
 #: Shed reasons (the ``reason`` field of a shed response).
 SHED_QUEUE_FULL = "queue-full"
@@ -211,7 +221,7 @@ class AdmissionGate:
         else:
             dispatch(outcome)                    # spec w/ remaining budget
         ...
-        gate.note_served(duration)               # after the result
+        gate.note_served(result, tenant)         # after the result
     """
 
     def __init__(
@@ -234,6 +244,11 @@ class AdmissionGate:
         self.admitted = 0
         self.served = 0
         self.shed: dict[str, int] = {reason: 0 for reason in SHED_REASONS}
+        #: Rolling windows over served/shed events (the ``stats`` kind,
+        #: ``/metrics`` window gauges, ``--stats`` tenant rows).
+        self.live = LiveStats(clock=clock)
+        #: Whole-run per-kind worker latency and retries.
+        self.latency = KindLatency()
 
     # -- admission ---------------------------------------------------------
 
@@ -241,10 +256,10 @@ class AdmissionGate:
         self,
         reason: str,
         retry_after: float,
-        tenant: Optional[str] = None,
+        tenant: str,
         stage: str = "admit",
     ) -> Shed:
-        """Count one refusal and journal it as a trace-stamped instant.
+        """Record one refusal and journal it as a trace-stamped instant.
 
         The instant (``svc.gate.shed``) is how a refused request shows
         up in the exported Perfetto track: sheds have no span of their
@@ -253,12 +268,13 @@ class AdmissionGate:
         the spans of requests that made it through.
         """
         self.shed[reason] += 1
+        self.live.record_shed(reason, tenant)
         if obs_config.ENABLED:
             _OBS_SHED[reason].inc()
-        data: dict[str, Any] = {"reason": reason, "stage": stage}
-        if tenant is not None:
-            data["tenant"] = tenant
-        obs_tracer.instant("svc.gate.shed", data)
+        obs_tracer.instant(
+            "svc.gate.shed",
+            {"reason": reason, "stage": stage, "tenant": tenant},
+        )
         return Shed(reason, retry_after, trace_id=obs_tracer.current_trace_id())
 
     def _queue_retry_after(self) -> float:
@@ -371,13 +387,26 @@ class AdmissionGate:
             trace_id=ticket.spec.trace_id,
         )
 
-    def note_served(self, duration: float) -> None:
-        """One released job came back (any outcome: it was *answered*)."""
+    def note_served(
+        self, result: JobResult, tenant: str = "default", elapsed: float = 0.0
+    ) -> None:
+        """One released job came back (any outcome: it was *answered*).
+
+        Records the served event, its latency and its per-kind latency.
+        The ``retry_after`` estimate follows the worker duration, or
+        ``elapsed`` (caller-measured wall time) for results that never
+        reached a worker.
+        """
+        duration = result.duration or elapsed
         with self._lock:
             self._inflight = max(0, self._inflight - 1)
             self.served += 1
             if duration > 0:
                 self._ewma_latency += 0.2 * (duration - self._ewma_latency)
+            self.latency.record(result)
+        self.live.record_served(
+            result.kind, tenant, result.duration, outcome=result.outcome
+        )
         if obs_config.ENABLED:
             _OBS_SERVED.inc()
 
@@ -450,11 +479,7 @@ class AdmissionGate:
                     "shed_total": shed_total,
                 },
             }
-        states: dict[str, str] = {}
-        if breakers is not None:
-            for kind, breaker in getattr(breakers, "breakers", {}).items():
-                states[kind] = breaker.state
-        doc["breakers"] = states
+        doc["breakers"] = breakers.states() if breakers is not None else {}
         if pool is not None:
             snapshot = getattr(pool, "lifecycle_snapshot", None)
             if callable(snapshot):

@@ -51,7 +51,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import IO, Any, Callable, Optional
 
 from .gate import GateConfig, SHED_QUOTA
-from .serve import FrontEndBase, RequestLimits
+from .serve import FrontEndBase, RequestLimits, run_until_drained
 from .service import ServiceConfig
 
 #: Slack added on top of ``max_source_bytes`` for the JSON envelope
@@ -185,7 +185,7 @@ class _Handler(BaseHTTPRequestHandler):
 class HttpFrontEnd(FrontEndBase):
     """``fast serve --http HOST:PORT``: the HTTP/1.1 transport.
 
-    The serving core (gate, dispatcher, tracker, drain) is
+    The serving core (gate, dispatcher, drain) is
     :class:`~repro.svc.serve.FrontEndBase`; this class adds a
     :class:`~http.server.ThreadingHTTPServer` whose handler threads
     play the caller-thread role the socket front-end gives connection
@@ -254,35 +254,9 @@ def serve_http(
     err: Optional[IO[str]] = None,
     ready: Optional[Callable[["HttpFrontEnd"], None]] = None,
 ) -> int:
-    """Run an :class:`HttpFrontEnd` until drained; returns jobs served.
-
-    ``ready`` is called with the live front-end once it is listening
-    (the CLI uses it to print the bound address and install SIGTERM).
-    """
-    import sys
-
+    """Run an :class:`HttpFrontEnd` until drained; returns jobs served."""
     front = HttpFrontEnd(
-        host,
-        port,
-        config,
-        gate_config,
-        limits,
-        stats_interval=stats_interval,
-        err=err,
+        host, port, config, gate_config, limits,
+        stats_interval=stats_interval, err=err,
     )
-    front.start()
-    if ready is not None:
-        ready(front)
-    try:
-        while not front.wait(timeout=0.2):
-            pass
-    finally:
-        front.close()
-    if stats:
-        stream = err if err is not None else sys.stderr
-        svc = getattr(front, "_svc", None)
-        stream.write(
-            front.tracker.summary(svc.breakers if svc else None) + "\n"
-        )
-        stream.flush()
-    return front.served
+    return run_until_drained(front, stats=stats, ready=ready)

@@ -40,7 +40,6 @@ from typing import Any, Callable, Optional
 
 from ..guard.chaos import WorkerChaosPolicy
 from ..obs import config as obs_config
-from ..obs import journal as obs_journal
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
 from . import telemetry as svc_telemetry
@@ -71,12 +70,6 @@ _OBS_WORKER_RSS = obs_metrics.gauge("svc.worker.rss_bytes")
 _OBS_WORKER_GEN = obs_metrics.gauge("svc.worker.generation")
 _OBS_PREWARM_MS = obs_metrics.histogram("svc.worker.prewarm_ms")
 _OBS_RECYCLE_PAUSE = obs_metrics.histogram("svc.recycle_pause_ms")
-
-
-def _journal(event: str, detail: dict) -> None:
-    j = obs_journal.ACTIVE
-    if j is not None:
-        j.emit("I", event, detail)
 
 
 @dataclass
@@ -139,7 +132,7 @@ class WorkerPool:
         }
         if worker.prewarm_ms is not None:
             detail["prewarm_ms"] = round(worker.prewarm_ms, 3)
-        _journal("svc.worker.spawn", detail)
+        obs_tracer.instant("svc.worker.spawn", detail)
 
     def _new_worker(self) -> Worker:
         """Build (and spawn) a worker, sharing the pool's prewarm plan.
@@ -236,7 +229,7 @@ class WorkerPool:
             if counter is not None:
                 counter.inc()
             _OBS_RECYCLE_PAUSE.observe(pause * 1e3)
-        _journal(
+        obs_tracer.instant(
             "svc.worker.recycle",
             {
                 "worker": worker.worker_id,
@@ -358,7 +351,7 @@ class WorkerPool:
 
         if obs_config.ENABLED:
             _OBS_SUBMITTED.inc(len(specs))
-        _journal(
+        obs_tracer.instant(
             "svc.pool.start", {"jobs": len(specs), "workers": self.size}
         )
 
@@ -425,7 +418,7 @@ class WorkerPool:
                 state.attempt += 1
                 if obs_config.ENABLED:
                     _OBS_RETRIES.inc()
-                _journal(
+                obs_tracer.instant(
                     "svc.retry",
                     {
                         "job": job_id,
@@ -466,7 +459,7 @@ class WorkerPool:
             else:
                 if obs_config.ENABLED:
                     _OBS_CORRUPT.inc()
-                _journal(
+                obs_tracer.instant(
                     "svc.worker.corrupt_result",
                     {"worker": worker.worker_id, "job": job_id},
                 )
@@ -547,7 +540,7 @@ class WorkerPool:
                     }
                     if state.spec.trace_id is not None:
                         dispatch_detail["trace_id"] = state.spec.trace_id
-                    _journal("svc.worker.dispatch", dispatch_detail)
+                    obs_tracer.instant("svc.worker.dispatch", dispatch_detail)
                     if state.first_dispatched is None:
                         state.first_dispatched = clock()
                     busy[id(worker)] = (worker, job_id, clock() + attempt_cap)
@@ -603,7 +596,7 @@ class WorkerPool:
                         self._on_timeout(worker, job_id, fail_attempt)
                         del busy[key]
 
-        _journal("svc.pool.done", {"jobs": len(results)})
+        obs_tracer.instant("svc.pool.done", {"jobs": len(results)})
         return [results[spec.job_id] for spec in specs]
 
     # -- failure handlers --------------------------------------------------
@@ -618,7 +611,7 @@ class WorkerPool:
         exitcode = worker.exitcode
         if obs_config.ENABLED:
             _OBS_CRASHES.inc()
-        _journal(
+        obs_tracer.instant(
             "svc.worker.crash",
             {"worker": worker.worker_id, "job": job_id, "exitcode": exitcode},
         )
@@ -640,7 +633,7 @@ class WorkerPool:
     ) -> None:
         if obs_config.ENABLED:
             _OBS_TIMEOUTS.inc()
-        _journal(
+        obs_tracer.instant(
             "svc.worker.kill",
             {"worker": worker.worker_id, "job": job_id, "reason": "timeout"},
         )

@@ -64,10 +64,11 @@ from typing import IO, Any, Callable, Iterator, Optional
 
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
+from .breaker import BreakerRegistry
 from .gate import AdmissionGate, GateConfig, SHED_DRAINING, Shed, Ticket
 from .job import KINDS, BudgetSpec, JobSpec
 from .service import AnalysisService, ServiceConfig
-from .telemetry import ServeStats
+from .telemetry import stats_line, stats_summary
 
 _OBS_CLIENT_GONE = obs_metrics.counter("svc.serve.client_gone")
 _OBS_BAD_REQUESTS = obs_metrics.counter("svc.serve.bad_requests")
@@ -333,9 +334,7 @@ def serve_lines(
     gate = AdmissionGate(
         gate_config or GateConfig(workers=config.jobs), clock=clock
     )
-    # The tracker always exists — the `stats` request kind reads its
-    # live windows whether or not operator stats output was asked for.
-    tracker = ServeStats(clock=clock)
+    mark = (gate.started, 0)
     with AnalysisService(config) as svc:
         for index, line in enumerate(lines):
             if stop is not None and stop.is_set():
@@ -367,7 +366,7 @@ def serve_lines(
                     break
                 continue
             if request.stats:
-                if not _emit(out, stats_response(request, tracker, served)):
+                if not _emit(out, stats_response(request, gate)):
                     break
                 continue
             with obs_tracer.trace_context(request.trace_id):
@@ -379,45 +378,58 @@ def serve_lines(
                 ):
                     decision = gate.admit(request.spec, request.tenant)
                 if isinstance(decision, Shed):
-                    tracker.record_shed(decision.reason, request.tenant)
                     if not _emit(out, decision.response(request.client_id)):
                         break
                     continue
                 with obs_tracer.span("svc.dispatch", id=request.client_id):
                     released = gate.release(decision)
                 if isinstance(released, Shed):
-                    tracker.record_shed(released.reason, request.tenant)
                     if not _emit(out, released.response(request.client_id)):
                         break
                     continue
                 result = svc.run_job(released)
-            gate.note_served(result.duration)
+            gate.note_served(result, request.tenant)
             doc = result.to_dict()
             doc["id"] = request.client_id
             doc.setdefault("trace_id", request.trace_id)
             if not _emit(out, doc):
                 break
             served += 1
-            tracker.record(result, request.tenant)
-            if tracker.due(stats_interval):
-                err.write(tracker.line(svc.breakers) + "\n")
-                err.flush()
+            mark = _rolling_stats(
+                gate, svc.breakers, stats_interval, err, mark
+            )
         if stats:
-            err.write(tracker.summary(svc.breakers) + "\n")
+            err.write(stats_summary(gate, svc.breakers) + "\n")
             err.flush()
     return served
 
 
-def stats_response(
-    request: Request, tracker: ServeStats, served: int
-) -> dict[str, Any]:
+def stats_response(request: Request, gate: AdmissionGate) -> dict[str, Any]:
     """The payload of a ``stats`` request: the live window snapshot."""
     return {
         "id": request.client_id,
         "trace_id": request.trace_id,
-        "served_total": served,
-        "stats": tracker.live.snapshot(),
+        "served_total": gate.served,
+        "stats": gate.live.snapshot(),
     }
+
+
+def _rolling_stats(
+    gate: AdmissionGate,
+    breakers: Optional[BreakerRegistry],
+    interval: float,
+    err: IO[str],
+    mark: tuple[float, int],
+) -> tuple[float, int]:
+    """Write the rolling ``--stats`` block once ``interval`` seconds have
+    passed since ``mark``; returns the mark the next block counts from."""
+    if interval <= 0 or gate.clock() - mark[0] < interval:
+        return mark
+    # One write call: stats output must never interleave with journal
+    # spill writes or other stderr traffic mid-line.
+    err.write(stats_line(gate, breakers, since=mark) + "\n")
+    err.flush()
+    return (gate.clock(), gate.served)
 
 
 def _emit(out: IO[str], doc: dict[str, Any]) -> bool:
@@ -492,8 +504,8 @@ class FrontEndBase:
         self.clock = clock
         self.stats_interval = stats_interval
         self.err = err if err is not None else sys.stderr
-        self.tracker = ServeStats(clock=clock)
-        self.served = 0
+        self._svc: Optional[AnalysisService] = None
+        self._stats_mark = (self.gate.started, 0)
         self._queue: "queue.Queue[Ticket]" = queue.Queue()
         self._draining = threading.Event()
         self._done = threading.Event()
@@ -539,34 +551,41 @@ class FrontEndBase:
 
     # -- operator views ----------------------------------------------------
 
+    @property
+    def served(self) -> int:
+        """Jobs answered so far (the gate's ledger)."""
+        return self.gate.served
+
+    @property
+    def breakers(self) -> Optional[BreakerRegistry]:
+        """The service's breaker registry, once the dispatcher runs."""
+        return self._svc.breakers if self._svc is not None else None
+
     def health_doc(self) -> dict[str, Any]:
         """The ``health`` ledger (gate + breakers + worker lifecycle)."""
-        svc = getattr(self, "_svc", None)
         return self.gate.health(
-            svc.breakers if svc is not None else None,
+            self.breakers,
             workers=self.config.jobs,
-            pool=svc.pool if svc is not None else None,
+            pool=self._svc.pool if self._svc is not None else None,
         )
 
     def metrics_text(self) -> str:
         """The Prometheus text exposition of this front-end's state.
 
-        The ``svc_gate_*`` families come from the gate's own ledger
-        (valid with observability off, and exactly consistent with the
-        wire-level served/shed partition); the window gauges from the
-        live tracker; registry metrics ride along when obs recording is
-        on.
+        The ``svc_gate_*`` families and the window gauges both come from
+        the gate's ledger (valid with observability off, and exactly
+        consistent with the wire-level served/shed partition); registry
+        metrics ride along when obs recording is on.
         """
         from ..obs import config as obs_config
         from ..obs.live import render_prometheus
 
-        svc = getattr(self, "_svc", None)
         return render_prometheus(
             gate=self.gate,
-            breakers=svc.breakers if svc is not None else None,
-            live=self.tracker.live,
+            breakers=self.breakers,
+            live=self.gate.live,
             registry=obs_metrics.REGISTRY if obs_config.ENABLED else None,
-            pool=svc.pool if svc is not None else None,
+            pool=self._svc.pool if self._svc is not None else None,
         )
 
     # -- request handling (caller threads) ---------------------------------
@@ -596,7 +615,7 @@ class FrontEndBase:
             reply(health)
             return
         if request.stats:
-            reply(stats_response(request, self.tracker, self.served))
+            reply(stats_response(request, self.gate))
             return
         with obs_tracer.trace_context(request.trace_id):
             with obs_tracer.span(
@@ -607,7 +626,6 @@ class FrontEndBase:
             ):
                 decision = self.gate.admit(request.spec, request.tenant)
         if isinstance(decision, Shed):
-            self.tracker.record_shed(decision.reason, request.tenant)
             reply(decision.response(request.client_id))
             return
         decision.reply = reply
@@ -681,7 +699,6 @@ class FrontEndBase:
                 ):
                     released = self.gate.release(ticket)
             if isinstance(released, Shed):
-                self.tracker.record_shed(released.reason, ticket.tenant)
                 if ticket.reply is not None:
                     ticket.reply(released.response(ticket.client_id))
                 continue
@@ -705,17 +722,14 @@ class FrontEndBase:
             if ticket.reply is not None:
                 ticket.reply(doc)
             self.gate.note_served(
-                result.duration or (self.clock() - started)
+                result, ticket.tenant, elapsed=self.clock() - started
             )
-            self.served += 1
-            self.tracker.record(result, ticket.tenant)
 
         svc.run_jobs(specs, on_result=deliver)
-        if self.tracker.due(self.stats_interval):
-            # One write call: stats output must never interleave with
-            # journal spill writes or other stderr traffic mid-line.
-            self.err.write(self.tracker.line(svc.breakers) + "\n")
-            self.err.flush()
+        self._stats_mark = _rolling_stats(
+            self.gate, svc.breakers, self.stats_interval, self.err,
+            self._stats_mark,
+        )
 
 
 # -- the socket front-end ----------------------------------------------------
@@ -832,6 +846,33 @@ class SocketFrontEnd(FrontEndBase):
             # write half after the client half-closes its read side.
 
 
+def run_until_drained(
+    front: FrontEndBase,
+    *,
+    stats: bool = False,
+    ready: Optional[Callable[[Any], None]] = None,
+) -> int:
+    """Start a front-end, serve until drained, close; returns jobs served.
+
+    ``ready`` is called with the live front-end once it is listening
+    (the CLI uses it to print the bound address and install SIGTERM);
+    with ``stats`` the closing ``--stats`` table goes to the
+    front-end's ``err`` stream.
+    """
+    front.start()
+    if ready is not None:
+        ready(front)
+    try:
+        while not front.wait(timeout=0.2):
+            pass
+    finally:
+        front.close()
+    if stats:
+        front.err.write(stats_summary(front.gate, front.breakers) + "\n")
+        front.err.flush()
+    return front.served
+
+
 def serve_socket(
     host: str,
     port: int,
@@ -844,33 +885,9 @@ def serve_socket(
     err: Optional[IO[str]] = None,
     ready: Optional[Callable[["SocketFrontEnd"], None]] = None,
 ) -> int:
-    """Run a :class:`SocketFrontEnd` until drained; returns jobs served.
-
-    ``ready`` is called with the live front-end once it is listening
-    (the CLI uses it to print the bound address and install SIGTERM).
-    """
+    """Run a :class:`SocketFrontEnd` until drained; returns jobs served."""
     front = SocketFrontEnd(
-        host,
-        port,
-        config,
-        gate_config,
-        limits,
-        stats_interval=stats_interval,
-        err=err,
+        host, port, config, gate_config, limits,
+        stats_interval=stats_interval, err=err,
     )
-    front.start()
-    if ready is not None:
-        ready(front)
-    try:
-        while not front.wait(timeout=0.2):
-            pass
-    finally:
-        front.close()
-    if stats:
-        stream = err if err is not None else sys.stderr
-        svc = getattr(front, "_svc", None)
-        stream.write(
-            front.tracker.summary(svc.breakers if svc else None) + "\n"
-        )
-        stream.flush()
-    return front.served
+    return run_until_drained(front, stats=stats, ready=ready)

@@ -63,7 +63,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from ..obs import config as obs_config
 from ..obs import journal as obs_journal
@@ -71,9 +71,13 @@ from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
 from ..obs.journal import Event, Journal
 from ..obs.live import LiveStats
-from ..obs.metrics import Counter, Gauge, Histogram, percentile
+from ..obs.metrics import Counter, Gauge, Histogram
 from ..obs.report import span_to_dict
 from .job import JobResult, JobSpec, execute_job
+
+if TYPE_CHECKING:
+    from .breaker import BreakerRegistry
+    from .gate import AdmissionGate
 
 #: Handshake message markers (tuple heads on the worker pipe).
 CLOCK_PING = "__repro_clock_ping__"
@@ -428,207 +432,166 @@ def _span_from_dict(doc: Any) -> Optional[obs_tracer.Span]:
 
 # -- serving statistics ------------------------------------------------------
 
-
-def format_quantiles(hist: Histogram, scale: float = 1e3) -> str:
-    """``p50=…ms p95=…ms p99=…ms`` for a latency histogram (seconds)."""
-    return (
-        f"p50={hist.quantile(0.5) * scale:.1f}ms "
-        f"p95={hist.quantile(0.95) * scale:.1f}ms "
-        f"p99={hist.quantile(0.99) * scale:.1f}ms"
-    )
+#: The latency quantiles every serving view reports.
+_QS = ("p50", "p95", "p99")
 
 
-class ServeStats:
-    """Rolling per-kind latency/throughput stats for ``fast serve``.
+class KindLatency:
+    """Per-kind worker latency and retry counts, fed from results.
 
-    Independent of the global obs switch: stand-alone (unregistered,
-    un-journaled) histograms accumulate per-kind worker execution times
-    for the whole-run ``summary()`` table, and a
-    :class:`~repro.obs.live.LiveStats` window aggregator backs the
-    rolling ``line()`` updates — including one row per active tenant
-    over the short window, so a multi-tenant overload is visible *as*
-    it happens, not in the post-run table.
-
-    ``line()`` returns a complete, newline-joined block: the front-end
-    writes it with **one** ``write()`` call so stats output can never
-    interleave with journal spill writes or other stderr traffic.
+    One stand-alone (unregistered, un-journaled) :class:`Histogram` per
+    job kind plus a retry count: the ledger behind ``fast batch
+    --json``'s ``latency`` block and every ``--stats`` table, so it
+    works with observability off.  Only results that reached a worker
+    (``worker_pid`` set) count toward latency — crashes past the retry
+    cap and open breakers have no duration — but every result counts
+    its retries.  Quantiles are exact up to
+    :data:`Histogram.RESERVOIR_SIZE` jobs per kind and a seeded
+    reservoir estimate above that; count, mean and max stay exact.
     """
 
-    #: LiveStats window label the rolling line reports from.
-    LINE_WINDOW = "1m"
-
-    def __init__(self, clock=time.monotonic, live: Optional[LiveStats] = None) -> None:
-        self.clock = clock
-        self.started = clock()
-        self.window_started = self.started
-        self.window_jobs = 0
-        self.total_jobs = 0
+    def __init__(self, results: Iterable[JobResult] = ()) -> None:
         self.hists: dict[str, Histogram] = {}
         self.retries: dict[str, int] = {}
-        self.shed: dict[str, int] = {}
-        self.shed_total = 0
-        self.live = live if live is not None else LiveStats(clock=clock)
+        for result in results:
+            self.record(result)
 
-    def record_shed(self, reason: str, tenant: str = "default") -> None:
-        """One request shed by the admission gate (never dispatched)."""
-        self.shed[reason] = self.shed.get(reason, 0) + 1
-        self.shed_total += 1
-        self.live.record_shed(reason, tenant)
-
-    def record(self, result: JobResult, tenant: str = "default") -> None:
-        self.total_jobs += 1
-        self.window_jobs += 1
-        self.retries[result.kind] = (
-            self.retries.get(result.kind, 0) + max(0, result.attempts - 1)
-        )
-        self.live.record_served(
-            result.kind, tenant, result.duration, outcome=result.outcome
+    def record(self, result: JobResult) -> None:
+        kind = result.kind
+        self.retries[kind] = (
+            self.retries.get(kind, 0) + max(0, result.attempts - 1)
         )
         if result.worker_pid is not None:
-            self.hists.setdefault(result.kind, Histogram()).observe(
-                result.duration
-            )
+            hist = self.hists.get(kind)
+            if hist is None:  # a Histogram seeds its own RNG: build once
+                hist = self.hists[kind] = Histogram()
+            hist.observe(result.duration)
 
-    def due(self, interval: float) -> bool:
-        return interval > 0 and self.clock() - self.window_started >= interval
+    def summary(self) -> dict[str, dict[str, Any]]:
+        """The JSON ``latency`` block: per kind, count/retries + ms."""
+        out: dict[str, dict[str, Any]] = {}
+        for kind in sorted(self.retries):
+            hist = self.hists.get(kind)
+            entry: dict[str, Any] = {
+                "count": hist.count if hist is not None else 0,
+                "retries": self.retries[kind],
+            }
+            if hist is not None:
+                snap = hist.snapshot()
+                for key in (*_QS, "mean", "max"):
+                    entry[f"{key}_ms"] = round(snap[key] * 1e3, 3)
+            out[kind] = entry
+        return out
 
-    def _tenant_rows(self) -> list[str]:
-        """One row per active tenant over the short live window."""
-        rows = []
-        label = self.LINE_WINDOW
-        if label not in {lbl for lbl, _ in self.live.windows}:
-            label = self.live.windows[0][0]
-        for tenant in self.live.tenants():
-            win = self.live.window(label, f"tenant:{tenant}")
-            if win is None:
-                continue
-            totals = win.totals()
-            served = totals.get("served", 0)
-            shed = totals.get("shed", 0)
-            if not served and not shed:
-                continue  # idle this window: no row
-            parts = [
-                f"tenant={tenant}",
-                f"window={label}",
-                f"served={served}",
-                f"shed={shed}",
-            ]
-            errors = totals.get("error", 0)
-            if errors:
-                parts.append(f"errors={errors}")
-            if win.sample_count():
-                q = win.quantiles()
-                parts.append(
-                    f"p50={q['p50'] * 1e3:.1f}ms p95={q['p95'] * 1e3:.1f}ms "
-                    f"p99={q['p99'] * 1e3:.1f}ms"
-                )
-            rows.append("[svc]   " + " ".join(parts))
-        return rows
-
-    def line(self, breakers=None) -> str:
-        """One rolling stats block; resets the throughput window.
-
-        The first line is the overall rate/kind summary; one indented
-        row per active tenant follows (the per-tenant live window).
-        The caller must emit the whole block with a single write.
-        """
-        elapsed = max(self.clock() - self.window_started, 1e-9)
-        parts = [f"{self.window_jobs / elapsed:.1f} jobs/s"]
-        if self.shed_total:
-            parts.append(f"shed={self.shed_total}")
-        for kind in sorted(self.hists):
-            h = self.hists[kind]
-            parts.append(f"{kind} n={h.count} {format_quantiles(h)}")
-        states = _breaker_states(breakers)
-        if states:
-            parts.append(
-                "breakers: "
-                + " ".join(f"{k}={v}" for k, v in sorted(states.items()))
-            )
-        self.window_started = self.clock()
-        self.window_jobs = 0
-        return "\n".join(["[svc] " + " | ".join(parts)] + self._tenant_rows())
-
-    def summary(self, breakers=None) -> str:
-        """The ``fast top``-style closing table."""
-        lines = ["== svc stats =="]
-        header = (
+    def render(self, title: str) -> list[str]:
+        """The ``fast top``-style per-kind table, one string per row."""
+        lines = [
+            f"== {title} ==",
             f"{'kind':<12} {'jobs':>6} {'retries':>8} "
-            f"{'p50':>9} {'p95':>9} {'p99':>9} {'max':>9}"
-        )
-        lines.append(header)
-        for kind in sorted(set(self.hists) | set(self.retries)):
-            h = self.hists.get(kind)
-            if h is not None and h.count:
-                row = (
-                    f"{kind:<12} {h.count:>6} "
-                    f"{self.retries.get(kind, 0):>8} "
-                    f"{h.quantile(0.5) * 1e3:>7.1f}ms "
-                    f"{h.quantile(0.95) * 1e3:>7.1f}ms "
-                    f"{h.quantile(0.99) * 1e3:>7.1f}ms "
-                    f"{(h.max or 0) * 1e3:>7.1f}ms"
+            f"{'p50':>9} {'p95':>9} {'p99':>9} {'max':>9}",
+        ]
+        for kind, entry in self.summary().items():
+            if entry["count"]:
+                ms = " ".join(
+                    f"{entry[key + '_ms']:>7.1f}ms" for key in (*_QS, "max")
                 )
             else:
-                row = (
-                    f"{kind:<12} {0:>6} {self.retries.get(kind, 0):>8} "
-                    f"{'-':>9} {'-':>9} {'-':>9} {'-':>9}"
-                )
-            lines.append(row)
-        elapsed = max(self.clock() - self.started, 1e-9)
-        lines.append(
-            f"{self.total_jobs} jobs in {elapsed:.1f}s "
-            f"({self.total_jobs / elapsed:.1f} jobs/s)"
-        )
-        if self.shed_total:
-            breakdown = " ".join(
-                f"{reason}={count}"
-                for reason, count in sorted(self.shed.items())
-            )
-            lines.append(f"shed: {self.shed_total} ({breakdown})")
-        states = _breaker_states(breakers)
-        if states:
+                ms = f"{'-':>9} {'-':>9} {'-':>9} {'-':>9}"
             lines.append(
-                "breakers: "
-                + " ".join(f"{k}={v}" for k, v in sorted(states.items()))
+                f"{kind:<12} {entry['count']:>6} {entry['retries']:>8} {ms}"
             )
-        return "\n".join(lines)
+        return lines
 
 
-def _breaker_states(breakers) -> dict[str, str]:
-    if breakers is None:
-        return {}
-    return {kind: b.state for kind, b in breakers.breakers.items()}
+def breaker_line(states: dict[str, str]) -> list[str]:
+    """``breakers: kind=state ...`` as a row list (empty when none)."""
+    if not states:
+        return []
+    return [
+        "breakers: " + " ".join(f"{k}={v}" for k, v in sorted(states.items()))
+    ]
 
 
-def latency_summary(results: list[JobResult]) -> dict[str, dict[str, Any]]:
-    """Per-kind latency quantiles + retry counts from a result list.
+#: LiveStats window the rolling line's per-tenant rows report from.
+LINE_WINDOW = "1m"
 
-    Computed straight from :class:`JobResult` durations (worker-side
-    execution time), so it works with observability off — this is what
-    ``fast batch --json`` embeds.  Jobs that never executed anywhere
-    (crashes past the retry cap, open breakers) have no duration and
-    are excluded from the quantiles but still counted in ``retries``.
+
+def _tenant_rows(live: LiveStats) -> list[str]:
+    """One row per active tenant over the short live window."""
+    labels = [label for label, _ in live.windows]
+    if not labels:
+        return []
+    label = LINE_WINDOW if LINE_WINDOW in labels else labels[0]
+    rows = []
+    for tenant in live.tenants():
+        win = live.window(label, f"tenant:{tenant}")
+        if win is None:
+            continue
+        totals = win.totals()
+        served = totals.get("served", 0)
+        shed = totals.get("shed", 0)
+        if not served and not shed:
+            continue  # idle this window: no row
+        parts = [
+            f"tenant={tenant}",
+            f"window={label}",
+            f"served={served}",
+            f"shed={shed}",
+        ]
+        errors = totals.get("error", 0)
+        if errors:
+            parts.append(f"errors={errors}")
+        if win.sample_count():
+            q = win.quantiles()
+            parts.extend(f"{k}={q[k] * 1e3:.1f}ms" for k in _QS)
+        rows.append("[svc]   " + " ".join(parts))
+    return rows
+
+
+def stats_line(
+    gate: "AdmissionGate",
+    breakers: Optional["BreakerRegistry"] = None,
+    since: Optional[tuple[float, int]] = None,
+) -> str:
+    """One rolling ``--stats`` block read from the gate's ledger.
+
+    ``since`` is the ``(time, gate.served)`` mark of the previous block
+    (default: gate start), so the rate covers just this interval.  The
+    first line is the overall rate/kind summary; one indented row per
+    active tenant follows.  The caller must emit the whole block with a
+    single write so it cannot interleave with other stderr traffic.
     """
-    durations: dict[str, list[float]] = {}
-    retries: dict[str, int] = {}
-    for r in results:
-        retries[r.kind] = retries.get(r.kind, 0) + max(0, r.attempts - 1)
-        if r.worker_pid is not None:
-            durations.setdefault(r.kind, []).append(r.duration)
-    out: dict[str, dict[str, Any]] = {}
-    for kind in sorted(set(durations) | set(retries)):
-        durs = sorted(durations.get(kind, ()))
-        entry: dict[str, Any] = {
-            "count": len(durs),
-            "retries": retries.get(kind, 0),
-        }
-        if durs:
-            entry.update(
-                p50_ms=round(percentile(durs, 0.50) * 1e3, 3),
-                p95_ms=round(percentile(durs, 0.95) * 1e3, 3),
-                p99_ms=round(percentile(durs, 0.99) * 1e3, 3),
-                mean_ms=round(sum(durs) / len(durs) * 1e3, 3),
-                max_ms=round(durs[-1] * 1e3, 3),
+    started, served_then = since or (gate.started, 0)
+    elapsed = max(gate.clock() - started, 1e-9)
+    parts = [f"{(gate.served - served_then) / elapsed:.1f} jobs/s"]
+    shed_total = sum(gate.shed.values())
+    if shed_total:
+        parts.append(f"shed={shed_total}")
+    for kind, entry in gate.latency.summary().items():
+        if entry["count"]:
+            parts.append(
+                f"{kind} n={entry['count']} "
+                + " ".join(f"{q}={entry[q + '_ms']:.1f}ms" for q in _QS)
             )
-        out[kind] = entry
-    return out
+    if breakers is not None:
+        parts.extend(breaker_line(breakers.states()))
+    return "\n".join(["[svc] " + " | ".join(parts)] + _tenant_rows(gate.live))
+
+
+def stats_summary(
+    gate: "AdmissionGate", breakers: Optional["BreakerRegistry"] = None
+) -> str:
+    """The closing ``--stats`` table of ``fast serve``, from the gate."""
+    lines = gate.latency.render("svc stats")
+    elapsed = max(gate.clock() - gate.started, 1e-9)
+    lines.append(
+        f"{gate.served} jobs in {elapsed:.1f}s "
+        f"({gate.served / elapsed:.1f} jobs/s)"
+    )
+    shed = {reason: n for reason, n in sorted(gate.shed.items()) if n}
+    if shed:
+        breakdown = " ".join(f"{reason}={n}" for reason, n in shed.items())
+        lines.append(f"shed: {sum(shed.values())} ({breakdown})")
+    if breakers is not None:
+        lines.extend(breaker_line(breakers.states()))
+    return "\n".join(lines)

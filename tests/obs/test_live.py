@@ -15,7 +15,7 @@ from repro.obs.live import (
 from repro.obs.metrics import Registry
 from repro.svc.breaker import BreakerConfig, BreakerRegistry
 from repro.svc.gate import AdmissionGate, GateConfig
-from repro.svc.job import JobSpec
+from repro.svc.job import PROVED, JobResult, JobSpec
 
 
 class FakeClock:
@@ -159,7 +159,7 @@ def _gate_with_traffic() -> AdmissionGate:
     first = gate.admit(JobSpec("a", "run", "x"), "team-a")
     gate.admit(JobSpec("b", "run", "x"), "team-a")  # queue full -> shed
     gate.release(first)
-    gate.note_served(0.01)
+    gate.note_served(JobResult("a", "run", PROVED, duration=0.01))
     return gate
 
 

@@ -20,7 +20,7 @@ from repro.svc.gate import (
     Ticket,
     TokenBucket,
 )
-from repro.svc.job import BudgetSpec, JobSpec
+from repro.svc.job import PROVED, BudgetSpec, JobResult, JobSpec
 
 
 class FakeClock:
@@ -187,9 +187,11 @@ class TestDeadlinePropagation:
         released = gate.release(gate.admit(spec()))
         assert isinstance(released, JobSpec)
         assert gate.inflight == 1
-        gate.note_served(0.2)
+        gate.note_served(JobResult("a", "run", PROVED, duration=0.2))
         assert gate.inflight == 0
         assert gate.served == 1
+        # The same served event lands in the gate's live windows.
+        assert gate.live.window("5m").total("served") == 1
 
 
 class TestDrain:

@@ -415,3 +415,50 @@ class TestServeLines:
         ]
         assert replies[2]["reason"] == "quota"
         assert replies[2]["retry_after"] > 0
+
+
+class TestDrainShedLedger:
+    """Requests still queued when the drain deadline passes are shed
+    ``draining`` — and every stats view counts those sheds, because they
+    all read the gate's one ledger."""
+
+    def test_drain_sheds_reach_every_stats_view(self):
+        from repro.obs.live import parse_exposition
+        from repro.svc import GateConfig
+        from repro.svc.serve import FrontEndBase, run_until_drained
+
+        err = io.StringIO()
+        front = FrontEndBase(
+            config=ServiceConfig(jobs=1),
+            gate_config=GateConfig(
+                drain_timeout=0.0, max_queue=16, workers=1
+            ),
+            err=err,
+        )
+        replies = []
+        for i in range(6):
+            front.handle_line(
+                json.dumps({"id": f"q{i}", "kind": "run", "source": PASSING}),
+                f"q{i}",
+                replies.append,
+            )
+        assert replies == []  # all six are queued, none answered yet
+        # Drain before the dispatcher starts: with a zero drain timeout
+        # it sheds the whole queue without dispatching anything.
+        front.initiate_drain()
+        assert run_until_drained(front, stats=True) == 0
+
+        assert len(replies) == 6
+        assert all(r["shed"] and r["reason"] == "draining" for r in replies)
+        assert front.health_doc()["counters"]["shed_total"] == 6
+
+        stats = []
+        front.handle_line(json.dumps({"id": "s", "kind": "stats"}), "s",
+                          stats.append)
+        window = stats[0]["stats"]["windows"]["5m"]["all"]
+        assert window["counts"]["shed"] == 6
+
+        fams = parse_exposition(front.metrics_text())
+        assert fams["svc_window_shed"][(("window", "5m"),)] == 6.0
+
+        assert "shed: 6 (draining=6)" in err.getvalue()

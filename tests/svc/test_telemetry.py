@@ -28,6 +28,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs_tracer
 from repro.obs.export import chrome_trace
 from repro.svc import JobSpec, RetryPolicy, TelemetryConfig, WorkerPool
+from repro.svc.gate import AdmissionGate, GateConfig, Ticket
 from repro.svc.job import JobResult, PROVED, UNKNOWN
 from repro.svc import telemetry as tel
 from repro.svc.worker import _reset_inherited_state
@@ -456,15 +457,23 @@ def _result(kind="run", duration=0.02, outcome=PROVED):
     )
 
 
+def _admit(gate: AdmissionGate, tenant: str):
+    return gate.admit(JobSpec("q", "run", "x"), tenant)
+
+
 class TestServeStatsLine:
+    """The rolling ``--stats`` block and closing table, rendered from
+    the admission gate's ledger."""
+
     def test_line_has_one_row_per_active_tenant(self):
         clock = _Clock()
-        stats = tel.ServeStats(clock=clock)
-        stats.record(_result(), tenant="team-a")
-        stats.record(_result(duration=0.04), tenant="team-a")
-        stats.record(_result(kind="emptiness"), tenant="team-b")
-        stats.record_shed("queue-full", tenant="team-b")
-        block = stats.line()
+        gate = AdmissionGate(GateConfig(max_queue=1), clock=clock)
+        gate.note_served(_result(), tenant="team-a")
+        gate.note_served(_result(duration=0.04), tenant="team-a")
+        gate.note_served(_result(kind="emptiness"), tenant="team-b")
+        _admit(gate, "team-b")  # fills the one-slot queue
+        assert _admit(gate, "team-b").reason == "queue-full"
+        block = tel.stats_line(gate)
         lines = block.splitlines()
         assert lines[0].startswith("[svc] ")
         tenant_rows = [l for l in lines[1:] if "tenant=" in l]
@@ -473,15 +482,15 @@ class TestServeStatsLine:
         row_b = next(l for l in tenant_rows if "tenant=team-b" in l)
         assert "served=2" in row_a and "p50=" in row_a
         assert "served=1" in row_b and "shed=1" in row_b
-        assert f"window={tel.ServeStats.LINE_WINDOW}" in row_a
+        assert f"window={tel.LINE_WINDOW}" in row_a
 
     def test_idle_tenants_age_out_of_the_block(self):
         clock = _Clock()
-        stats = tel.ServeStats(clock=clock)
-        stats.record(_result(), tenant="team-a")
+        gate = AdmissionGate(clock=clock)
+        gate.note_served(_result(), tenant="team-a")
         clock.advance(90.0)  # past the 1m live window
-        stats.record(_result(), tenant="team-b")
-        block = stats.line()
+        gate.note_served(_result(), tenant="team-b")
+        block = tel.stats_line(gate)
         assert "tenant=team-b" in block
         assert "tenant=team-a" not in block
 
@@ -530,11 +539,18 @@ class TestServeStatsLine:
 
     def test_summary_keeps_shed_breakdown(self):
         clock = _Clock()
-        stats = tel.ServeStats(clock=clock)
-        stats.record(_result(), tenant="t")
-        stats.record_shed("quota", tenant="t")
-        stats.record_shed("queue-full", tenant="t")
-        summary = stats.summary()
+        # A two-token bucket and a one-slot queue: the first request
+        # queues, the second sheds queue-full, the third finds the
+        # bucket dry (the clock never moves) and sheds quota.
+        gate = AdmissionGate(
+            GateConfig(max_queue=1, tenant_rate=1.0, tenant_burst=2),
+            clock=clock,
+        )
+        gate.note_served(_result(), tenant="t")
+        assert isinstance(_admit(gate, "t"), Ticket)
+        assert _admit(gate, "t").reason == "queue-full"
+        assert _admit(gate, "t").reason == "quota"
+        summary = tel.stats_summary(gate)
         assert "shed: 2" in summary
         assert "quota=1" in summary
         assert "queue-full=1" in summary
