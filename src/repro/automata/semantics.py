@@ -21,14 +21,11 @@ from ..trees.tree import Tree, dag_post_order
 from .sta import STA, State
 
 
-def acceptance_table(
-    sta: STA, tree: Tree, order: list[Tree] | None = None
-) -> dict[int, frozenset[State]]:
+def acceptance_table(sta: STA, tree: Tree) -> dict[int, frozenset[State]]:
     """Map ``id(node)`` to the set of states accepting that subtree.
 
     One bottom-up pass over distinct subtree objects (linear even for
-    DAG-shaped trees with shared subtrees).  ``order`` is that pass's
-    walk, ``dag_post_order(tree)``, for callers that already have it.
+    DAG-shaped trees with shared subtrees).
 
     A node's accepting set depends only on its symbol, its attribute
     tuple and its children's accepting sets, so the pass memoizes it on
@@ -47,7 +44,7 @@ def acceptance_table(
     passing: dict[tuple, tuple] = {}
     accepting: dict[tuple, frozenset[State]] = {}
     table: dict[int, frozenset[State]] = {}
-    for t in dag_post_order(tree) if order is None else order:
+    for t in dag_post_order(tree):
         symbol = (t.ctor, t.attrs)
         kids = tuple(table[id(c)] for c in t.children)
         accepted = accepting.get((symbol, kids))

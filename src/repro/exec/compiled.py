@@ -22,18 +22,22 @@ factors that work out of the hot loop:
   precompute` eagerly enumerates the satisfiable vectors with
   :func:`repro.smt.minterms.minterms` when a solver is at hand.
 
-* **Output assembly is a closure.**  Each rule body is lowered once
-  into a nest of closures mirroring ``run._eval_output`` (cross
-  products via the shared ``run._cross``), so the per-task work is
-  calls, not ``isinstance`` dispatch over output terms.
+* **Output assembly is a closure, lowered twice.**  Each rule body
+  becomes a nest of closures mirroring ``run._eval_output`` (cross
+  products via the shared ``run._cross``), and a second nest that
+  returns one tree or None.  A run capped at one output per task
+  (``limit=1``, i.e. ``apply_one``) holds at most one tree per child
+  result, so its cross products have at most one element and the
+  second lowering builds it with no lists.
 
-:func:`run_compiled_checked` walks the tree once (the lookahead pass
-and the height sort share one post-order) and replicates the
-interpreter's observable semantics *exactly* — task discovery order,
-height-sorted evaluation, ``limit``/probe truncation and taint
-propagation, one ``transducer.task`` budget tick per task, the
-provenance note — and is property-tested equivalent
-(``tests/exec/test_compiled_equivalence``).
+:func:`run_compiled_checked` makes one pass for the lookahead table,
+then one explicit-stack post-order walk over ``(state, node)`` pairs:
+a pair is dispatched on the way down and emits on the way up, after
+every pair it reads.  It replicates the interpreter's observable
+semantics *exactly* — output order, ``limit``/probe truncation and
+taint propagation, one ``transducer.task`` budget tick per reachable
+pair, the provenance note — for every STTR, deterministic or not, and
+is property-tested equivalent (``tests/exec/test_compiled_equivalence``).
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from ..smt.terms import Term
 from ..transducers.output_terms import OutApply, OutNode, OutputTerm
 from ..transducers.run import TransductionError, _cross
 from ..transducers.sttr import STTR, STTRRule, State
-from ..trees.tree import Tree, dag_post_order
+from ..trees.tree import Tree
 
 _OBS_COMPILES = obs_metrics.counter("exec.compile")
 _OBS_DISPATCH = obs_metrics.counter("exec.dispatch")
@@ -60,6 +64,8 @@ _OBS_CLASSIFY = obs_metrics.counter("exec.classify")
 
 #: ``emit(env, node, results, probe) -> (outputs, hit-the-probe-cap?)``
 Emit = Callable[[dict, Tree, dict, Optional[int]], tuple[list[Tree], bool]]
+#: ``emit_one(env, node, results) -> the one output, or None``
+EmitOne = Callable[[dict, Tree, dict], Optional[Tree]]
 
 
 def _lower_output(term: OutputTerm) -> Emit:
@@ -96,24 +102,60 @@ def _lower_output(term: OutputTerm) -> Emit:
     raise TransductionError(f"cannot lower extended term {term!r}")
 
 
-class CompiledRule:
-    """One lowered rule: guard slot + lookahead + targets + emitter."""
+def _lower_output_one(term: OutputTerm) -> EmitOne:
+    """One output term -> a closure building its single output.
 
-    __slots__ = ("rule", "guard_slot", "lookahead", "targets", "emit")
+    The ``limit=1`` twin of :func:`_lower_output`: every child result
+    is one tree or None, so the cross product is that one tree or
+    empty (None).  Attributes and children are evaluated in the same
+    order, and all of them, as the list closure does.
+    """
+    if isinstance(term, OutApply):
+        state, index = term.state, term.index
+
+        def emit_apply(env, node, results):
+            return results[(state, id(node.children[index]))]
+
+        return emit_apply
+    if isinstance(term, OutNode):
+        ctor = term.ctor
+        attr_evals = tuple(e.evaluate for e in term.attr_exprs)
+        kids = tuple(_lower_output_one(c) for c in term.children)
+
+        def emit_node(env, node, results):
+            attrs = tuple([ev(env) for ev in attr_evals])
+            children = tuple([kid(env, node, results) for kid in kids])
+            for child in children:
+                if child is None:
+                    return None
+            return Tree(ctor, attrs, children)
+
+        return emit_node
+    raise TransductionError(f"cannot lower extended term {term!r}")
+
+
+class CompiledRule:
+    """One lowered rule: guard slot + lookahead + targets + emitters."""
+
+    __slots__ = ("rule", "guard_slot", "lookahead", "targets", "emit", "emit_one")
 
     def __init__(self, rule: STTRRule, guard_slot: int) -> None:
         self.rule = rule
         #: Index of this rule's guard in the symbol's distinct-guard tuple.
         self.guard_slot = guard_slot
-        self.lookahead = rule.lookahead
-        #: ``(state, child index)`` pairs, in output-term iteration order
-        #: (the interpreter's discovery/taint order depends on it).
+        #: ``(child index, states)`` for each constrained child; an empty
+        #: lookahead set holds for every child, so it is left out.
+        self.lookahead = tuple(
+            (i, states) for i, states in enumerate(rule.lookahead) if states
+        )
+        #: ``(state, child index)`` pairs the rule's output reads.
         self.targets = tuple(
             (t.state, t.index)
             for t in rule.output.iter_terms()
             if isinstance(t, OutApply)
         )
         self.emit = _lower_output(rule.output)
+        self.emit_one = _lower_output_one(rule.output)
 
 
 class CompiledSTTR:
@@ -208,98 +250,105 @@ def run_compiled_checked(
     """
     sttr = compiled.sttr
     root_state = sttr.initial if state is None else state
-    order = dag_post_order(tree)
-    la_table = acceptance_table(sttr.lookahead_sta, tree, order)
+    la_table = acceptance_table(sttr.lookahead_sta, tree)
     attr_env = sttr.input_type.attr_env
 
-    # Per-run caches.  A sign vector depends only on the node's symbol
-    # and attribute tuple, so each distinct (symbol, attribute tuple)
-    # evaluates each distinct guard at most once, however many nodes
-    # carry it and however many states visit them.  Attribute envs stay
-    # per node: output expressions copy values out of them, and a value
-    # keyed memo would let ``1`` stand in for ``True``.
-    envs: dict[int, dict] = {}
+    # A sign vector depends only on the node's symbol and attribute
+    # tuple, so each distinct (symbol, attribute tuple) evaluates each
+    # distinct guard at most once, however many nodes carry it and
+    # however many states visit them.  Attribute envs are built from
+    # each node's own values: output expressions copy values out of
+    # them, and a value keyed memo would let ``1`` stand in for ``True``.
     signs_of: dict[tuple, tuple[bool, ...]] = {}
 
-    def node_env(t: Tree) -> dict:
-        env = envs.get(id(t))
-        if env is None:
-            env = attr_env(t.attrs)
-            envs[id(t)] = env
-        return env
-
-    def node_signs(t: Tree) -> tuple[bool, ...]:
-        key = (t.ctor, t.attrs)
-        signs = signs_of.get(key)
-        if signs is None:
-            signs = compiled.classify(t, node_env(t))
-            signs_of[key] = signs
-            if obs_config.ENABLED:
-                _OBS_CLASSIFY.inc()
-        return signs
-
-    # Discovery: identical traversal order to run._discover_tasks, with
-    # guard evaluation replaced by the dispatch-table lookup.
-    tasks: list[tuple[State, Tree, tuple[CompiledRule, ...]]] = []
-    seen: set[tuple[State, int]] = set()
-    work: list[tuple[State, Tree]] = [(root_state, tree)]
-    while work:
-        q, t = work.pop()
-        key = (q, id(t))
-        if key in seen:
-            continue
-        seen.add(key)
-        dispatched = compiled.dispatch(q, t.ctor, node_signs(t))
-        applicable = tuple(
-            cr
-            for cr in dispatched
-            if all(l <= la_table[id(c)] for l, c in zip(cr.lookahead, t.children))
-        )
-        tasks.append((q, t, applicable))
-        for cr in applicable:
-            for target_state, index in cr.targets:
-                work.append((target_state, t.children[index]))
-
-    # Bottom-up evaluation sorted by subtree height (see run_checked for
-    # why discovery order is not topological over shared subtrees).
-    heights: dict[int, int] = {}
-    for n in order:
-        heights[id(n)] = 1 + max((heights[id(c)] for c in n.children), default=0)
-    tasks.sort(key=lambda task: heights[id(task[1])])
-
+    # One post-order walk over (state, node) pairs.  A pair is pushed
+    # with ``applicable=None``; popped so, it is dispatched and pushed
+    # back with its applicable rules above the pairs its rules read.
+    # Popped the second time, every pair it reads has a result, and it
+    # emits its own.  Targets are strict subtrees, so a pair already
+    # entered is finished whenever it is reached again.
+    single = limit == 1
     probe = None if limit is None else limit + 1
-    results: dict[tuple[State, int], list[Tree]] = {}
+    results: dict[tuple[State, int], object] = {}
     tainted: set[tuple[State, int]] = set()
-    for q, t, applicable in tasks:
-        _tick(kind="transducer.task")
-        env = node_env(t)
-        outputs: dict[Tree, None] = {}
-        cut = False
-        for cr in applicable:
-            produced, capped = cr.emit(env, t, results, probe)
-            cut = cut or capped
-            for out in produced:
-                outputs.setdefault(out)
-            if limit is not None and len(outputs) > limit:
-                cut = True
-                break
-        kept = list(outputs)
-        if limit is not None and len(kept) > limit:
-            cut = True
-            kept = kept[:limit]
+    entered: set[tuple[State, int]] = set()
+    stack: list[tuple[State, Tree, Optional[tuple[CompiledRule, ...]]]] = [
+        (root_state, tree, None)
+    ]
+    while stack:
+        q, t, applicable = stack.pop()
         key = (q, id(t))
-        if cut or any(
-            (target_state, id(t.children[index])) in tainted
-            for cr in applicable
-            for target_state, index in cr.targets
+        if applicable is None:
+            if key in entered:
+                continue
+            entered.add(key)
+            kids = t.children
+            sign_key = (t.ctor, t.attrs)
+            signs = signs_of.get(sign_key)
+            if signs is None:
+                signs = compiled.classify(t, attr_env(t.attrs))
+                signs_of[sign_key] = signs
+                if obs_config.ENABLED:
+                    _OBS_CLASSIFY.inc()
+            applicable = tuple(
+                cr
+                for cr in compiled.dispatch(q, t.ctor, signs)
+                if not cr.lookahead
+                or all(l <= la_table[id(kids[i])] for i, l in cr.lookahead)
+            )
+            stack.append((q, t, applicable))
+            for cr in applicable:
+                for target_state, index in cr.targets:
+                    stack.append((target_state, kids[index], None))
+            continue
+        _tick(kind="transducer.task")
+        env = attr_env(t.attrs)
+        cut = False
+        if single:
+            # At most one output per pair: the first applicable rule's,
+            # cut when a later rule yields a different tree.
+            kept = None
+            for cr in applicable:
+                out = cr.emit_one(env, t, results)
+                if out is None or out is kept:
+                    continue
+                if kept is None:
+                    kept = out
+                elif out != kept:
+                    cut = True
+                    break
+        else:
+            outputs: dict[Tree, None] = {}
+            for cr in applicable:
+                produced, capped = cr.emit(env, t, results, probe)
+                cut = cut or capped
+                for out in produced:
+                    outputs.setdefault(out)
+                if limit is not None and len(outputs) > limit:
+                    cut = True
+                    break
+            kept = list(outputs)
+            if limit is not None and len(kept) > limit:
+                cut = True
+                kept = kept[:limit]
+        if cut or (
+            tainted
+            and any(
+                (target_state, id(t.children[index])) in tainted
+                for cr in applicable
+                for target_state, index in cr.targets
+            )
         ):
             tainted.add(key)
         results[key] = kept
     root_key = (root_state, id(tree))
+    root = results[root_key]
+    if single:
+        root = [] if root is None else [root]
     if prov.is_active():
         prov.note(
             "run",
-            f"ran {sttr.name} from state {root_state}: {len(tasks)} tasks, "
-            f"{len(results[root_key])} output(s)",
+            f"ran {sttr.name} from state {root_state}: {len(results)} tasks, "
+            f"{len(root)} output(s)",
         )
-    return results[root_key], root_key in tainted
+    return root, root_key in tainted

@@ -141,6 +141,19 @@ class TestSanitizers:
         page = generate_page(1500, 3)
         assert fast_sanitizer.sanitize(page) == fast_sanitizer.sanitize_two_pass(page)
 
+    @pytest.mark.parametrize("tier", ["compiled", "interp"])
+    def test_deep_sibling_spine(self, fast_sanitizer, monkeypatch, tier):
+        # Figure 3 chains siblings through each node's last child, so
+        # 20k siblings are a 20k-deep right spine.  Neither tier may
+        # recurse on tree depth.
+        monkeypatch.setenv("REPRO_EXEC", tier)
+        forest = [Element("script" if i % 2 else "b") for i in range(20_000)]
+        out = fast_sanitizer.rem_esc.apply_one(encode_forest(forest))
+        assert out is not None
+        kept = decode_forest(out)
+        assert len(kept) == 10_000
+        assert all(el.tag == "b" for el in kept)
+
     def test_analysis_fixed_is_safe(self, fast_sanitizer):
         assert fast_sanitizer.analyze().safe
 

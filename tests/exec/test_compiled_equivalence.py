@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.automata import STA, rule
 from repro.exec.compiled import CompiledSTTR, run_compiled_checked
 from repro.guard import Budget, scope
+from repro.obs import provenance as prov
 from repro.smt import INT, REAL, Solver, mk_add, mk_eq, mk_gt, mk_int, mk_real, mk_var
 from repro.transducers import OutApply, OutNode, STTR, Transducer, run_checked, trule
 from repro.trees import Tree, make_tree_type, node
@@ -184,18 +185,67 @@ IDENTITY = STTR(
 TWIN_LEAVES = node("B", (0, 0), node("L", (0, 1)), node("L", (0, Fraction(1))))
 
 
+def _sttr(*rules):
+    return STTR("hand", ET, ET, "p", rules)
+
+
+#: Under ``limit=1`` the first applicable rule at the root builds a
+#: node whose second child reads ``q`` on a leaf, where ``q`` has no
+#: rule, so it emits nothing; the second rule's output is the pair's
+#: one output, and nothing is cut.
+FIRST_RULE_EMPTY = _sttr(
+    trule(
+        "p", "U", OutNode("B", (x, y), (OutApply("p", 0), OutApply("q", 0))), rank=1
+    ),
+    trule("p", "U", OutNode("L", (x, y), ()), rank=1),
+    trule("p", "L", OutNode("L", (x, y), ()), rank=0),
+)
+
+#: Two applicable leaf rules emit different trees: ``limit=1`` keeps
+#: the first, flags the cut, and the taint reaches the root.
+TWO_OUTPUTS = _sttr(
+    trule("p", "U", OutNode("U", (x, y), (OutApply("p", 0),)), rank=1),
+    trule("p", "L", OutNode("L", (x, y), ()), rank=0),
+    trule("p", "L", OutNode("L", (mk_add(x, mk_int(1)), y), ()), rank=0),
+)
+U_LEAF = node("U", (0, 0), node("L", (1, 0)))
+
+#: One subtree object under both children of the root, read in ``p``
+#: through the first and in ``q`` through the second; each of those
+#: reads the shared leaf in the other state.
+TWO_STATES = _sttr(
+    trule(
+        "p", "B", OutNode("B", (x, y), (OutApply("p", 0), OutApply("q", 1))), rank=2
+    ),
+    trule("p", "U", OutNode("U", (x, y), (OutApply("q", 0),)), rank=1),
+    trule("q", "U", OutNode("U", (mk_add(x, mk_int(1)), y), (OutApply("p", 0),)), rank=1),
+    trule("p", "L", OutNode("L", (x, y), ()), rank=0),
+    trule("q", "L", OutNode("L", (mk_add(x, mk_int(1)), y), ()), rank=0),
+)
+_SHARED = node("U", (1, 0), node("L", (2, 1)))
+SHARED_DAG = node("B", (0, 0), _SHARED, _SHARED)
+
+
+def _run_notes(collector):
+    return [s.title for s in collector.root.walk() if s.kind == "run"]
+
+
 @given(sttr=sttrs(), tree=trees(), limit=st.sampled_from([None, 1, 2]))
 @example(sttr=IDENTITY, tree=TWIN_LEAVES, limit=None)
+@example(sttr=FIRST_RULE_EMPTY, tree=U_LEAF, limit=1)
+@example(sttr=TWO_OUTPUTS, tree=U_LEAF, limit=1)
+@example(sttr=TWO_STATES, tree=SHARED_DAG, limit=None)
+@example(sttr=TWO_STATES, tree=SHARED_DAG, limit=1)
 @settings(max_examples=150, deadline=None)
 def test_compiled_matches_interpreter(sttr, tree, limit):
     interp_budget = Budget()
-    with scope(interp_budget):
+    with scope(interp_budget), prov.collecting() as interp_prov:
         expected_outputs, expected_truncated = run_checked(
             sttr, tree, limit=limit
         )
     compiled = CompiledSTTR(sttr)
     compiled_budget = Budget()
-    with scope(compiled_budget):
+    with scope(compiled_budget), prov.collecting() as compiled_prov:
         actual_outputs, actual_truncated = run_compiled_checked(
             compiled, tree, limit=limit
         )
@@ -205,6 +255,23 @@ def test_compiled_matches_interpreter(sttr, tree, limit):
     # Same guard-budget charges: caching classification must not change
     # what a budget-governed run is billed.
     assert compiled_budget.steps == interp_budget.steps
+    assert _run_notes(compiled_prov) == _run_notes(interp_prov)
+
+
+def test_hand_examples_reach_their_cases():
+    """The hand-written examples above exercise what their comments say."""
+    assert run_checked(FIRST_RULE_EMPTY, U_LEAF, limit=1) == (
+        [node("L", (0, 0))],
+        False,
+    )
+    outputs, truncated = run_checked(TWO_OUTPUTS, U_LEAF, limit=1)
+    assert outputs == [U_LEAF] and truncated
+    with prov.collecting() as collector:
+        run_checked(TWO_STATES, SHARED_DAG)
+    # (p, root), (p|q, shared U), (p|q, shared leaf): five tasks.
+    assert _run_notes(collector) == [
+        "ran hand from state p: 5 tasks, 1 output(s)"
+    ]
 
 
 @given(sttr=sttrs(), tree=trees())

@@ -141,6 +141,18 @@ class TestAlwaysEmitOutputs:
         assert "could not write observability output" in capsys.readouterr().err
 
 
+def _assert_balanced(evs):
+    """Balanced B/E nesting: what Perfetto needs to render slices."""
+    depth = 0
+    for e in evs:
+        if e["ph"] == "B":
+            depth += 1
+        elif e["ph"] == "E":
+            depth -= 1
+        assert depth >= 0, "unbalanced trace"
+    assert depth == 0, "unbalanced trace"
+
+
 class TestTraceFlags:
     def test_trace_json_loads_as_chrome_trace(self, program, tmp_path):
         out = tmp_path / "run.trace.json"
@@ -150,15 +162,19 @@ class TestTraceFlags:
         assert doc["displayTimeUnit"] == "ms"
         evs = doc["traceEvents"]
         assert any(e["name"] == "run_program" for e in evs)
-        # balanced B/E nesting (what Perfetto needs to render slices)
-        depth = 0
-        for e in evs:
-            if e["ph"] == "B":
-                depth += 1
-            elif e["ph"] == "E":
-                depth -= 1
-                assert depth >= 0
-        assert depth == 0
+        _assert_balanced(evs)
+
+    def test_sanitizer_buggy_trace_is_balanced(self, tmp_path):
+        """The CI trace export smoke: a failing example still writes a
+        Perfetto-loadable trace (valid JSON, balanced B/E nesting)."""
+        out = tmp_path / "smoke.trace.json"
+        rc = main(
+            ["run", str(EXAMPLES / "sanitizer_buggy.fast"),
+             "--trace-json", str(out),
+             "--flamegraph", str(tmp_path / "smoke.folded")]
+        )
+        assert rc in (EXIT_OK, EXIT_ASSERTION_FAILED)
+        _assert_balanced(json.loads(out.read_text())["traceEvents"])
 
     def test_trace_emitted_on_failure_too(self, program, tmp_path):
         out = tmp_path / "fail.trace.json"
