@@ -12,7 +12,13 @@ source text:
 * the declaration count, so a cache hit can *replay* the front end's
   ``fast.decl`` budget charge — a budget too small to compile a
   program must stay too small when the program is already cached
-  (``tests/fast/test_cli_budget.py`` pins this).
+  (``tests/fast/test_cli_budget.py`` pins this);
+* in memory only, a memo of the assertions' *decided* verdicts, with
+  the budget charge each check made, so ``explain_artifact`` decides
+  each assertion once and replays the verdict and its charge on later
+  hits (a budget that cannot afford the charge re-runs the check;
+  ``tests/exec/test_verdict_memo.py`` pins this).  It is never
+  serialized and dies with the artifact in the memory LRU.
 
 Artifacts are JSON all the way down, registered with
 :func:`repro.serialize.register` under the ``compiled_program`` kind,
@@ -23,9 +29,9 @@ core object.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 from .. import serialize
 from ..obs import metrics as obs_metrics
@@ -136,6 +142,12 @@ class CompiledArtifact:
     decls: tuple[ast.Decl, ...]
     #: Total declaration count of the source program (budget replay).
     decl_count: int
+    #: Decided verdicts by declaration index, with their budget charge
+    #: (see :func:`repro.fast.evaluator.explain_artifact`); None turns
+    #: the memo off, as for artifacts built with an explicit solver.
+    verdicts: Optional[dict] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def compiler(self) -> Compiler:
         """A :class:`Compiler` evaluating against this environment."""
@@ -160,7 +172,12 @@ def build_artifact(source: str, solver: Solver | None = None) -> CompiledArtifac
         for d in program.decls
         if isinstance(d, (ast.AssertDecl, ast.PrintDecl))
     )
-    return CompiledArtifact(env=env, decls=decls, decl_count=len(program.decls))
+    return CompiledArtifact(
+        env=env,
+        decls=decls,
+        decl_count=len(program.decls),
+        verdicts={} if solver is None else None,
+    )
 
 
 def artifact_to_json(artifact: CompiledArtifact) -> dict[str, Any]:

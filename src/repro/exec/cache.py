@@ -33,11 +33,15 @@ Budget discipline: a cache hit **replays** the front end's
 ``fast.decl`` budget charge (one step per declaration of the original
 program).  A budget too small to compile a program must stay too small
 when the program is already cached — otherwise caching would change
-verdicts, not just latency.
+verdicts, not just latency.  The same holds one layer up: a memory
+artifact carries the verdicts ``explain_artifact`` already decided, and
+a later call **replays** each verdict with the steps and solver queries
+its check charged (``exec.verdict.replay``), or re-runs the check when
+the active budgets cannot afford that charge.
 
 Metrics: ``exec.cache.hit`` / ``exec.cache.miss`` / ``exec.cache.store``
-/ ``exec.cache.prewarm`` / ``exec.cache.disk_errors`` (glossary in
-DESIGN.md §8).
+/ ``exec.cache.prewarm`` / ``exec.cache.disk_errors`` /
+``exec.verdict.replay`` (glossary in DESIGN.md §8).
 """
 
 from __future__ import annotations

@@ -9,21 +9,28 @@ buggy sanitizer of Section 2.
 provenance-collecting verdicts (:func:`repro.guard.governed`), so each
 answer carries the derivation that produced it — rules fired, decisive
 solver queries, witness trees.  The ``fast explain`` CLI subcommand
-renders the result.
+renders the result.  ``explain_artifact`` (every served ``run`` job)
+decides each assertion of a cached artifact once and replays the
+verdict, with its budget charge, on later hits (``exec.verdict.replay``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from ..guard import Verdict, governed
+from ..guard import GuardError, Verdict, chaos, governed
+from ..guard.budget import affords, charge_query
+from ..guard.budget import current as current_budget
 from ..guard.budget import tick as _tick
+from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
 from ..smt.solver import Solver
 from ..trees.tree import Tree, format_tree
 from . import ast
 from .compiler import CompiledProgram, Compiler
+
+_OBS_REPLAYS = obs_metrics.counter("exec.verdict.replay")
 
 
 @dataclass
@@ -122,64 +129,23 @@ def _eval_print(compiler: Compiler, decl: ast.PrintDecl) -> Tree:
 
 
 def _check(compiler: Compiler, decl: ast.AssertDecl) -> AssertionResult:
+    description, check, _, _ = _assertion_plan(compiler, decl)
     _tick(kind="fast.assert")
-    a = decl.assertion
-    counterexample: Optional[Tree] = None
-    if isinstance(a, ast.AIsEmptyLang):
-        # `is-empty x` is syntactically ambiguous between languages and
-        # transductions; resolve by name when the operand is a reference.
-        if (
-            isinstance(a.lang, ast.LRef)
-            and a.lang.name not in compiler.env.langs
-            and a.lang.name in compiler.env.transducers
-        ):
-            a = ast.AIsEmptyTrans(a.pos, ast.TRef(a.lang.pos, a.lang.name))
-            return _check(compiler, ast.AssertDecl(decl.pos, decl.expect, a))
-        lang = compiler.eval_lang(a.lang)
-        witness = lang.witness()
-        actual = witness is None
-        if actual != decl.expect:
-            counterexample = witness
-        description = "(is-empty <lang>)"
-    elif isinstance(a, ast.AIsEmptyTrans):
-        trans = compiler.eval_trans(a.trans)
-        dom = trans.domain()
-        witness = dom.witness()
-        actual = witness is None
-        if actual != decl.expect:
-            counterexample = witness
-        description = "(is-empty <trans>)"
-    elif isinstance(a, ast.ALangEq):
-        left = compiler.eval_lang(a.left)
-        right = compiler.eval_lang(a.right)
-        sep = left.separating_tree(right)
-        actual = sep is None
-        if actual != decl.expect:
-            counterexample = sep
-        description = "<lang> == <lang>"
-    elif isinstance(a, ast.AMember):
-        lang = compiler.eval_lang(a.lang)
-        tree = compiler.eval_tree(a.tree, lang.tree_type)
-        actual = lang.accepts(tree)
-        description = "<tree> in <lang>"
-    elif isinstance(a, ast.ATypeCheck):
-        input_lang = compiler.eval_lang(a.input_lang)
-        trans = compiler.eval_trans(a.trans)
-        output_lang = compiler.eval_lang(a.output_lang)
-        cex = trans.type_check(input_lang, output_lang)
-        actual = cex is None
-        if actual != decl.expect:
-            counterexample = cex
-        description = "(type-check <lang> <trans> <lang>)"
-    else:
-        raise ValueError(f"unknown assertion {a!r}")
-    return AssertionResult(
-        decl.pos,
-        f"{'assert-true' if decl.expect else 'assert-false'} {description}",
-        decl.expect,
-        actual,
-        counterexample,
+    witness = check()
+    actual = witness is None
+    # A rejected member tree is not reported as a counterexample.
+    counterexample = (
+        witness
+        if actual != decl.expect and not isinstance(decl.assertion, ast.AMember)
+        else None
     )
+    return AssertionResult(
+        decl.pos, _title(decl, description), decl.expect, actual, counterexample
+    )
+
+
+def _title(decl: ast.AssertDecl, description: str) -> str:
+    return f"{'assert-true' if decl.expect else 'assert-false'} {description}"
 
 
 # -- explain: governed, provenance-carrying assertion checks -----------------
@@ -252,13 +218,15 @@ def _assertion_plan(
 ) -> tuple[str, Callable[[], Optional[Tree]], str, str]:
     """``(description, witness-style check, proved msg, refuted msg)``.
 
-    Mirrors :func:`_check`'s dispatch, but defers all evaluation into the
-    returned callable so it runs *inside* ``governed()`` — under the
+    The one assertion dispatch of both :func:`_check` and
+    :func:`explain_artifact`.  All evaluation is deferred into the
+    returned callable, so under ``governed()`` it runs inside the
     ambient budget and the provenance collector.
     """
     a = decl.assertion
     if isinstance(a, ast.AIsEmptyLang):
-        # Same language/transducer ambiguity resolution as _check.
+        # `is-empty x` is syntactically ambiguous between languages and
+        # transductions; resolve by name when the operand is a reference.
         if (
             isinstance(a.lang, ast.LRef)
             and a.lang.name not in compiler.env.langs
@@ -336,25 +304,77 @@ def explain_program(source: str, solver: Solver | None = None) -> ExplainReport:
 
 
 def explain_artifact(artifact) -> ExplainReport:
-    """Explain the assertions of a compiled artifact (cache-hit path)."""
+    """Explain the assertions of a compiled artifact (cache-hit path).
+
+    Each assertion is decided once per artifact: the artifact's verdict
+    memo replays a decided verdict, and its budget charge, on later
+    calls (see :func:`_decide`).  The memo stands aside while a solver
+    chaos policy is installed, so injected faults still reach the solver.
+    """
     compiler = artifact.compiler()
     report = ExplainReport(artifact.env)
-    for decl in artifact.decls:
+    memo = None if chaos.active() else artifact.verdicts
+    for index, decl in enumerate(artifact.decls):
         if not isinstance(decl, ast.AssertDecl):
             continue
         description, check, proved_msg, refuted_msg = _assertion_plan(
             compiler, decl
         )
         with obs_tracer.span("explain.assert", line=decl.pos.line) as sp:
-            verdict = governed(check, proved=proved_msg, refuted=refuted_msg)
+            verdict = _decide(memo, index, check, proved_msg, refuted_msg)
             sp.set(outcome=verdict.outcome.value)
         report.assertions.append(
             ExplainedAssertion(
-                decl.pos,
-                f"{'assert-true' if decl.expect else 'assert-false'} "
-                f"{description}",
-                decl.expect,
-                verdict,
+                decl.pos, _title(decl, description), decl.expect, verdict
             )
         )
     return report
+
+
+def _decide(
+    memo: Optional[dict],
+    key: int,
+    check: Callable[[], Optional[Tree]],
+    proved: str,
+    refuted: str,
+) -> Verdict:
+    """``governed(check)``, replayed from ``memo`` when it can be.
+
+    ``memo[key]`` holds a decided verdict (snapshot stripped) and the
+    ``(steps, solver_queries)`` its check charged the innermost active
+    budget, or None when no budget was active.  With no budget active a
+    hit returns the verdict as is.  Under a budget a hit replays the
+    recorded charge through every active budget, when they can all
+    afford it; otherwise the check runs again and its charge is
+    recorded.  So a budget too small to decide stays too small, and a
+    hit answers what a fresh run of the artifact answers.  UNKNOWN is
+    never stored.
+    """
+    if memo is None:
+        return governed(check, proved=proved, refuted=refuted)
+    budget = current_budget()
+    hit = memo.get(key)
+    if hit is not None:
+        verdict, charge = hit
+        if budget is None:
+            _OBS_REPLAYS.inc()
+            return verdict
+        if charge is not None and affords(*charge):
+            _OBS_REPLAYS.inc()
+            try:
+                _tick(charge[0], kind="fast.verdict")
+                charge_query(charge[1])
+            except GuardError as exc:  # the deadline passed
+                return Verdict.unknown(
+                    str(exc), getattr(exc, "snapshot", None) or budget.snapshot()
+                )
+            return replace(verdict, snapshot=budget.snapshot())
+    before = None if budget is None else (budget.steps, budget.solver_queries)
+    verdict = governed(check, proved=proved, refuted=refuted)
+    if not verdict.is_unknown:
+        charge = None if before is None else (
+            budget.steps - before[0],
+            budget.solver_queries - before[1],
+        )
+        memo[key] = (replace(verdict, snapshot=None), charge)
+    return verdict

@@ -203,8 +203,8 @@ class Budget:
             )
         self._check_deadline(kind)
 
-    def charge_query(self) -> None:
-        self.solver_queries += 1
+    def charge_query(self, n: int = 1) -> None:
+        self.solver_queries += n
         if (
             self.max_solver_queries is not None
             and self.solver_queries > self.max_solver_queries
@@ -304,15 +304,29 @@ def tick(n: int = 1, kind: str = "step") -> None:
         b.charge_step(n, kind)
 
 
-def charge_query() -> None:
-    """Charge one solved satisfiability query against every active budget."""
+def charge_query(n: int = 1) -> None:
+    """Charge ``n`` solved satisfiability queries against every active budget."""
     stack = _STATE.stack
     if not stack:
         return
     if obs_config.ENABLED:
-        _OBS_QUERIES.inc()
+        _OBS_QUERIES.inc(n)
     j = obs_journal.ACTIVE
     if j is not None:
-        j.emit("G", "solver.query", 1)
+        j.emit("G", "solver.query", n)
     for b in stack:
-        b.charge_query()
+        b.charge_query(n)
+
+
+def affords(steps: int, queries: int) -> bool:
+    """Whether every active budget can absorb ``steps`` more steps and
+    ``queries`` more solver queries without exhausting (deadlines are
+    not consulted: a replayed charge takes no time)."""
+    return all(
+        (b.max_steps is None or b.steps + steps <= b.max_steps)
+        and (
+            b.max_solver_queries is None
+            or b.solver_queries + queries <= b.max_solver_queries
+        )
+        for b in _STATE.stack
+    )

@@ -181,6 +181,16 @@ class ChaosSolver(Solver):
         return super().get_model(formula)
 
 
+def active() -> bool:
+    """Whether a solver chaos policy is installed process-wide.
+
+    Memos that would let a request skip the solver (the artifact's
+    decided-verdict memo) stand aside while this holds, so injected
+    faults keep reaching the solver.
+    """
+    return hasattr(Solver.get_model, "chaos_policy")
+
+
 def install(policy: ChaosPolicy) -> Callable[[], None]:
     """Patch ``Solver.get_model`` process-wide; returns the undo function.
 
@@ -194,6 +204,7 @@ def install(policy: ChaosPolicy) -> Callable[[], None]:
             _policy.before_query(self)
         return _orig(self, formula)
 
+    chaotic_get_model.chaos_policy = policy  # type: ignore[attr-defined]
     Solver.get_model = chaotic_get_model  # type: ignore[method-assign]
 
     def uninstall() -> None:

@@ -15,8 +15,23 @@ import pytest
 _UNDO = None
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--run-slow",
+        action="store_true",
+        default=False,
+        help="also run tests marked slow (minute-long soaks through the "
+        "real CLI)",
+    )
+
+
 def pytest_configure(config):
     global _UNDO
+    config.addinivalue_line(
+        "markers",
+        "slow: minute-long soak through the real CLI; runs only with "
+        "--run-slow",
+    )
     config.addinivalue_line(
         "markers",
         "cache_sensitive: asserts exact memo-cache hit counts; skipped "
@@ -30,6 +45,11 @@ def pytest_configure(config):
 
 
 def pytest_collection_modifyitems(config, items):
+    if not config.getoption("--run-slow"):
+        skip_slow = pytest.mark.skip(reason="slow soak; pass --run-slow")
+        for item in items:
+            if item.get_closest_marker("slow"):
+                item.add_marker(skip_slow)
     if not os.environ.get("REPRO_CHAOS"):
         return
     skip = pytest.mark.skip(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
+import os
 import threading
 
 import pytest
@@ -389,6 +391,32 @@ class TestServeLines:
         )
         assert served == 1
         assert json.loads(out.getvalue())["outcome"] == "PROVED"
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API"
+    )
+    def test_loop_and_its_workers_share_one_cpu(self):
+        # The loop waits out every job, so it runs itself and the
+        # workers it starts on one CPU, and hands the caller's CPU set
+        # back when it returns.
+        before = os.sched_getaffinity(0)
+        seen = []
+
+        def lines():
+            yield json.dumps({"id": "r1", "kind": "run", "source": PASSING})
+            seen.append(os.sched_getaffinity(0))
+            seen.extend(
+                os.sched_getaffinity(child.pid)
+                for child in multiprocessing.active_children()
+                if child.name.startswith("repro-svc-worker-")
+            )
+
+        out = io.StringIO()
+        assert serve_lines(lines(), out, ServiceConfig(jobs=2)) == 1
+        assert len(seen) == 3  # the loop and two workers
+        assert len(seen[0]) == 1 and seen[0] <= before
+        assert all(cpus == seen[0] for cpus in seen)
+        assert os.sched_getaffinity(0) == before
 
     def test_quota_shed_over_stdin(self):
         from repro.svc import GateConfig
