@@ -3,21 +3,22 @@
 Two measurements:
 
 * **Interleaved cold/warm single runs** — the same program through
-  ``run_program`` with the cache fully cleared before every cold run
-  (memory *and* disk) and left warm for the paired warm run.  Cold pays
-  parse + compile + a fresh solver; warm is a content-hash lookup plus
-  evaluation against the cached environment.  Gate: warm p50 strictly
+  ``run_program`` with the cache cleared before every cold run and
+  left warm for the paired warm run.  Cold pays parse + compile + a
+  fresh solver; warm is a dict lookup plus evaluation against the
+  cached environment.  Gate: warm p50 strictly
   below cold p50.
 
 * **Warm-pool batch over a duplicated corpus** — ``fast batch``'s
   engine over 12 files carrying 3 distinct programs (4 copies each),
-  run twice against the same cache directory.  The supervisor pre-warms
-  every shared source once (3 compiles, not 12), workers inherit or
-  disk-load the artifacts, and the second batch never parses at all.
+  run twice in one process.  The supervisor pre-warms every shared
+  source once (3 compiles, not 12) before it forks the pool, workers
+  inherit the supervisor's cache, and the second batch never parses at
+  all.
 
-The benchmark manages its own cache environment (``REPRO_CACHE=on`` +
-a private ``REPRO_CACHE_DIR``) because ``benchmarks/conftest.py`` runs
-everything else cache-off to keep the older gated baselines honest.
+The benchmark scopes ``REPRO_CACHE=on`` itself because
+``benchmarks/conftest.py`` runs everything else cache-off to keep the
+older gated baselines honest.
 
 Counters under ``--obs-json`` are deterministic on the supervisor side
 (``fast.parse``, ``exec.cache.miss``) and are gated in
@@ -68,21 +69,19 @@ COPIES = 4
 
 
 @contextlib.contextmanager
-def cache_env(directory: str):
-    """Scoped REPRO_CACHE=on + a private cache dir, state restored."""
-    saved = {k: os.environ.get(k) for k in ("REPRO_CACHE", "REPRO_CACHE_DIR")}
+def cache_env():
+    """Scoped REPRO_CACHE=on over an empty cache, state restored."""
+    saved = os.environ.get("REPRO_CACHE")
     os.environ["REPRO_CACHE"] = "on"
-    os.environ["REPRO_CACHE_DIR"] = directory
     DEFAULT_CACHE.clear()
     try:
         yield
     finally:
         DEFAULT_CACHE.clear()
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_CACHE", None)
+        else:
+            os.environ["REPRO_CACHE"] = saved
 
 
 def _pctl(values: list[float], q: float) -> float:
@@ -94,16 +93,15 @@ def measure_cold_warm() -> dict[str, float]:
     """Interleaved cold/warm runs of the Figure 8 list-analysis program."""
     cold: list[float] = []
     warm: list[float] = []
-    with tempfile.TemporaryDirectory() as directory:
-        with cache_env(directory):
-            for _ in range(ROUNDS):
-                DEFAULT_CACHE.clear(disk=True)
-                t0 = time.perf_counter()
-                run_program(PROGRAM)
-                cold.append(time.perf_counter() - t0)
-                t0 = time.perf_counter()
-                run_program(PROGRAM)
-                warm.append(time.perf_counter() - t0)
+    with cache_env():
+        for _ in range(ROUNDS):
+            DEFAULT_CACHE.clear()
+            t0 = time.perf_counter()
+            run_program(PROGRAM)
+            cold.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            run_program(PROGRAM)
+            warm.append(time.perf_counter() - t0)
     return {
         "rounds": float(ROUNDS),
         "cold_p50_ms": statistics.median(cold) * 1e3,
@@ -114,16 +112,15 @@ def measure_cold_warm() -> dict[str, float]:
 
 
 def measure_batch() -> dict[str, float]:
-    """Two batches over a duplicated corpus against one cache dir."""
+    """Two batches over a duplicated corpus against one cache."""
     counter = obs_metrics.REGISTRY.counter
-    with tempfile.TemporaryDirectory() as corpus_dir, \
-            tempfile.TemporaryDirectory() as cache_dir:
+    with tempfile.TemporaryDirectory() as corpus_dir:
         for v, source in enumerate(VARIANTS):
             for c in range(COPIES):
                 path = os.path.join(corpus_dir, f"v{v}_copy{c}.fast")
                 with open(path, "w") as f:
                     f.write(source)
-        with cache_env(cache_dir):
+        with cache_env():
             stores_before = counter("exec.cache.store").snapshot()
             hits_before = counter("exec.cache.hit").snapshot()
             config = ServiceConfig(jobs=2)

@@ -2,7 +2,7 @@
 
 The lifecycle layer's pitch (:mod:`repro.svc.lifecycle`) is that a
 serving process can run *indefinitely*: workers are proactively
-recycled on jobs-served / RSS / age thresholds, a prewarmed replacement
+recycled on jobs-served / RSS / age thresholds, a ready replacement
 standing in before the old generation retires, so memory stays bounded
 and capacity never dips.  This soak makes that claim measurable by
 pushing ~1,000 jobs through small pools in four legs:

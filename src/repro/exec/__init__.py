@@ -12,11 +12,11 @@ Two layers sit between the Fast front end and the STTR interpreter:
   compiled form; the interpreter in :mod:`repro.transducers.run` stays
   the reference oracle (property-tested equivalent).
 
-* :mod:`repro.exec.cache` — the persistent artifact cache.  A whole
-  compiled program environment (:mod:`repro.exec.artifact`) is stored
-  content-addressed (SHA-256 of the source + a version salt) in an
-  in-process LRU with an on-disk JSON layer behind it, so two
-  consecutive jobs for the same program never parse twice.
+* :mod:`repro.exec.cache` — the artifact cache.  A whole compiled
+  program environment (:mod:`repro.exec.artifact`) is kept in an
+  in-process LRU keyed by the program source, which forked svc workers
+  inherit, so two consecutive jobs for the same program never parse
+  twice.
 
 Both layers are observable (``exec.*`` metrics, DESIGN.md §8) and
 optional: ``REPRO_EXEC=interp`` forces the interpreter,

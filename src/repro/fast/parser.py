@@ -15,8 +15,8 @@ from . import ast
 from ..obs import metrics as obs_metrics
 from .lexer import FastParseDepthError, FastSyntaxError, Token, tokenize
 
-#: Whole-program parses.  The cache-smoke CI job asserts this stays at
-#: zero on a warm artifact cache.
+#: Whole-program parses.  ``tests/exec/test_artifact_cache.py`` asserts
+#: a batch of copies of one program parses it once.
 _OBS_PARSES = obs_metrics.counter("fast.parse")
 
 #: Default cap on expression nesting.  Recursive descent spends up to

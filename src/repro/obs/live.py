@@ -439,13 +439,6 @@ def render_prometheus(
                     float(row["rss_bytes"]), labels=labels,
                     help_text="worker-self-reported resident set size",
                 )
-            if row["prewarm_ms"] is not None:
-                exp.add(
-                    "svc_worker_prewarm_ms", "gauge",
-                    float(row["prewarm_ms"]), labels=labels,
-                    help_text="artifact-cache prewarm time of the "
-                    "current generation",
-                )
         for reason, count in sorted(snapshot["recycles"].items()):
             exp.add(
                 "svc_recycles_total", "counter", float(count),

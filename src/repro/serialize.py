@@ -323,24 +323,8 @@ _LOADERS = {
 }
 
 
-def register(kind: str, cls: type, dump, load) -> None:
-    """Plug an extra object kind into :func:`dumps` / :func:`loads`.
-
-    Extension point for layers above the core (e.g. the compiled
-    program artifacts of :mod:`repro.exec.artifact`): ``dump(obj)``
-    must return a JSON-able payload, ``load(payload)`` its inverse.
-    Re-registering a kind with the same class is idempotent; rebinding
-    a kind to a different class is a programming error.
-    """
-    existing = _LOADERS.get(kind)
-    if existing is not None and _DUMPERS.get(cls, (None,))[0] != kind:
-        raise SerializationError(f"payload kind {kind!r} already registered")
-    _DUMPERS[cls] = (kind, dump)
-    _LOADERS[kind] = load
-
-
 def dumps(obj) -> str:
-    """Serialize a supported object (core or registered) to JSON."""
+    """Serialize a supported object to JSON."""
     for cls, (tag, fn) in _DUMPERS.items():
         if isinstance(obj, cls):
             return json.dumps({"kind": tag, "data": fn(obj)})

@@ -86,8 +86,7 @@ def flush_all_caches(
       implies memos plus the shared substitution cache;
     * the intern table itself (``TRUE``/``FALSE`` are re-seeded, so
       identity fast paths on the canonical booleans survive);
-    * the exec compiled-artifact memory LRU (disk artifacts are
-      content-addressed and stay).
+    * the exec compiled-artifact LRU.
 
     With ``check=True`` the solver and intern invariants are verified
     *before* anything is dropped (:func:`repro.guard.

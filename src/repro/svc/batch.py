@@ -157,9 +157,8 @@ def prewarm_shared_sources(
     K files carrying the same program (one sanitizer checked against K
     page corpora, say) should compile once, not K times — so every
     source appearing in *more than one* spec is compiled here, in the
-    supervisor, before dispatch.  Workers then hit the cache: forked
-    pools inherit the warm memory layer directly, spawned (or
-    pre-existing) pools pick the artifact up from disk.
+    supervisor, before dispatch.  Workers forked afterwards inherit the
+    warm cache and hit it.
 
     Unique sources are left to the workers — compiling them here would
     serialize work the pool would otherwise do in parallel.  Each
@@ -197,9 +196,7 @@ def run_batch(
 ) -> BatchReport:
     """Run every program under ``paths`` through the service."""
     specs = build_specs(collect_program_paths(paths), budget)
-    prewarm = config.prewarm if config is not None else True
-    if prewarm:
-        prewarm_shared_sources(specs)
+    prewarm_shared_sources(specs)
     if service is not None:
         results = service.run_jobs(specs)
         return BatchReport(results, service.breakers.states())

@@ -5,7 +5,7 @@ forever: the hash-consed intern table, the solver memo caches, and the
 exec artifact LRU all grow monotonically within a process, so a worker
 that serves days of traffic leaks by design.  The fix is *proactive
 recycling* — each worker carries a monotonically increasing
-**generation** number, and the supervisor retires it for a prewarmed
+**generation** number, and the supervisor retires it for a ready
 replacement when it crosses any configured threshold:
 
 * ``max_jobs`` — jobs served since (re)spawn (reason ``"jobs"``);

@@ -68,7 +68,6 @@ _OBS_RECYCLES_BY = {
 }
 _OBS_WORKER_RSS = obs_metrics.gauge("svc.worker.rss_bytes")
 _OBS_WORKER_GEN = obs_metrics.gauge("svc.worker.generation")
-_OBS_PREWARM_MS = obs_metrics.histogram("svc.worker.prewarm_ms")
 _OBS_RECYCLE_PAUSE = obs_metrics.histogram("svc.recycle_pause_ms")
 
 
@@ -91,14 +90,12 @@ class WorkerPool:
         chaos: Optional[WorkerChaosPolicy] = None,
         start_method: Optional[str] = None,
         telemetry: Optional[TelemetryConfig] = None,
-        prewarm: bool = True,
         lifecycle: Optional[LifecyclePolicy] = None,
     ) -> None:
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
         self.size = size
         self.chaos = chaos
-        self.prewarm = prewarm
         self.lifecycle = lifecycle
         # Telemetry defaults from the obs state at construction time:
         # pools built while recording is on ship worker journals back.
@@ -123,40 +120,19 @@ class WorkerPool:
         if obs_config.ENABLED:
             _OBS_SPAWNS.inc()
             _OBS_WORKER_GEN.set(float(worker.generation))
-            if worker.prewarm_ms is not None:
-                _OBS_PREWARM_MS.observe(worker.prewarm_ms)
-        detail = {
-            "worker": worker.worker_id,
-            "pid": worker.pid,
-            "generation": worker.generation,
-        }
-        if worker.prewarm_ms is not None:
-            detail["prewarm_ms"] = round(worker.prewarm_ms, 3)
-        obs_tracer.instant("svc.worker.spawn", detail)
+        obs_tracer.instant(
+            "svc.worker.spawn",
+            {
+                "worker": worker.worker_id,
+                "pid": worker.pid,
+                "generation": worker.generation,
+            },
+        )
 
     def _new_worker(self) -> Worker:
-        """Build (and spawn) a worker, sharing the pool's prewarm plan.
-
-        The first worker computes the artifact-key plan from disk; every
-        later spawn — pool growth, crash respawn, proactive recycle —
-        reuses it, so replacement workers warm in one pass without
-        re-scanning the cache directory.
-        """
-        worker = Worker(
-            self.ctx,
-            self.chaos,
-            self.telemetry,
-            prewarm=self.prewarm,
-            lifecycle=self.lifecycle,
-            prewarm_plan=self._shared_prewarm_plan(),
+        return Worker(
+            self.ctx, self.chaos, self.telemetry, lifecycle=self.lifecycle
         )
-        return worker
-
-    def _shared_prewarm_plan(self) -> Optional[tuple]:
-        for w in self.workers:
-            if w.prewarm_plan is not None:
-                return w.prewarm_plan
-        return None
 
     def _ensure_workers(self) -> None:
         while len(self.workers) < self.size:
@@ -166,8 +142,6 @@ class WorkerPool:
 
     def _respawn(self, worker: Worker) -> None:
         worker.kill()
-        if worker.prewarm_plan is None:
-            worker.prewarm_plan = self._shared_prewarm_plan()
         worker.spawn()
         self._note_spawn(worker)
 
@@ -209,7 +183,7 @@ class WorkerPool:
     def _recycle(self, worker: Worker, reason: str) -> Worker:
         """Seamlessly replace one idle worker: spawn first, retire second.
 
-        The replacement is fully spawned, prewarmed, and handshaken
+        The replacement is fully spawned and handshaken
         (the spawn-time ping doubles as a readiness barrier) *before*
         the old worker leaves the pool, so capacity never dips and no
         job can be dispatched into the gap.  Generation numbers come
@@ -245,10 +219,10 @@ class WorkerPool:
         return replacement
 
     def _prepare_replacement(self, worker: Worker) -> Worker:
-        """Spawn + prewarm the replacement while the old worker stands.
+        """Spawn the replacement while the old worker stands.
 
         Split out so chaos tests can interpose (e.g. SIGKILL a sibling
-        exactly while the replacement is prewarming).
+        exactly while the replacement is starting).
         """
         return self._new_worker()
 
@@ -264,11 +238,6 @@ class WorkerPool:
                     "jobs_served": w.jobs_served,
                     "rss_bytes": w.rss_bytes,
                     "age_s": round(w.age, 3),
-                    "prewarm_ms": (
-                        round(w.prewarm_ms, 3)
-                        if w.prewarm_ms is not None
-                        else None
-                    ),
                     "alive": w.alive,
                 }
             )

@@ -60,9 +60,6 @@ class ServiceConfig:
     start_method: Optional[str] = None
     #: Cross-process telemetry; None = on iff obs recording is on.
     telemetry: Optional[TelemetryConfig] = None
-    #: Artifact-cache pre-warming: workers load recent disk artifacts
-    #: at spawn, and ``fast batch`` compiles shared sources up front.
-    prewarm: bool = True
     #: Proactive worker recycling thresholds (jobs / RSS / age) plus
     #: the in-worker intern-table ceiling; None = workers live forever
     #: (the pre-lifecycle behaviour).
@@ -96,7 +93,6 @@ class AnalysisService:
             chaos=self.config.resolved_chaos(),
             start_method=self.config.start_method,
             telemetry=self.config.resolved_telemetry(),
-            prewarm=self.config.prewarm,
             lifecycle=self.config.lifecycle,
         )
         self.breakers = BreakerRegistry(config=self.config.breaker)

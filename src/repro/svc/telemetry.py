@@ -126,28 +126,15 @@ def is_ping(message: Any) -> bool:
 
 
 def is_pong(message: Any) -> bool:
-    # Length 3 is the legacy shape; length 4 appends the worker's
-    # prewarm duration (ms).  Accept both so mixed-version supervisor/
-    # worker pairs mid-upgrade still shake hands.
     return (
-        isinstance(message, tuple) and len(message) in (3, 4)
+        isinstance(message, tuple) and len(message) == 3
         and message[0] == CLOCK_PONG
     )
 
 
-def make_pong(
-    prewarm_ms: Optional[float] = None,
-) -> tuple[str, int, float, Optional[float]]:
-    """The worker's handshake reply: pid, clock now, prewarm duration."""
-    return (CLOCK_PONG, os.getpid(), time.perf_counter(), prewarm_ms)
-
-
-def prewarm_ms_from_pong(pong: Any) -> Optional[float]:
-    """The worker's self-timed artifact-prewarm duration, if shipped."""
-    if not is_pong(pong) or len(pong) < 4:
-        return None
-    value = pong[3]
-    return float(value) if isinstance(value, (int, float)) else None
+def make_pong() -> tuple[str, int, float]:
+    """The worker's handshake reply: pid and its clock now."""
+    return (CLOCK_PONG, os.getpid(), time.perf_counter())
 
 
 def clock_offset_from_pong(

@@ -52,7 +52,6 @@ from .telemetry import (
     execute_with_telemetry,
     is_ping,
     make_pong,
-    prewarm_ms_from_pong,
 )
 
 #: Payload a chaos-corrupted worker sends instead of a JobResult.
@@ -103,37 +102,6 @@ def _reset_inherited_state() -> None:
         pass
 
 
-def _prewarm_artifact_cache(plan=None) -> Optional[float]:
-    """Best-effort: lift recent disk artifacts into the memory cache.
-
-    Runs once at worker start, so the first job for a recently-analyzed
-    program skips even the disk read.  A forked worker already shares
-    the parent's memory layer; this only adds what landed on disk in
-    earlier processes.  With an explicit ``plan`` (a key tuple computed
-    supervisor-side, see :meth:`ArtifactCache.prewarm_plan`) the worker
-    skips the directory scan and warms in one pass — respawns and
-    recycles reuse the first spawn's plan.  Strictly optional — any
-    failure (no cache dir, torn files, a broken deserializer) leaves
-    the worker fully functional on the cold path.
-
-    Returns the prewarm duration in milliseconds (None on failure),
-    which rides the clock pong back as ``svc.worker.prewarm_ms``.
-    """
-    try:
-        from ..exec import config as exec_config
-        from ..exec.cache import DEFAULT_CACHE
-
-        t0 = time.perf_counter()
-        if exec_config.cache_enabled():
-            if plan is not None:
-                DEFAULT_CACHE.prewarm_from_keys(plan)
-            else:
-                DEFAULT_CACHE.prewarm_from_disk()
-        return (time.perf_counter() - t0) * 1e3
-    except Exception:
-        return None
-
-
 def _hygiene_report(flushes: int) -> dict:
     """The per-job self-report the supervisor's RSS threshold reads."""
     try:
@@ -177,19 +145,10 @@ def _worker_main(
     conn,
     chaos: Optional[WorkerChaosPolicy],
     telemetry: Optional[TelemetryConfig] = None,
-    prewarm=True,
     lifecycle: Optional[LifecyclePolicy] = None,
 ) -> None:
-    """The worker loop; exits on a ``None`` message or a closed pipe.
-
-    ``prewarm`` is False (skip), True (scan the disk cache), or a
-    tuple of cache keys (warm exactly those, no scan).
-    """
+    """The worker loop; exits on a ``None`` message or a closed pipe."""
     _reset_inherited_state()
-    prewarm_ms: Optional[float] = None
-    if prewarm:
-        plan = prewarm if isinstance(prewarm, (tuple, list)) else None
-        prewarm_ms = _prewarm_artifact_cache(plan)
     flushes = 0
     while True:
         try:
@@ -201,10 +160,9 @@ def _worker_main(
         if is_ping(message):
             # Clock handshake: reply with our pid and perf_counter so
             # the supervisor can align this worker's telemetry
-            # timestamps onto its own timeline (plus the prewarm time,
-            # for `svc.worker.prewarm_ms`).
+            # timestamps onto its own timeline.
             try:
-                conn.send(make_pong(prewarm_ms))
+                conn.send(make_pong())
             except (BrokenPipeError, OSError):
                 break
             continue
@@ -255,14 +213,11 @@ class Worker:
         ctx,
         chaos: Optional[WorkerChaosPolicy] = None,
         telemetry: Optional[TelemetryConfig] = None,
-        prewarm: bool = True,
         lifecycle: Optional[LifecyclePolicy] = None,
-        prewarm_plan: Optional[tuple] = None,
     ) -> None:
         self.ctx = ctx
         self.chaos = chaos
         self.telemetry = telemetry
-        self.prewarm = prewarm
         self.lifecycle = lifecycle
         self.worker_id = next(_worker_ids)
         self.spawns = 0
@@ -280,31 +235,7 @@ class Worker:
         #: Last RSS the worker self-reported (bytes), None before the
         #: first reply of this generation.
         self.rss_bytes: Optional[int] = None
-        #: Worker-timed artifact prewarm for this generation (ms).
-        self.prewarm_ms: Optional[float] = None
-        #: Cached artifact-key plan: computed once at first spawn (or
-        #: inherited from the pool), then reused by every respawn/
-        #: recycle so replacement workers warm in one pass without
-        #: re-scanning the cache directory.
-        self.prewarm_plan: Optional[tuple] = (
-            tuple(prewarm_plan) if prewarm_plan is not None else None
-        )
         self.spawn()
-
-    def _resolve_prewarm(self):
-        """What to ship as ``_worker_main``'s prewarm argument."""
-        if not self.prewarm:
-            return False
-        if self.prewarm_plan is None:
-            try:
-                from ..exec import config as exec_config
-                from ..exec.cache import DEFAULT_CACHE
-
-                if exec_config.cache_enabled():
-                    self.prewarm_plan = DEFAULT_CACHE.prewarm_plan()
-            except Exception:
-                self.prewarm_plan = None
-        return self.prewarm_plan if self.prewarm_plan is not None else True
 
     def spawn(self) -> None:
         """(Re)start the child process with a fresh pipe."""
@@ -315,7 +246,6 @@ class Worker:
                 child_conn,
                 self.chaos,
                 self.telemetry,
-                self._resolve_prewarm(),
                 self.lifecycle,
             ),
             daemon=True,
@@ -329,21 +259,20 @@ class Worker:
         self.spawned_at = time.monotonic()
         self.jobs_served = 0
         self.rss_bytes = None
-        self.prewarm_ms = None
         self.clock_offset = None
         self._handshake()
 
     def _handshake(self) -> None:
-        """Ping the fresh worker; absorb its clock offset + prewarm time.
+        """Ping the fresh worker; absorb its clock offset.
 
         Doubles as the *readiness barrier*: the worker only answers the
-        ping once its loop is up, i.e. after prewarm completed — which
-        is what lets a recycle retire the old worker knowing its
-        replacement is genuinely warm.  Best-effort: a worker that dies
-        or stalls before ponging just leaves ``clock_offset`` at None
-        (telemetry merges fall back to right-edge alignment) — job
-        dispatch proceeds regardless, and a late pong is absorbed by
-        the pool's reply loop via :meth:`note_pong`.
+        ping once its loop is up — which is what lets a recycle retire
+        the old worker knowing its replacement is ready.  Best-effort: a
+        worker that dies or stalls before ponging just leaves
+        ``clock_offset`` at None (telemetry merges fall back to
+        right-edge alignment) — job dispatch proceeds regardless, and a
+        late pong is absorbed by the pool's reply loop via
+        :meth:`note_pong`.
         """
         try:
             t_sent = time.perf_counter()
@@ -354,7 +283,6 @@ class Worker:
                 self.clock_offset = clock_offset_from_pong(
                     payload, t_sent, t_received
                 )
-                self.prewarm_ms = prewarm_ms_from_pong(payload)
         except (BrokenPipeError, EOFError, OSError):
             pass
 
@@ -365,8 +293,6 @@ class Worker:
         offset = clock_offset_from_pong(payload, t_now, t_now)
         if offset is not None and self.clock_offset is None:
             self.clock_offset = offset
-        if self.prewarm_ms is None:
-            self.prewarm_ms = prewarm_ms_from_pong(payload)
 
     @property
     def age(self) -> float:

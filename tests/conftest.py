@@ -68,8 +68,8 @@ def pytest_unconfigure(config):
 
 
 @pytest.fixture(autouse=True)
-def _isolated_artifact_cache(tmp_path, monkeypatch):
-    """Point the artifact cache at a per-test directory and empty the LRU.
+def _isolated_artifact_cache():
+    """Empty the artifact cache's LRU around every test.
 
     Cross-test cache hits would silently skip parse/compile — breaking
     exact solver-query-count and budget-exhaustion assertions — so every
@@ -77,7 +77,6 @@ def _isolated_artifact_cache(tmp_path, monkeypatch):
     """
     from repro.exec.cache import DEFAULT_CACHE
 
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "artifact-cache"))
     DEFAULT_CACHE.clear()
     yield
     DEFAULT_CACHE.clear()

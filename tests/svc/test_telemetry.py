@@ -70,20 +70,6 @@ class TestClockHandshake:
         assert not tel.is_pong((tel.CLOCK_PONG, 1))  # wrong arity
         assert not tel.is_pong("not a tuple")
 
-    def test_pong_carries_optional_prewarm_ms(self):
-        # Old 3-tuple pongs and new 4-tuple pongs must both verify:
-        # a recycled supervisor can face workers of either vintage.
-        legacy = (tel.CLOCK_PONG, 123, 50.0)
-        extended = tel.make_pong(prewarm_ms=12.5)
-        assert tel.is_pong(legacy)
-        assert tel.is_pong(extended) and len(extended) == 4
-        assert tel.prewarm_ms_from_pong(legacy) is None
-        assert tel.prewarm_ms_from_pong(tel.make_pong()) is None
-        assert tel.prewarm_ms_from_pong(extended) == pytest.approx(12.5)
-        assert tel.prewarm_ms_from_pong((tel.CLOCK_PONG, 1, 2.0, "junk")) is None
-        # The clock math reads the same slot in both shapes.
-        assert tel.clock_offset_from_pong(extended, 149.0, 151.0) is not None
-
     def test_offset_is_midpoint_estimate(self):
         pong = (tel.CLOCK_PONG, 123, 50.0)
         # Supervisor clock runs 100s ahead: sent at 149, received at 151.
