@@ -2,7 +2,7 @@
 
 PR18 puts two new pieces of work on the served path of every request:
 request-scoped trace propagation (``trace_context`` + the
-``svc.admission``/``svc.dispatch`` spans and gate instants, journaled
+``svc.admission``/``svc.dispatch`` spans and gate instants, recorded
 when observability is on) and rolling-window aggregation
 (the :class:`repro.obs.live.LiveStats` windows the admission gate
 records every served request into).  Both run once per
@@ -11,8 +11,8 @@ assumed away.
 
 This benchmark drives the same warm pool through two per-request loops
 — a *bare* arm (parse, gate, execute, serialize: the pre-PR18 served
-path) and a *live* arm (the same plus trace context, spans under an
-active journal, and window recording) — with rounds **interleaved**
+path) and a *live* arm (the same plus trace context, spans recorded
+with observability on, and window recording) — with rounds **interleaved**
 (bare, live, bare, live, ...) so slow patches on a shared CI container
 hit both arms instead of skewing whichever ran second.  The reported
 figure is the relative p50 per-request latency overhead.
@@ -44,7 +44,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 # (conftest) already runs benchmarks cache-off, direct runs match it.
 os.environ.setdefault("REPRO_CACHE", "off")
 
-from repro.obs import journal as obs_journal  # noqa: E402
+from repro import obs  # noqa: E402
 from repro.obs import metrics as obs_metrics  # noqa: E402
 from repro.obs import tracer as obs_tracer  # noqa: E402
 from repro.obs.live import LiveStats  # noqa: E402
@@ -132,7 +132,7 @@ def _serve_bare(svc: AnalysisService, gate: AdmissionGate, line: str) -> float:
 
 def _serve_live(svc: AnalysisService, gate: AdmissionGate, line: str) -> float:
     """One request through the full live path: trace context + spans
-    (against an active journal) + window recording — the exact
+    (recorded, observability on) + window recording — the exact
     per-request work :func:`repro.svc.serve.serve_lines` does."""
     t0 = time.perf_counter()
     request = parse_line(line, "live")
@@ -171,7 +171,7 @@ def measure_overhead() -> dict[str, float]:
             lines = request_lines(CORPUS_SIZE, f"r{round_no}")
             for line in lines:
                 bare_lat.append(_serve_bare(svc, gate_bare, line))
-            with obs_journal.journaled():
+            with obs.observed():
                 for line in lines:
                     live_lat.append(_serve_live(svc, gate_live, line))
     p50_bare = statistics.median(bare_lat)

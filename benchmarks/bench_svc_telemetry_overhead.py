@@ -1,14 +1,15 @@
 """Cross-process telemetry overhead: enabled-vs-disabled batch throughput.
 
-Telemetry (:mod:`repro.svc.telemetry`) makes every worker journal its
-job, snapshot its metric deltas, package a blob, and pickle it back —
-and makes the supervisor align, merge, and fold all of it.  That is
-real work on the job hot path, and it must stay cheap enough that
-leaving ``REPRO_OBS=1`` on in a soak or CI run does not distort what it
-observes.  This benchmark runs the same warm-pool batch twice — workers
-with telemetry explicitly disabled, then explicitly enabled (with an
-active host journal, so the merge path runs in full) — and reports the
-relative wall-clock overhead.
+Telemetry (:mod:`repro.svc.telemetry`) makes every worker record its
+job's spans, snapshot its metric deltas, package a blob, and pickle it
+back — and makes the supervisor fold the deltas and rebuild and graft
+the span tree.  That is real work on the job hot path, and it must stay
+cheap enough that leaving ``REPRO_OBS=1`` on in a soak or CI run does
+not distort what it observes.  Telemetry is on iff obs recording is on
+when the pool starts, so this benchmark runs the same warm-pool batch
+on two pools — one started and run with recording off, one started and
+run with recording on (so the merge path runs in full) — and reports
+the relative wall-clock overhead.
 
 The budgeted figure is **≤5%**; the measured one records into the obs
 snapshot as the ``svc.telemetry.overhead_pct`` gauge, which CI gates
@@ -31,14 +32,12 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import obs  # noqa: E402
-from repro.obs import journal as obs_journal  # noqa: E402
 from repro.obs import metrics as obs_metrics  # noqa: E402
 from repro.svc import (  # noqa: E402
     AnalysisService,
     JobSpec,
     RetryPolicy,
     ServiceConfig,
-    TelemetryConfig,
 )
 
 POOL_SIZE = int(os.environ.get("SVC_TELEMETRY_POOL", 2))
@@ -79,13 +78,8 @@ def corpus(n: int, tag: str) -> list[JobSpec]:
     return specs
 
 
-def _one_round(svc: AnalysisService, specs: list[JobSpec], journal: bool) -> float:
-    if journal:
-        with obs_journal.journaled():
-            t0 = time.perf_counter()
-            results = svc.run_jobs(specs)
-            elapsed = time.perf_counter() - t0
-    else:
+def _one_round(svc: AnalysisService, specs: list[JobSpec], observed: bool) -> float:
+    with obs.observed(observed):
         t0 = time.perf_counter()
         results = svc.run_jobs(specs)
         elapsed = time.perf_counter() - t0
@@ -100,25 +94,24 @@ def measure_overhead() -> dict[str, float]:
     (off, on, off, on …) so slow patches on a shared 1-core container
     hit both modes instead of skewing whichever ran second."""
 
-    def config(telemetry: TelemetryConfig) -> ServiceConfig:
-        return ServiceConfig(
-            jobs=POOL_SIZE,
-            retry=RetryPolicy(base_delay=0.01),
-            telemetry=telemetry,
-        )
+    def service(observed: bool) -> AnalysisService:
+        # Telemetry follows the obs state when the pool starts.
+        with obs.observed(observed):
+            return AnalysisService(
+                ServiceConfig(jobs=POOL_SIZE, retry=RetryPolicy(base_delay=0.01))
+            )
 
     disabled = enabled = float("inf")
-    with AnalysisService(config(TelemetryConfig(enabled=False))) as off:
-        with AnalysisService(config(TelemetryConfig())) as on:
+    with service(False) as off, service(True) as on:
+        with obs.observed(False):
             off.run_job(JobSpec("warmup-off", "run", PASSING))  # pay spawn once
+        with obs.observed(True):
             on.run_job(JobSpec("warmup-on", "run", PASSING))
-            blobs_before = obs_metrics.REGISTRY.counter(
-                "svc.telemetry.blobs"
-            ).value
-            for round_no in range(ROUNDS):
-                specs = corpus(CORPUS_SIZE, f"r{round_no}")
-                disabled = min(disabled, _one_round(off, specs, journal=False))
-                enabled = min(enabled, _one_round(on, specs, journal=True))
+        blobs_before = obs_metrics.REGISTRY.counter("svc.telemetry.blobs").value
+        for round_no in range(ROUNDS):
+            specs = corpus(CORPUS_SIZE, f"r{round_no}")
+            disabled = min(disabled, _one_round(off, specs, observed=False))
+            enabled = min(enabled, _one_round(on, specs, observed=True))
     blobs = (
         obs_metrics.REGISTRY.counter("svc.telemetry.blobs").value
         - blobs_before

@@ -13,9 +13,9 @@ counts, cache hit-rates, composition state counts, ...) to ``PATH`` as
 schema-versioned JSON — future perf PRs can diff counters, not just
 wall-clock.  Setting ``REPRO_OBS=1`` (without a path) also enables
 recording; either way the metric table is appended to the terminal
-summary.  Pass ``--trace-json PATH`` to additionally enable the
-structured event journal and write the whole run as a Chrome/Perfetto
-trace-event file (open it at ``ui.perfetto.dev``).
+summary.  Pass ``--trace-json PATH`` to also enable recording and write
+the run's retained span trees as a Chrome/Perfetto trace-event file
+(open it at ``ui.perfetto.dev``).
 
 Environment knobs (all optional):
 
@@ -60,7 +60,7 @@ def pytest_addoption(parser):
         action="store",
         default=None,
         metavar="PATH",
-        help="enable the repro.obs event journal and write the run as a "
+        help="enable repro.obs and write the run's spans as a "
         "Chrome/Perfetto trace-event file (open at ui.perfetto.dev)",
     )
 
@@ -72,10 +72,8 @@ def pytest_configure(config):
         "of jobs through real worker pools); deselect with -m 'not soak' "
         "for a quick benchmark pass",
     )
-    if config.getoption("--obs-json"):
+    if config.getoption("--obs-json") or config.getoption("--trace-json"):
         obs.enabled(True)
-    if config.getoption("--trace-json"):
-        obs.journal.enable()  # implies obs.enabled(True)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -97,13 +95,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                 f.write("\n")
             terminalreporter.write_line(f"(snapshot written to {path})")
         trace_path = config.getoption("--trace-json")
-        journal = obs.journal.active()
-        if trace_path and journal is not None:
-            obs.write_chrome_trace(trace_path, journal)
-            stats = journal.stats()
+        if trace_path:
+            obs.write_chrome_trace(trace_path)
             terminalreporter.write_line(
-                f"(trace written to {trace_path}: {stats['emitted']} events, "
-                f"{stats['dropped']} dropped by the ring)"
+                f"(trace written to {trace_path}: "
+                f"{len(obs.tracer.retained())} root spans, "
+                f"{obs.counter('obs.trace.dropped_roots').value} dropped "
+                f"by the root cap)"
             )
 
 

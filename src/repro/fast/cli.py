@@ -43,9 +43,10 @@ supervisor crash.
 ``--profile`` enables :mod:`repro.obs` and prints the span tree and
 metric table to stderr after the command; ``--profile-json PATH``
 additionally writes the schema-versioned JSON snapshot to ``PATH``.
-``--trace-json PATH`` enables the structured event journal and writes a
-Chrome/Perfetto trace-event file (open it at ``ui.perfetto.dev``);
-``--flamegraph PATH`` writes collapsed-stack lines for flamegraph
+``--trace-json PATH`` enables :mod:`repro.obs` and writes the span
+trees of every thread (and every worker) as a Chrome/Perfetto
+trace-event file (open it at ``ui.perfetto.dev``); ``--flamegraph
+PATH`` writes the same spans as collapsed-stack lines for flamegraph
 tools.  All of these are emitted however the command exits — assertion
 failures, budget exhaustion, and crashes still produce their
 observability outputs, so failed runs are debuggable.
@@ -63,7 +64,7 @@ import sys
 from .. import obs
 from ..errors import ReproError
 from ..guard import Budget, BudgetExceeded, scope as guard_scope
-from ..obs import journal as obs_journal
+from ..obs import tracer as obs_tracer
 from ..trees.parser import TreeParseError
 from ..trees.tree import format_tree
 from .errors import FastSyntaxError, FastTypeError
@@ -113,15 +114,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace-json",
         metavar="PATH",
         default=None,
-        help="enable the event journal and write a Chrome/Perfetto "
-        "trace-event file to PATH (open at ui.perfetto.dev)",
+        help="enable repro.obs and write the recorded spans as a "
+        "Chrome/Perfetto trace-event file to PATH (open at ui.perfetto.dev)",
     )
     common.add_argument(
         "--flamegraph",
         metavar="PATH",
         default=None,
-        help="enable the event journal and write collapsed-stack "
-        "flamegraph lines to PATH",
+        help="enable repro.obs and write the recorded spans as "
+        "collapsed-stack flamegraph lines to PATH",
     )
     common.add_argument(
         "--no-cache",
@@ -385,12 +386,10 @@ def _emit_outputs(args: argparse.Namespace) -> None:
             with open(args.profile_json, "w") as f:
                 f.write(obs.render_json())
                 f.write("\n")
-        j = obs_journal.ACTIVE
-        if j is not None:
-            if args.trace_json:
-                obs.write_chrome_trace(args.trace_json, j)
-            if args.flamegraph:
-                obs.write_flamegraph(args.flamegraph, j)
+        if args.trace_json:
+            obs.write_chrome_trace(args.trace_json)
+        if args.flamegraph:
+            obs.write_flamegraph(args.flamegraph)
     except OSError as exc:
         print(f"warning: could not write observability output: {exc}",
               file=sys.stderr)
@@ -599,7 +598,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.profile or args.profile_json:
         obs.enabled(True)
     if args.trace_json or args.flamegraph:
-        obs_journal.enable()  # implies obs.enabled(True)
+        obs.enabled(True)
+        obs_tracer.reset_retained()  # the trace covers this command only
 
     try:
         if args.command == "batch":

@@ -41,7 +41,6 @@ from typing import Iterator, Optional
 
 from ..errors import ReproError
 from ..obs import config as obs_config
-from ..obs import journal as obs_journal
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
 
@@ -227,15 +226,11 @@ class Budget:
         snap = self.snapshot()
         if obs_config.ENABLED:
             _ABORT_COUNTERS[exc_cls.resource].inc()
-            # A zero-length span marks *where* in the trace the abort
-            # fired; it nests under whatever pipeline span is open.
-            with obs_tracer.span(
-                "guard.abort", reason=exc_cls.resource, detail=message
-            ):
-                pass
-        j = obs_journal.ACTIVE
-        if j is not None:
-            j.emit("I", "guard.abort", {"resource": exc_cls.resource, "detail": message})
+            # An instant marks *where* in the trace the abort fired; it
+            # nests under whatever pipeline span is open.
+            obs_tracer.instant(
+                "guard.abort", {"reason": exc_cls.resource, "detail": message}
+            )
         raise exc_cls(message, snap)
 
 
@@ -297,9 +292,6 @@ def tick(n: int = 1, kind: str = "step") -> None:
         return
     if obs_config.ENABLED:
         _OBS_STEPS.inc(n)
-    j = obs_journal.ACTIVE
-    if j is not None:
-        j.emit("G", kind, n)
     for b in stack:
         b.charge_step(n, kind)
 
@@ -311,9 +303,6 @@ def charge_query(n: int = 1) -> None:
         return
     if obs_config.ENABLED:
         _OBS_QUERIES.inc(n)
-    j = obs_journal.ACTIVE
-    if j is not None:
-        j.emit("G", "solver.query", n)
     for b in stack:
         b.charge_query(n)
 

@@ -70,7 +70,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from ..obs import config as obs_config
-from ..obs import journal as obs_journal
 from ..obs import metrics as obs_metrics
 from ..smt.solver import Solver
 from ..smt.terms import FALSE, TRUE
@@ -124,24 +123,21 @@ class ChaosPolicy:
         self.queries_seen = 0
         self.counts = {"fault": 0, "unknown": 0, "flush": 0, "delay": 0}
 
-    def _injected(self, kind: str, index: int) -> None:
-        """Book-keep one fired injection (counts, obs, journal)."""
+    def _injected(self, kind: str) -> None:
+        """Book-keep one fired injection (counts, obs)."""
         self.counts[kind] += 1
         if obs_config.ENABLED:
             _INJECTION_COUNTERS[kind].inc()
-        j = obs_journal.ACTIVE
-        if j is not None:
-            j.emit("I", f"chaos.{kind}", {"query": index})
 
     def before_query(self, solver: Solver) -> None:
         """Run the injections due before one non-trivial solver query."""
         index = self.queries_seen
         self.queries_seen += 1
         if self.latency:
-            self._injected("delay", index)
+            self._injected("delay")
             time.sleep(self.latency)
         if self.flush_rate and self._rng.random() < self.flush_rate:
-            self._injected("flush", index)
+            self._injected("flush")
             # The coordinated flush (intern table + solver memos + exec
             # LRU together) — injecting the full version here keeps the
             # semantics-preserving contract honest for exactly the
@@ -150,15 +146,15 @@ class ChaosPolicy:
 
             flush_all_caches(solver=solver)
         if self.fault_after is not None and index == self.fault_after:
-            self._injected("fault", index)
+            self._injected("fault")
             raise SolverFault(
                 f"injected solver fault on query #{index} (fault_after)"
             )
         if self.fault_rate and self._rng.random() < self.fault_rate:
-            self._injected("fault", index)
+            self._injected("fault")
             raise SolverFault(f"injected solver fault on query #{index}")
         if self.unknown_rate and self._rng.random() < self.unknown_rate:
-            self._injected("unknown", index)
+            self._injected("unknown")
             raise SolverUnknown(f"injected solver unknown on query #{index}")
 
 

@@ -19,11 +19,12 @@ single flag check (see :mod:`repro.obs.config`), so the instrumented
 hot loops stay within noise of un-instrumented timings.
 
 Submodules: :mod:`~repro.obs.config` (the switch),
-:mod:`~repro.obs.tracer` (thread-local span trees),
+:mod:`~repro.obs.tracer` (span trees: thread-local stacks, one
+retained root store),
 :mod:`~repro.obs.metrics` (counter/gauge/histogram registry),
 :mod:`~repro.obs.report` (text/JSON emitters),
-:mod:`~repro.obs.journal` (structured event stream),
-:mod:`~repro.obs.export` (Chrome/Perfetto traces & flamegraphs),
+:mod:`~repro.obs.export` (Chrome/Perfetto traces & flamegraphs, rendered
+from the span trees),
 :mod:`~repro.obs.diff` (snapshot diffing & the CI regression gate),
 :mod:`~repro.obs.provenance` (derivation recording for verdicts).
 """
@@ -33,10 +34,9 @@ from __future__ import annotations
 # NB: `diff` is deliberately not imported here — it doubles as the
 # `python -m repro.obs.diff` CLI, and importing it from the package
 # would trigger the runpy double-import warning in that mode.
-from . import export, journal, live, provenance
+from . import export, live, provenance
 from .config import enabled, is_enabled, observed
 from .export import chrome_trace, collapsed_stacks, write_chrome_trace, write_flamegraph
-from .journal import Journal, journaled
 from .live import LiveStats, RollingWindow, render_prometheus
 from .metrics import (
     REGISTRY,
@@ -62,6 +62,7 @@ from .tracer import (
     current,
     current_trace_id,
     instant,
+    reset_retained,
     reset_trace,
     span,
     trace,
@@ -70,21 +71,14 @@ from .tracer import (
 
 
 def reset() -> None:
-    """Zero all registered metrics, drop this thread's trace, and clear
-    the active journal (if any)."""
+    """Zero all registered metrics and drop every thread's retained spans."""
     REGISTRY.reset()
-    reset_trace()
-    j = journal.ACTIVE
-    if j is not None:
-        j.clear()
+    reset_retained()
 
 
 __all__ = [
-    "journal",
     "export",
     "provenance",
-    "Journal",
-    "journaled",
     "chrome_trace",
     "collapsed_stacks",
     "write_chrome_trace",

@@ -14,8 +14,7 @@ Two modes, one CLI (``python -m repro.obs.diff``):
   ``actual > expected * (1 + tolerance) + slack``; the per-counter
   ``tolerances`` mapping in the baseline overrides the default
   tolerance for individual counters.  Exit 1 on regression — this is
-  what CI's bench-regression job runs (``benchmarks/check_regression.py``
-  is a thin wrapper kept for compatibility).
+  what CI's bench-regression job runs.
 
   Timing-derived guards are only comparable between *like* hosts, so
   when the baseline entry records the core count it was measured on

@@ -2,7 +2,7 @@
 
 Everything else in :mod:`repro.obs` describes a *run*: counters that
 grow forever, histograms over every observation since process start,
-journals you export after the fact.  A serving process has no "after
+span trees you export after the fact.  A serving process has no "after
 the fact" — and once workloads stream unboundedly, whole-run aggregates
 stop meaning anything (a p95 over six hours of traffic says nothing
 about the last minute's brownout).  This module keeps *recent* truth:

@@ -16,13 +16,9 @@ Updates are thread-safe: each metric carries its own lock, so worker
 threads hammering the same counter cannot lose increments or corrupt a
 histogram's aggregates (``tests/obs/test_thread_safety.py``).
 
-Registered metrics know their ``name`` and, while a journal
-(:mod:`repro.obs.journal`) is active, counter increments emit ``C``
-events carrying the post-increment value — that is how counter tracks
-appear in exported Chrome/Perfetto traces.  Stand-alone metrics (e.g.
-the private per-solver counters in
+Stand-alone metrics (e.g. the private per-solver counters in
 :class:`~repro.smt.solver.SolverStats`) have ``name=None`` and stay out
-of the journal.
+of the registry.
 """
 
 from __future__ import annotations
@@ -30,8 +26,6 @@ from __future__ import annotations
 import random
 import threading
 from typing import Any, Optional, Sequence, Union
-
-from . import journal
 
 Number = Union[int, float]
 
@@ -68,11 +62,6 @@ class Counter:
     def inc(self, n: int = 1) -> None:
         with self._lock:
             self.value += n
-            value = self.value
-        if self.name is not None:
-            j = journal.ACTIVE
-            if j is not None:
-                j.emit("C", self.name, value)
 
     def reset(self) -> None:
         with self._lock:
@@ -100,17 +89,10 @@ class Gauge:
 
         Unlike :meth:`set`, concurrent adders must not lose updates —
         the serving gate's queue-depth gauge is bumped from many
-        connection threads and decremented by the dispatcher.  Journal
-        ``C`` events carry the post-update level, so the depth shows up
-        as a counter track in Perfetto exports.
+        connection threads and decremented by the dispatcher.
         """
         with self._lock:
             self.value += delta
-            value = self.value
-        if self.name is not None:
-            j = journal.ACTIVE
-            if j is not None:
-                j.emit("C", self.name, value)
 
     def reset(self) -> None:
         self.value = 0

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from . import journal
 from .metrics import REGISTRY, Histogram, Registry
 from .tracer import Span, trace
 
@@ -47,11 +46,6 @@ def snapshot(registry: Registry | None = None, include_trace: bool = True) -> di
     metrics = reg.snapshot()
     metrics.update(_derived(metrics))
     doc: dict[str, Any] = {"schema": SCHEMA, "metrics": metrics}
-    j = journal.ACTIVE
-    if j is not None:
-        stats = j.stats()
-        doc["journal"] = stats
-        metrics["journal.events_emitted"] = stats["emitted"]
     if include_trace:
         doc["trace"] = [span_to_dict(s) for s in trace()]
     return doc

@@ -193,7 +193,7 @@ class Solver:
         # query charges the active budget (repro.guard) and may abort
         # *here*, before any partial result could reach the cache —
         # results are published below only once fully computed
-        # (abort-safe, journaled insertion).
+        # (abort-safe insertion).
         _charge_query()
         prov.saw_query(formula)  # provenance tally: solved, not cached
         model = self._solve(formula)

@@ -23,10 +23,10 @@ process survives anything a job does:
   immediate UNKNOWNs instead of starving the pool;
 * :mod:`~repro.svc.service` — the :class:`AnalysisService` facade;
 * :mod:`~repro.svc.telemetry` — cross-process observability: worker
-  journals/metrics/spans ship back over the job boundary as size-capped
-  blobs and merge into the host journal (per-worker Perfetto tracks),
-  registry, and trace tree; plus the per-kind latency ledger and the
-  ``--stats`` renderers;
+  span trees and metric deltas ship back over the job boundary as
+  size-capped blobs and merge into the host registry and span tree
+  (per-worker Perfetto tracks); plus the per-kind latency ledger and
+  the ``--stats`` renderers;
 * :mod:`~repro.svc.gate` — admission control: bounded pending queue
   with explicit load shedding, per-tenant token-bucket quotas, a
   server-side deadline ceiling with remaining-time propagation, health
@@ -82,7 +82,6 @@ from .serve import (
     serve_socket,
 )
 from .service import AnalysisService, ServiceConfig, chaos_from_env
-from .telemetry import TelemetryConfig
 
 __all__ = [
     "AdmissionGate",
@@ -107,7 +106,6 @@ __all__ = [
     "ServiceConfig",
     "Shed",
     "SocketFrontEnd",
-    "TelemetryConfig",
     "Ticket",
     "TokenBucket",
     "WorkerPool",

@@ -259,7 +259,7 @@ class AdmissionGate:
         tenant: str,
         stage: str = "admit",
     ) -> Shed:
-        """Record one refusal and journal it as a trace-stamped instant.
+        """Record one refusal and trace it as a trace-stamped instant.
 
         The instant (``svc.gate.shed``) is how a refused request shows
         up in the exported Perfetto track: sheds have no span of their

@@ -71,7 +71,7 @@ class _Handler(BaseHTTPRequestHandler):
     front: "HttpFrontEnd"
 
     # BaseHTTPRequestHandler logs every request to stderr by default;
-    # that would interleave with --stats output and journal spills.
+    # that would interleave with --stats output.
     def log_message(self, format: str, *args: Any) -> None:
         pass
 

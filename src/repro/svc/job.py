@@ -126,7 +126,7 @@ class JobSpec:
       supervisor's kill timeout sits above the deadline;
     * ``trace_id`` — the request-scoped trace id minted (or accepted)
       at admission; it rides the spec into the worker so worker-side
-      spans and journal events carry the same id as the front-end's.
+      spans and instants carry the same id as the front-end's.
     """
 
     job_id: str
@@ -187,8 +187,8 @@ class JobResult:
     cap, timeouts, open breakers.
 
     ``telemetry`` is the worker-side observability blob
-    (:mod:`repro.svc.telemetry`): journal events, metric deltas, and
-    the span tree captured around this job.  It rides the pipe back to
+    (:mod:`repro.svc.telemetry`): the metric deltas and span tree
+    captured around this job.  It rides the pipe back to
     the supervisor, which merges it into host obs state and detaches it
     — so ``to_dict()`` (the ``fast batch --json`` / ``fast serve``
     payload) never carries it.

@@ -24,9 +24,9 @@ never executes analysis code — there is nothing a job can do to take
 it down short of killing the host.
 
 Lifecycle and decision events flow into :mod:`repro.obs`: ``svc.*``
-counters and the ``svc.job`` / ``svc.pool.run`` spans land in
-``--profile-json`` snapshots and, via the journal, in Perfetto trace
-exports.
+counters land in ``--profile-json`` snapshots, and the ``svc.job`` /
+``svc.pool.run`` spans and ``svc.*`` instants in its span trees and in
+Perfetto trace exports.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import multiprocessing
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from ..guard.chaos import WorkerChaosPolicy
 from ..obs import config as obs_config
@@ -47,7 +47,6 @@ from .breaker import BreakerRegistry
 from .job import ERROR, JobFailure, JobResult, JobSpec, REFUTED, UNKNOWN
 from .lifecycle import RECYCLE_REASONS, LifecyclePolicy
 from .retry import RetryPolicy
-from .telemetry import TelemetryConfig
 from .worker import Worker, default_start_method
 
 _OBS_SUBMITTED = obs_metrics.counter("svc.jobs_submitted")
@@ -89,7 +88,6 @@ class WorkerPool:
         size: int,
         chaos: Optional[WorkerChaosPolicy] = None,
         start_method: Optional[str] = None,
-        telemetry: Optional[TelemetryConfig] = None,
         lifecycle: Optional[LifecyclePolicy] = None,
     ) -> None:
         if size < 1:
@@ -97,12 +95,9 @@ class WorkerPool:
         self.size = size
         self.chaos = chaos
         self.lifecycle = lifecycle
-        # Telemetry defaults from the obs state at construction time:
-        # pools built while recording is on ship worker journals back.
-        self.telemetry = (
-            telemetry if telemetry is not None
-            else svc_telemetry.default_config()
-        )
+        # Telemetry follows the obs state at construction time: pools
+        # built while recording is on ship worker spans and metrics back.
+        self.telemetry = obs_config.ENABLED
         self.ctx = multiprocessing.get_context(
             start_method or default_start_method()
         )
@@ -327,7 +322,7 @@ class WorkerPool:
         def finalize(
             job_id: str,
             result: JobResult,
-            blob: Optional[dict[str, Any]] = None,
+            worker_spans: Sequence[obs_tracer.Span] = (),
         ) -> None:
             state = states[job_id]
             result.attempts = state.attempt + 1
@@ -367,7 +362,8 @@ class WorkerPool:
                         attempts=result.attempts,
                     ) as sp:
                         pass
-                svc_telemetry.graft_spans(sp, blob)
+                if isinstance(sp, obs_tracer.Span):
+                    sp.children.extend(worker_spans)
             if on_result is not None:
                 try:
                     on_result(result)
@@ -418,13 +414,13 @@ class WorkerPool:
             ):
                 breakers.get(state.spec.kind).record_success()
                 self._note_hygiene(worker, payload)
-                # Fold the worker's telemetry blob (journal fragment,
-                # metric deltas) into host obs state before the span is
-                # recorded; crash-safe — a mangled blob merges nothing.
-                blob = svc_telemetry.consume_blob(
+                # Fold the worker's telemetry blob (metric deltas, span
+                # tree) into host obs state before the span is recorded;
+                # crash-safe — a mangled blob merges nothing.
+                worker_spans = svc_telemetry.consume_blob(
                     payload, worker.clock_offset
                 )
-                finalize(job_id, payload, blob)
+                finalize(job_id, payload, worker_spans)
             else:
                 if obs_config.ENABLED:
                     _OBS_CORRUPT.inc()

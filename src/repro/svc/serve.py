@@ -344,30 +344,11 @@ def serve_lines(
             line = line.strip()
             if not line:
                 continue
-            default_id = f"line-{index + 1}"
-            try:
-                request = parse_line(line, default_id, limits)
-            except (ValueError, OSError) as exc:
-                _OBS_BAD_REQUESTS.inc()
-                error_doc = {
-                    "id": getattr(exc, "client_id", default_id),
-                    "error": str(exc),
-                }
-                trace_id = getattr(exc, "trace_id", None)
-                if trace_id:
-                    error_doc["trace_id"] = trace_id
-                if not _emit(out, error_doc):
-                    break
-                continue
-            if request.health:
-                health = gate.health(svc.breakers, workers=config.jobs)
-                health["id"] = request.client_id
-                health["trace_id"] = request.trace_id
-                if not _emit(out, health):
-                    break
-                continue
-            if request.stats:
-                if not _emit(out, stats_response(request, gate)):
+            request = triage(
+                line, f"line-{index + 1}", limits, gate, svc, config.jobs
+            )
+            if not isinstance(request, Request):
+                if not _emit(out, request):
                     break
                 continue
             with obs_tracer.trace_context(request.trace_id):
@@ -445,6 +426,50 @@ def _current_cpu(allowed: set[int]) -> int:
     return cpu if cpu in allowed else min(allowed)
 
 
+def triage(
+    line: str,
+    default_id: str,
+    limits: Optional[RequestLimits],
+    gate: AdmissionGate,
+    svc: Optional[AnalysisService],
+    workers: int,
+) -> Request | dict[str, Any]:
+    """Parse one request line and answer what needs no worker.
+
+    The one request triage of every serving loop: returns the reply
+    document of a malformed request (an ``error`` line) or of a
+    ``health``/``stats`` probe, else the job :class:`Request` to admit.
+    """
+    try:
+        request = parse_line(line, default_id, limits)
+    except (ValueError, OSError) as exc:
+        _OBS_BAD_REQUESTS.inc()
+        doc = {"id": getattr(exc, "client_id", default_id), "error": str(exc)}
+        trace_id = getattr(exc, "trace_id", None)
+        if trace_id:
+            doc["trace_id"] = trace_id
+        return doc
+    if request.health:
+        doc = health_doc(gate, svc, workers)
+        doc["id"] = request.client_id
+        doc["trace_id"] = request.trace_id
+        return doc
+    if request.stats:
+        return stats_response(request, gate)
+    return request
+
+
+def health_doc(
+    gate: AdmissionGate, svc: Optional[AnalysisService], workers: int
+) -> dict[str, Any]:
+    """The ``health`` ledger: gate, breakers and worker lifecycle."""
+    return gate.health(
+        svc.breakers if svc is not None else None,
+        workers=workers,
+        pool=svc.pool if svc is not None else None,
+    )
+
+
 def stats_response(request: Request, gate: AdmissionGate) -> dict[str, Any]:
     """The payload of a ``stats`` request: the live window snapshot."""
     return {
@@ -466,8 +491,8 @@ def _rolling_stats(
     passed since ``mark``; returns the mark the next block counts from."""
     if interval <= 0 or gate.clock() - mark[0] < interval:
         return mark
-    # One write call: stats output must never interleave with journal
-    # spill writes or other stderr traffic mid-line.
+    # One write call: stats output must never interleave with other
+    # stderr traffic mid-line.
     err.write(stats_line(gate, breakers, since=mark) + "\n")
     err.flush()
     return (gate.clock(), gate.served)
@@ -604,11 +629,7 @@ class FrontEndBase:
 
     def health_doc(self) -> dict[str, Any]:
         """The ``health`` ledger (gate + breakers + worker lifecycle)."""
-        return self.gate.health(
-            self.breakers,
-            workers=self.config.jobs,
-            pool=self._svc.pool if self._svc is not None else None,
-        )
+        return health_doc(self.gate, self._svc, self.config.jobs)
 
     def metrics_text(self) -> str:
         """The Prometheus text exposition of this front-end's state.
@@ -638,25 +659,12 @@ class FrontEndBase:
         reply: Callable[[dict[str, Any]], None],
     ) -> None:
         """Parse one request payload and answer or enqueue it."""
-        try:
-            request = parse_line(line, default_id, self.limits)
-        except (ValueError, OSError) as exc:
-            _OBS_BAD_REQUESTS.inc()
-            doc = {"id": getattr(exc, "client_id", default_id),
-                   "error": str(exc)}
-            trace_id = getattr(exc, "trace_id", None)
-            if trace_id:
-                doc["trace_id"] = trace_id
-            reply(doc)
-            return
-        if request.health:
-            health = self.health_doc()
-            health["id"] = request.client_id
-            health["trace_id"] = request.trace_id
-            reply(health)
-            return
-        if request.stats:
-            reply(stats_response(request, self.gate))
+        request = triage(
+            line, default_id, self.limits, self.gate, self._svc,
+            self.config.jobs,
+        )
+        if not isinstance(request, Request):
+            reply(request)
             return
         with obs_tracer.trace_context(request.trace_id):
             with obs_tracer.span(

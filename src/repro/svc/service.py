@@ -31,7 +31,6 @@ from .job import JobResult, JobSpec
 from .lifecycle import LifecyclePolicy
 from .pool import WorkerPool
 from .retry import RetryPolicy
-from .telemetry import TelemetryConfig, default_config as default_telemetry
 
 
 def chaos_from_env(var: str = "REPRO_CHAOS") -> Optional[WorkerChaosPolicy]:
@@ -58,8 +57,6 @@ class ServiceConfig:
     worker_chaos: Optional[WorkerChaosPolicy] = None
     #: multiprocessing start method; None = fork where available.
     start_method: Optional[str] = None
-    #: Cross-process telemetry; None = on iff obs recording is on.
-    telemetry: Optional[TelemetryConfig] = None
     #: Proactive worker recycling thresholds (jobs / RSS / age) plus
     #: the in-worker intern-table ceiling; None = workers live forever
     #: (the pre-lifecycle behaviour).
@@ -67,10 +64,6 @@ class ServiceConfig:
 
     def resolved_chaos(self) -> Optional[WorkerChaosPolicy]:
         return self.worker_chaos if self.worker_chaos is not None else chaos_from_env()
-
-    def resolved_telemetry(self) -> Optional[TelemetryConfig]:
-        """The effective telemetry config (an explicit one wins)."""
-        return self.telemetry if self.telemetry is not None else default_telemetry()
 
 
 class AnalysisService:
@@ -92,7 +85,6 @@ class AnalysisService:
             self.config.jobs,
             chaos=self.config.resolved_chaos(),
             start_method=self.config.start_method,
-            telemetry=self.config.resolved_telemetry(),
             lifecycle=self.config.lifecycle,
         )
         self.breakers = BreakerRegistry(config=self.config.breaker)

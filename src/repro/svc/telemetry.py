@@ -1,29 +1,25 @@
 """Cross-process telemetry: ship worker observability over the job boundary.
 
-PR 5 moved the expensive analyses into supervised subprocess workers —
-and severed them from the observability stack: a forked worker drops
-the inherited journal (rightly — appending to the parent's now-private
-ring would be silent nonsense), so every ``--trace-json`` capture of
-``fast batch``/``fast serve`` showed opaque ``svc.job`` boxes with no
-solver or automata spans inside, and ``--profile-json`` counted zero
-solver work however hard the workers were grinding.
-
-This module restores end-to-end visibility without giving up process
-isolation, in three pieces:
+The expensive analyses run in supervised subprocess workers, whose
+spans and counters live in the worker's own process.  Without help,
+every ``--trace-json`` capture of ``fast batch``/``fast serve`` would
+show opaque ``svc.job`` boxes with no solver or automata spans inside,
+and ``--profile-json`` would count zero solver work however hard the
+workers were grinding.  This module carries both back without giving
+up process isolation, in three pieces:
 
 **Worker side** (:func:`execute_with_telemetry`).  Around each job the
-worker installs a *fresh* bounded journal ring, zeroes the (fork- or
-job-copied) metric registry, and clears the tracer; after the job it
-packages everything observed into a size-capped, JSON-able *telemetry
-blob* attached to the :class:`~repro.svc.job.JobResult`:
+worker zeroes the (fork- or job-copied) metric registry and records
+with obs on; after the job it packages what it observed into a
+JSON-able *telemetry blob* attached to the
+:class:`~repro.svc.job.JobResult`:
 
-* the journal events, timestamped on the worker's own
-  ``perf_counter`` timeline (drop-oldest at ``max_events``; the drop
-  count travels with the blob — no silent truncation);
-* the metric deltas (registry was zeroed at job start, so the
+* the span tree under the worker's ``svc.job`` span, each span's
+  ``start`` on the worker's own ``perf_counter`` timeline, node-capped
+  at :data:`MAX_SPANS` (the blob flags truncation);
+* the metric deltas (the registry was zeroed at job start, so the
   post-job snapshot *is* the per-job delta; histograms ship their
-  reservoir so quantiles survive the merge);
-* the top-level span tree, node-capped at ``max_spans``.
+  reservoir so quantiles survive the merge).
 
 **Clock alignment** (:func:`clock_offset_from_pong`).  ``perf_counter``
 timelines are per-process, so at worker spawn the supervisor plays one
@@ -34,45 +30,35 @@ timestamp lands it on the supervisor's timeline, accurate to half the
 pipe round-trip (microseconds on a fork pool).
 
 **Supervisor side** (:func:`consume_blob`).  When a valid result
-arrives, its blob is folded into the host observability state:
-
-* journal events are re-timestamped and appended to the host journal
-  under a per-worker-pid track (plus an ``M`` registration event that
-  :func:`repro.obs.export.chrome_trace` turns into Perfetto
-  process/thread metadata) — the trace finally shows *what the worker
-  did inside* each ``svc.job``;
-* counter deltas are folded into the host registry, so
-  ``--profile-json`` and the ``repro.obs.diff`` CI gate count worker
-  solver work;
-* the span tree is grafted under the supervisor's ``svc.job`` span.
+arrives, its counter deltas fold into the host registry, so
+``--profile-json`` and the ``repro.obs.diff`` CI gate count worker
+solver work, and its span tree is rebuilt shifted by the worker's clock
+offset with the worker's pid as its track.  The pool grafts that tree
+under the supervisor's ``svc.job`` span, so profile trees, span
+totals, and the Perfetto export (one track per worker pid) show *what
+the worker did inside* each job.
 
 Crash safety is structural: a killed/hung worker never sends a result,
-so there is no blob and therefore nothing to merge — the host journal
-only ever receives complete, per-track-balanced fragments.  A blob that
-fails to merge (corrupted in flight) is dropped whole and counted in
+so there is no blob and therefore nothing to merge.  A blob that fails
+to merge (corrupted in flight) is dropped whole and counted in
 ``svc.telemetry.merge_errors``; it cannot poison the host state.
 
-Everything is off by default: telemetry engages only when
-:mod:`repro.obs` recording is enabled in the supervisor (``REPRO_OBS``,
-``--profile``, ``--trace-json``, …) or a :class:`TelemetryConfig` is
-set explicitly on the :class:`~repro.svc.service.ServiceConfig`.
+Telemetry is on iff :mod:`repro.obs` recording is on when the pool
+starts (``REPRO_OBS``, ``--profile``, ``--trace-json``, ...).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from ..obs import config as obs_config
-from ..obs import journal as obs_journal
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
-from ..obs.journal import Event, Journal
 from ..obs.live import LiveStats
 from ..obs.metrics import Counter, Gauge, Histogram
-from ..obs.report import span_to_dict
 from .job import JobResult, JobSpec, execute_job
 
 if TYPE_CHECKING:
@@ -83,36 +69,11 @@ if TYPE_CHECKING:
 CLOCK_PING = "__repro_clock_ping__"
 CLOCK_PONG = "__repro_clock_pong__"
 
-#: Journal event name of a worker-track registration ("M" phase).
-TRACK_EVENT = "svc.worker.track"
+#: Span-tree nodes shipped per blob (depth-first budget).
+MAX_SPANS = 512
 
 _OBS_BLOBS = obs_metrics.counter("svc.telemetry.blobs")
-_OBS_EVENTS = obs_metrics.counter("svc.telemetry.events")
-_OBS_DROPPED = obs_metrics.counter("svc.telemetry.dropped")
 _OBS_MERGE_ERRORS = obs_metrics.counter("svc.telemetry.merge_errors")
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Picklable worker-telemetry knobs (shipped at worker spawn).
-
-    * ``enabled`` — capture at all?  (The pool also skips merge work
-      entirely when no config is set.)
-    * ``max_events`` — per-job journal ring capacity.  The ring drops
-      oldest on overflow; the blob reports how many were dropped and
-      the supervisor surfaces the total as ``svc.telemetry.dropped``.
-    * ``max_spans`` — span-tree nodes shipped per blob (depth-first
-      budget; the blob flags truncation).
-    """
-
-    enabled: bool = True
-    max_events: int = 8192
-    max_spans: int = 512
-
-
-def default_config() -> Optional[TelemetryConfig]:
-    """Telemetry for the current obs state: on iff recording is on."""
-    return TelemetryConfig() if obs_config.ENABLED else None
 
 
 # -- clock handshake ---------------------------------------------------------
@@ -181,16 +142,19 @@ def _spans_to_dicts(
             truncated = True
             return None
         remaining -= 1
-        doc = span_to_dict(span)
-        doc["attrs"] = _jsonable(doc["attrs"])
         children = []
         for child in span.children:
             c = convert(child)
             if c is None:
                 break
             children.append(c)
-        doc["children"] = children
-        return doc
+        return {
+            "name": span.name,
+            "attrs": _jsonable(span.attrs),
+            "start": span.start,
+            "duration": span.duration or 0.0,
+            "children": children,
+        }
 
     out = []
     for root in roots:
@@ -218,28 +182,24 @@ def _metric_deltas(
 
 
 def execute_with_telemetry(
-    spec: JobSpec, attempt: int, config: Optional[TelemetryConfig]
+    spec: JobSpec, attempt: int, telemetry: bool
 ) -> JobResult:
     """Worker-side: run one job, capturing a telemetry blob if enabled.
 
-    The job runs under a fresh bounded journal and a zeroed metric
-    registry, inside a worker-side ``svc.job`` span — so the blob's
-    events and deltas are exactly this job's, never a residue of the
-    fork parent or a previous job on this worker.  The previous journal
-    and obs flag are restored however the job exits.
+    The job runs with recording on, under a zeroed metric registry and
+    inside a worker-side ``svc.job`` span — so the blob's spans and
+    deltas are exactly this job's, never a residue of the fork parent
+    or a previous job on this worker.  The obs flag is restored and the
+    job's spans dropped however the job exits.
     """
-    if config is None or not config.enabled:
+    if not telemetry:
         with obs_tracer.trace_context(spec.trace_id):
             return execute_job(spec)
 
-    previous_journal = obs_journal.ACTIVE
     was_enabled = obs_config.ENABLED
-    job_journal = Journal(capacity=config.max_events)
     obs_metrics.REGISTRY.reset()
     obs_tracer.reset_trace()
-    obs_journal.ACTIVE = job_journal
     obs_config.enabled(True)
-    t_start = time.perf_counter()
     try:
         # Re-establish the request's trace context inside the worker:
         # the id rode in on the spec, and binding it here stamps the
@@ -256,30 +216,19 @@ def execute_with_telemetry(
                 result = execute_job(spec)
     finally:
         t_end = time.perf_counter()
-        obs_journal.ACTIVE = previous_journal
         obs_config.enabled(was_enabled)
 
     counters, hists = _metric_deltas(obs_metrics.REGISTRY)
-    spans, spans_truncated = _spans_to_dicts(
-        obs_tracer.trace(), config.max_spans
-    )
+    spans, spans_truncated = _spans_to_dicts(obs_tracer.trace(), MAX_SPANS)
     obs_tracer.reset_trace()
     from .lifecycle import current_rss_bytes
 
     result.telemetry = {
         "pid": os.getpid(),
-        "attempt": attempt,
-        "t_start": t_start,
         "t_end": t_end,
         # Worker self-report: the lifecycle layer's RSS recycle
         # threshold keys off the same sample (see result.hygiene).
         "rss_bytes": current_rss_bytes(),
-        "events": [
-            [ts, ph, name, _jsonable(data)]
-            for ts, _tid, ph, name, data in job_journal.events()
-        ],
-        "events_emitted": job_journal.emitted,
-        "dropped": job_journal.dropped,
         "counters": counters,
         "hists": hists,
         "spans": spans,
@@ -293,127 +242,73 @@ def execute_with_telemetry(
 
 def consume_blob(
     result: JobResult, clock_offset: Optional[float]
-) -> Optional[dict[str, Any]]:
+) -> list[obs_tracer.Span]:
     """Detach and merge a result's telemetry blob into host obs state.
 
-    Journal events are aligned to the supervisor timeline (falling back
-    to right-edge alignment when the handshake never completed) and
-    appended to the active host journal under the worker's pid-track;
-    counter deltas and histogram states fold into the host registry.
-    Returns the blob (for span grafting at finalize) or None.
+    Counter deltas and histogram states fold into the host registry.
+    Returns the worker's span tree, rebuilt on the supervisor timeline
+    (falling back to right-edge alignment when the handshake never
+    completed) on the worker pid's track, for the pool to graft under
+    its ``svc.job`` span; empty when there is no blob.
 
     Merge is all-or-nothing per blob: any malformed structure aborts
     the whole merge — counted in ``svc.telemetry.merge_errors`` — so a
-    corrupted blob can never leave partial garbage in the host journal.
+    corrupted blob can never leave partial garbage in the host state.
     """
     blob = result.telemetry
     result.telemetry = None
     if not isinstance(blob, dict):
-        return None
+        return []
     try:
-        events = _aligned_events(blob, clock_offset)
-        counters = blob.get("counters", {})
-        hists = blob.get("hists", {})
+        pid = int(blob["pid"])
+        if clock_offset is None:
+            # Handshake never completed: pin the blob's right edge to
+            # "now" (it was received moments after t_end) so it still
+            # lands on the host timeline in roughly the right place.
+            clock_offset = time.perf_counter() - float(blob["t_end"])
+        spans = [_span_from_dict(doc, pid, clock_offset) for doc in blob["spans"]]
+        counters = blob["counters"]
+        hists = blob["hists"]
         if not (isinstance(counters, dict) and isinstance(hists, dict)):
             raise ValueError("malformed telemetry blob")
-        host_journal = obs_journal.ACTIVE
-        if host_journal is not None and events:
-            host_journal.extend(events)
-        for name, delta in counters.items():
-            if isinstance(delta, bool) or not isinstance(delta, (int, float)):
-                continue
-            if delta > 0:
-                try:
-                    obs_metrics.REGISTRY.counter(str(name)).inc(int(delta))
-                except TypeError:  # host registered the name as another type
-                    pass
-        for name, state in hists.items():
-            if isinstance(state, dict):
-                try:
-                    obs_metrics.REGISTRY.histogram(str(name)).merge(state)
-                except TypeError:
-                    pass
     except Exception:
         if obs_config.ENABLED:
             _OBS_MERGE_ERRORS.inc()
-        return None
+        return []
+    for name, delta in counters.items():
+        if isinstance(delta, bool) or not isinstance(delta, (int, float)):
+            continue
+        if delta > 0:
+            try:
+                obs_metrics.REGISTRY.counter(str(name)).inc(int(delta))
+            except TypeError:  # host registered the name as another type
+                pass
+    for name, state in hists.items():
+        if isinstance(state, dict):
+            try:
+                obs_metrics.REGISTRY.histogram(str(name)).merge(state)
+            except TypeError:
+                pass
     if obs_config.ENABLED:
         _OBS_BLOBS.inc()
-        _OBS_EVENTS.inc(len(events))
-        dropped = blob.get("dropped", 0)
-        if isinstance(dropped, int) and dropped > 0:
-            _OBS_DROPPED.inc(dropped)
-    return blob
+    return spans
 
 
-def _aligned_events(
-    blob: dict[str, Any], clock_offset: Optional[float]
-) -> list[Event]:
-    """The blob's events on the supervisor timeline, worker-pid track."""
-    raw = blob.get("events", [])
-    pid = int(blob["pid"])
-    if not isinstance(raw, list):
-        raise ValueError("telemetry events must be a list")
-    if clock_offset is None:
-        # Handshake never completed: pin the blob's right edge to "now"
-        # (it was received moments after t_end) so it still lands on
-        # the host timeline in roughly the right place.
-        clock_offset = time.perf_counter() - float(blob["t_end"])
-    out: list[Event] = []
-    if raw or blob.get("spans"):
-        out.append((
-            float(blob["t_start"]) + clock_offset,
-            pid,
-            "M",
-            TRACK_EVENT,
-            {"pid": pid, "name": f"svc-worker {pid}"},
-        ))
-    for ev in raw:
-        ts, ph, name, data = ev
-        out.append((float(ts) + clock_offset, pid, str(ph), str(name), data))
-    return out
-
-
-def graft_spans(parent: Any, blob: Optional[dict[str, Any]]) -> None:
-    """Attach a blob's worker span tree under a live supervisor span.
-
-    Rebuilds :class:`~repro.obs.tracer.Span` objects from the shipped
-    dicts and appends them as children of ``parent`` (the supervisor's
-    ``svc.job`` span), so ``--profile-json`` trace trees and
-    ``repro.obs.diff`` span aggregation see worker-side work.  No-op on
-    the null span (obs disabled) or a missing blob.
-    """
-    if blob is None or not isinstance(parent, obs_tracer.Span):
-        return
-    spans = blob.get("spans")
-    if not isinstance(spans, list):
-        return
-    try:
-        for doc in spans:
-            span = _span_from_dict(doc)
-            if span is not None:
-                parent.children.append(span)
-    except Exception:
-        if obs_config.ENABLED:
-            _OBS_MERGE_ERRORS.inc()
-
-
-def _span_from_dict(doc: Any) -> Optional[obs_tracer.Span]:
-    if not isinstance(doc, dict) or "name" not in doc:
-        return None
-    attrs = doc.get("attrs")
-    span = obs_tracer.Span(
-        str(doc["name"]), dict(attrs) if isinstance(attrs, dict) else {}
-    )
-    duration_ms = doc.get("duration_ms")
-    if isinstance(duration_ms, (int, float)):
-        span.duration = duration_ms / 1e3
-    else:
-        span.duration = 0.0
-    for child_doc in doc.get("children", ()):
-        child = _span_from_dict(child_doc)
-        if child is not None:
-            span.children.append(child)
+def _span_from_dict(doc: Any, pid: int, offset: float) -> obs_tracer.Span:
+    """One shipped span dict as a closed span on the worker's track;
+    raises on anything malformed."""
+    attrs, children = doc["attrs"], doc["children"]
+    start = float(doc["start"]) + offset
+    duration = float(doc["duration"])
+    if not (
+        isinstance(attrs, dict) and isinstance(children, list)
+        and math.isfinite(start) and math.isfinite(duration) and duration >= 0
+    ):
+        raise ValueError("malformed telemetry span")
+    span = obs_tracer.Span(str(doc["name"]), dict(attrs))
+    span.start, span.duration = start, duration
+    span.pid = span.tid = pid
+    span.children = [_span_from_dict(c, pid, offset) for c in children]
     return span
 
 
@@ -426,7 +321,7 @@ _QS = ("p50", "p95", "p99")
 class KindLatency:
     """Per-kind worker latency and retry counts, fed from results.
 
-    One stand-alone (unregistered, un-journaled) :class:`Histogram` per
+    One stand-alone (unregistered) :class:`Histogram` per
     job kind plus a retry count: the ledger behind ``fast batch
     --json``'s ``latency`` block and every ``--stats`` table, so it
     works with observability off.  Only results that reached a worker

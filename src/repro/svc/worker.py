@@ -43,11 +43,11 @@ import time
 from typing import Any, Optional
 
 from ..guard.chaos import WorkerChaosPolicy
+from ..obs import config as obs_config
 from .job import JobSpec
 from .lifecycle import LifecyclePolicy, current_rss_bytes, next_generation
 from .telemetry import (
     CLOCK_PING,
-    TelemetryConfig,
     clock_offset_from_pong,
     execute_with_telemetry,
     is_ping,
@@ -71,12 +71,11 @@ def default_start_method() -> str:
 def _reset_inherited_state() -> None:
     """Forget governance/observability state copied in by fork.
 
-    A forked worker inherits the parent's active budget stack, journal,
-    metric registry values, and tracer span state; charging a parent
-    budget from a child, appending to the parent's (now private) journal
-    buffer, double-counting the parent's counters into a telemetry
-    blob, or parenting worker spans under a copied supervisor span
-    would all be silent nonsense.
+    A forked worker inherits the parent's active budget stack, metric
+    registry values, and tracer span state; charging a parent budget
+    from a child, double-counting the parent's counters into a
+    telemetry blob, or parenting worker spans under a copied supervisor
+    span would all be silent nonsense.
     """
     try:
         from ..guard import budget as guard_budget
@@ -85,19 +84,11 @@ def _reset_inherited_state() -> None:
     except Exception:
         pass
     try:
-        from ..obs import journal as obs_journal
-
-        obs_journal.ACTIVE = None
-    except Exception:
-        pass
-    try:
         from ..obs import metrics as obs_metrics
         from ..obs import tracer as obs_tracer
 
         obs_metrics.REGISTRY.reset()
-        state = obs_tracer._state()
-        state.stack.clear()
-        state.roots.clear()
+        obs_tracer.reset_after_fork()
     except Exception:
         pass
 
@@ -144,11 +135,13 @@ def _maybe_flush_between_jobs(lifecycle: Optional[LifecyclePolicy]) -> bool:
 def _worker_main(
     conn,
     chaos: Optional[WorkerChaosPolicy],
-    telemetry: Optional[TelemetryConfig] = None,
+    telemetry: bool = False,
     lifecycle: Optional[LifecyclePolicy] = None,
 ) -> None:
     """The worker loop; exits on a ``None`` message or a closed pipe."""
     _reset_inherited_state()
+    # Record only what will be shipped back.
+    obs_config.enabled(telemetry)
     flushes = 0
     while True:
         try:
@@ -212,7 +205,7 @@ class Worker:
         self,
         ctx,
         chaos: Optional[WorkerChaosPolicy] = None,
-        telemetry: Optional[TelemetryConfig] = None,
+        telemetry: bool = False,
         lifecycle: Optional[LifecyclePolicy] = None,
     ) -> None:
         self.ctx = ctx

@@ -15,7 +15,6 @@ from repro.fast.cli import (
     EXIT_OK,
     main,
 )
-from repro.obs import journal
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "fast_programs"
 
@@ -34,9 +33,8 @@ assert-true (is-empty pos)
 
 @pytest.fixture(autouse=True)
 def restore_obs():
-    """The CLI flips global obs/journal state; put it back after each test."""
+    """The CLI flips global obs state; put it back after each test."""
     yield
-    journal.disable()
     obs.enabled(False)
     obs.reset()
 

@@ -127,25 +127,3 @@ class TestMain:
     def test_gate_mode_needs_all_three_flags(self, tmp_path):
         with pytest.raises(SystemExit):
             diff.main(["--baseline", "x.json"])
-
-
-class TestCheckRegressionWrapper:
-    def test_wrapper_delegates_to_gate(self, tmp_path):
-        import importlib.util
-        import os
-
-        spec = importlib.util.spec_from_file_location(
-            "check_regression",
-            os.path.join(
-                os.path.dirname(__file__), "..", "..", "benchmarks",
-                "check_regression.py",
-            ),
-        )
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        base = tmp_path / "base.json"
-        snap = tmp_path / "snap.json"
-        base.write_text(json.dumps(_baseline({"q": 100})))
-        snap.write_text(json.dumps(_snapshot({"q": 300})))
-        assert mod.check(str(base), str(snap), "b", 0.2, 10) == 1
-        assert mod.check(str(base), str(snap), "b", 5.0, 10) == 0

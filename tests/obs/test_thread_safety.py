@@ -1,4 +1,4 @@
-"""Concurrency regression tests for the metric registry and journal.
+"""Concurrency regression tests for the metric registry and tracer.
 
 ``Counter.inc`` used to be a bare ``self.value += n`` — a read-modify-
 write that loses updates under thread switches.  These tests hammer the
@@ -14,7 +14,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.obs import journal
+from repro.obs import export, tracer
 from repro.obs import metrics as obs_metrics
 
 THREADS = 8
@@ -23,11 +23,9 @@ ITERS = 2_000
 
 @pytest.fixture(autouse=True)
 def clean_obs():
-    journal.disable()
     obs.enabled(False)
     obs.reset()
     yield
-    journal.disable()
     obs.enabled(False)
     obs.reset()
 
@@ -58,16 +56,22 @@ class TestMetricThreadSafety:
         assert c.value == THREADS * ITERS
 
     def test_registered_counter_under_journal(self):
+        """A registered counter stays exact while every thread also
+        records spans into the shared root store."""
         c = obs_metrics.counter("test.threads.counter")
         c.reset()
-        with journal.journaled(capacity=1 << 16) as j:
-            _hammer(lambda: c.inc())
+        obs.enabled(True)
+
+        def step():
+            with obs.span("step"):
+                c.inc()
+
+        _hammer(step)
         assert c.value == THREADS * ITERS
-        # every increment also journaled exactly once
+        assert len(tracer.retained()) == min(THREADS * ITERS, tracer.MAX_ROOTS)
         assert (
-            sum(1 for e in j.events() if e[3] == "test.threads.counter")
-            + j.dropped
-            == THREADS * ITERS
+            obs_metrics.REGISTRY.counter("obs.trace.dropped_roots").value
+            == max(0, THREADS * ITERS - tracer.MAX_ROOTS)
         )
 
     def test_histogram_observe_is_atomic(self):
@@ -77,23 +81,27 @@ class TestMetricThreadSafety:
         assert h.total == pytest.approx(float(THREADS * ITERS))
 
     def test_concurrent_spans_journal_balanced(self):
-        with journal.journaled(capacity=1 << 16) as j:
+        """Spans from many threads all reach the export, balanced per
+        thread track."""
+        obs.enabled(True)
 
-            def spin():
-                for _ in range(200):
-                    with obs.span("work"):
-                        pass
+        def spin():
+            for _ in range(200):
+                with obs.span("work"):
+                    pass
 
-            threads = [threading.Thread(target=spin) for _ in range(THREADS)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        threads = [threading.Thread(target=spin) for _ in range(THREADS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(tracer.retained()) == THREADS * 200
+        evs = export.chrome_trace()["traceEvents"]
+        assert sum(e["ph"] == "B" for e in evs) == THREADS * 200
         per_tid: dict[int, int] = {}
-        for _, tid, ph, name, _ in j.events():
-            if name != "work":
+        for e in evs:
+            if e["name"] != "work":
                 continue
-            per_tid[tid] = per_tid.get(tid, 0) + (1 if ph == "B" else -1)
-            assert per_tid[tid] >= 0  # E never precedes its B on a thread
+            per_tid[e["tid"]] = per_tid.get(e["tid"], 0) + (1 if e["ph"] == "B" else -1)
+            assert per_tid[e["tid"]] >= 0  # E never precedes its B on a thread
         assert all(v == 0 for v in per_tid.values())
-        assert j.emitted == 2 * THREADS * 200

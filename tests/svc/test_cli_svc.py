@@ -143,6 +143,17 @@ class TestBatchObservability:
         assert "svc.worker.spawn" in names
         assert "svc.job" in names
 
+    def test_flamegraph_folds_worker_spans_under_worker_job(
+        self, programs, tmp_path
+    ):
+        d = programs({"a.fast": PASSING})
+        folded = tmp_path / "batch.folded"
+        main(["batch", d, "--jobs", "1", "--flamegraph", str(folded)])
+        stacks = [line.rsplit(" ", 1)[0] for line in folded.read_text().splitlines()]
+        # The worker's track folds on its own, rooted at its svc.job.
+        assert "svc.job;explain_program" in stacks
+        assert any(s.startswith("svc.pool.run") for s in stacks)
+
 
 class TestServeCommand:
     def test_requires_stdin_jsonl_flag(self, capsys):

@@ -10,7 +10,8 @@ import threading
 import pytest
 
 from repro.guard.chaos import WorkerChaosPolicy
-from repro.obs import export, journal as obs_journal
+from repro import obs
+from repro.obs import export
 from repro.obs.live import parse_exposition
 from repro.svc import (
     GateConfig,
@@ -292,6 +293,16 @@ class TestOverloadCoherence:
             front.close()
 
 
+def _walk(spans):
+    for sp in spans:
+        yield sp
+        yield from _walk(sp.children)
+
+
+def _is_instant(sp):
+    return sp.duration == 0.0 and not sp.children
+
+
 class TestGoldenTraceChain:
     """Acceptance: a client trace_id comes back in the response, and the
     exported trace holds one contiguous span chain (admission →
@@ -299,50 +310,56 @@ class TestGoldenTraceChain:
 
     TRACE_ID = "golden-req-1"
 
+    @pytest.fixture(autouse=True)
+    def observed(self):
+        obs.reset()
+        with obs.observed():
+            yield
+        obs.reset()
+
     def test_trace_chain_is_contiguous_and_stamped(self):
-        with obs_journal.journaled(capacity=1 << 16) as j:
-            front = HttpFrontEnd(
-                config=ServiceConfig(jobs=1),
-                gate_config=GateConfig(
-                    workers=1, max_queue=8, drain_timeout=20.0
-                ),
+        front = HttpFrontEnd(
+            config=ServiceConfig(jobs=1),
+            gate_config=GateConfig(
+                workers=1, max_queue=8, drain_timeout=20.0
+            ),
+        )
+        front.start()
+        try:
+            status, doc, _ = _request(
+                front, "POST", "/v1/analyze",
+                {"id": "g1", "kind": "run", "source": PASSING,
+                 "trace_id": self.TRACE_ID},
             )
-            front.start()
-            try:
-                status, doc, _ = _request(
-                    front, "POST", "/v1/analyze",
-                    {"id": "g1", "kind": "run", "source": PASSING,
-                     "trace_id": self.TRACE_ID},
-                )
-                assert status == 200
-                assert doc["trace_id"] == self.TRACE_ID
-                assert doc["outcome"] == PROVED
-            finally:
-                front.close()
+            assert status == 200
+            assert doc["trace_id"] == self.TRACE_ID
+            assert doc["outcome"] == PROVED
+        finally:
+            front.close()
 
-        evs = export.events_for_trace(self.TRACE_ID, j)
-        assert evs, "no journal events carried the trace id"
+        spans = export.spans_for_trace(self.TRACE_ID)
+        assert spans, "no spans carried the trace id"
 
-        # Every stamped event really carries the id.
-        for _ts, _tid, _ph, _name, data in evs:
-            assert data.get("trace_id") == self.TRACE_ID
+        # Every span of the request's subtrees really carries the id.
+        for sp in _walk(spans):
+            assert sp.attrs.get("trace_id") == self.TRACE_ID
 
         # The chain: admission and dispatch spans on the front-end
-        # threads, the worker-side svc.job span (merged track), and the
-        # supervisor's zero-length svc.job finalize span (the merge
-        # point).
-        begins = [(ts, tid, name) for ts, tid, ph, name, _d in evs
-                  if ph == "B"]
+        # threads, the worker-side svc.job span (grafted worker track),
+        # and the supervisor's zero-length svc.job finalize span (the
+        # merge point).
+        begins = [(sp.start, (sp.pid, sp.tid), sp.name)
+                  for sp in _walk(spans) if not _is_instant(sp)]
         admission = [b for b in begins if b[2] == "svc.admission"]
         dispatch = [b for b in begins if b[2] == "svc.dispatch"]
         jobs = [b for b in begins if b[2] == "svc.job"]
         assert len(admission) == 1 and len(dispatch) == 1
         assert len(jobs) >= 2  # worker-side span + supervisor finalize
-        host_tid = dispatch[0][1]
-        finalize = [b for b in jobs if b[1] == host_tid]
-        worker_jobs = [b for b in jobs if b[1] != host_tid]
+        host_track = dispatch[0][1]
+        finalize = [b for b in jobs if b[1] == host_track]
+        worker_jobs = [b for b in jobs if b[1] != host_track]
         assert finalize and worker_jobs
-        # Host-clock events order strictly: admission -> dispatch ->
+        # Host-clock spans order strictly: admission -> dispatch ->
         # finalize (the merge point).
         assert admission[0][0] <= dispatch[0][0] <= finalize[0][0]
         # The worker span's timestamps are *aligned* to the host
@@ -353,51 +370,53 @@ class TestGoldenTraceChain:
         assert worker_jobs[0][0] <= finalize[0][0] + slack
 
         # Admission-time instants ride the same id.
-        instants = {n for _ts, _tid, ph, n, _d in evs if ph == "I"}
+        instants = {sp.name for sp in _walk(spans) if _is_instant(sp)}
         assert "svc.gate.admit" in instants
         assert "svc.worker.dispatch" in instants
 
         # Every B has its E: the per-request export is balanced and
         # renders to a loadable Perfetto document on its own.
-        doc = export.chrome_trace(events=evs)
-        per_tid_depth: dict[int, int] = {}
+        doc = export.chrome_trace(spans)
+        per_track_depth: dict[tuple, int] = {}
         for e in doc["traceEvents"]:
+            track = (e["pid"], e.get("tid"))
+            if e["ph"] in ("B", "i"):
+                assert e["args"]["trace_id"] == self.TRACE_ID
             if e["ph"] == "B":
-                per_tid_depth[e["tid"]] = per_tid_depth.get(e["tid"], 0) + 1
+                per_track_depth[track] = per_track_depth.get(track, 0) + 1
             elif e["ph"] == "E":
-                per_tid_depth[e["tid"]] -= 1
-                assert per_tid_depth[e["tid"]] >= 0
-        assert all(d == 0 for d in per_tid_depth.values())
+                per_track_depth[track] -= 1
+                assert per_track_depth[track] >= 0
+        assert all(d == 0 for d in per_track_depth.values())
+        json.dumps(doc)
 
     def test_shed_decision_is_traceable(self):
-        """A quota shed leaves a journaled instant with the trace id."""
-        with obs_journal.journaled(capacity=1 << 14) as j:
-            front = HttpFrontEnd(
-                config=ServiceConfig(jobs=1),
-                gate_config=GateConfig(
-                    workers=1, tenant_rate=0.001, tenant_burst=1,
-                    drain_timeout=10.0,
-                ),
+        """A quota shed leaves a traced instant with the trace id."""
+        front = HttpFrontEnd(
+            config=ServiceConfig(jobs=1),
+            gate_config=GateConfig(
+                workers=1, tenant_rate=0.001, tenant_burst=1,
+                drain_timeout=10.0,
+            ),
+        )
+        front.start()
+        try:
+            _request(
+                front, "POST", "/v1/analyze",
+                {"id": "a", "kind": "run", "source": PASSING},
             )
-            front.start()
-            try:
-                _request(
-                    front, "POST", "/v1/analyze",
-                    {"id": "a", "kind": "run", "source": PASSING},
-                )
-                status, doc, _ = _request(
-                    front, "POST", "/v1/analyze",
-                    {"id": "b", "kind": "run", "source": PASSING,
-                     "trace_id": "shed-trace"},
-                )
-                assert status == 429
-                assert doc["trace_id"] == "shed-trace"
-            finally:
-                front.close()
-        evs = export.events_for_trace("shed-trace", j)
+            status, doc, _ = _request(
+                front, "POST", "/v1/analyze",
+                {"id": "b", "kind": "run", "source": PASSING,
+                 "trace_id": "shed-trace"},
+            )
+            assert status == 429
+            assert doc["trace_id"] == "shed-trace"
+        finally:
+            front.close()
         sheds = [
-            (name, data) for _ts, _tid, ph, name, data in evs
-            if ph == "I" and name == "svc.gate.shed"
+            sp for sp in _walk(export.spans_for_trace("shed-trace"))
+            if _is_instant(sp) and sp.name == "svc.gate.shed"
         ]
         assert sheds
-        assert sheds[0][1]["reason"] == "quota"
+        assert sheds[0].attrs["reason"] == "quota"

@@ -10,6 +10,8 @@ import threading
 
 import pytest
 
+from repro import obs
+from repro.obs import tracer as obs_tracer
 from repro.svc import ServiceConfig
 from repro.svc.job import InvalidBudget
 from repro.svc.serve import (
@@ -337,6 +339,32 @@ class TestServeLines:
         assert doc["ready"] is True
         assert doc["counters"]["admitted"] == 0
         assert "breakers" in doc
+
+    def test_health_request_carries_worker_lifecycle(self):
+        # The same health reply as the socket and HTTP front-ends.
+        lines = [json.dumps({"id": "probe", "kind": "health"})]
+        out = io.StringIO()
+        serve_lines(iter(lines), out, ServiceConfig(jobs=1))
+        doc = json.loads(out.getvalue())
+        assert [w["jobs_served"] for w in doc["lifecycle"]["workers"]] == [0]
+
+    def test_retained_root_spans_stay_under_the_cap(self, monkeypatch):
+        # With obs on, every request leaves root spans behind; a server
+        # that runs for days must keep at most MAX_ROOTS of them.
+        monkeypatch.setattr(obs_tracer, "MAX_ROOTS", 20)
+        request = json.dumps({"kind": "run", "source": PASSING})
+        obs.reset()
+        try:
+            with obs.observed():
+                served = serve_lines(
+                    iter([request] * 12), io.StringIO(), ServiceConfig(jobs=1)
+                )
+            assert served == 12
+            assert len(obs_tracer.retained()) == 20
+            dropped = obs.counter("obs.trace.dropped_roots").value
+            assert dropped > 0
+        finally:
+            obs.reset()
 
     def test_broken_pipe_ends_the_loop_cleanly(self):
         # The client hangs up after the first reply: the loop must

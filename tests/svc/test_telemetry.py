@@ -3,7 +3,7 @@
 Three layers of coverage:
 
 * unit — the clock handshake math and the worker-side blob builder
-  (caps, restore-on-exit, disabled mode), all in-process;
+  (span cap, restore-on-exit, disabled mode), all in-process;
 * merge — :func:`repro.svc.telemetry.consume_blob` against valid,
   hostile, and fuzzed blobs (a corrupt blob must merge *nothing*);
 * golden — a real 2-worker pool run whose exported Perfetto trace must
@@ -23,11 +23,10 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.guard.chaos import WorkerChaosPolicy
 from repro.obs import config as obs_config
-from repro.obs import journal as obs_journal
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs_tracer
 from repro.obs.export import chrome_trace
-from repro.svc import JobSpec, RetryPolicy, TelemetryConfig, WorkerPool
+from repro.svc import JobSpec, RetryPolicy, WorkerPool
 from repro.svc.gate import AdmissionGate, GateConfig, Ticket
 from repro.svc.job import JobResult, PROVED, UNKNOWN
 from repro.svc import telemetry as tel
@@ -45,10 +44,8 @@ FAST_RETRY = RetryPolicy(max_retries=2, base_delay=0.01, max_delay=0.05)
 @pytest.fixture(autouse=True)
 def restore_obs():
     yield
-    obs_journal.ACTIVE = None
     obs.enabled(False)
     obs.reset()
-    obs_tracer.reset_trace()
 
 
 def find_seed(predicate, limit=2000):
@@ -90,43 +87,33 @@ class TestClockHandshake:
 class TestWorkerCapture:
     def test_disabled_config_attaches_no_blob(self):
         spec = JobSpec("j", "run", PASSING)
-        assert tel.execute_with_telemetry(spec, 0, None).telemetry is None
-        cfg = TelemetryConfig(enabled=False)
-        assert tel.execute_with_telemetry(spec, 0, cfg).telemetry is None
+        assert tel.execute_with_telemetry(spec, 0, False).telemetry is None
 
     def test_blob_shape_and_span_nesting(self):
         spec = JobSpec("j", "run", PASSING)
-        result = tel.execute_with_telemetry(spec, 0, TelemetryConfig())
+        result = tel.execute_with_telemetry(spec, 0, True)
         blob = result.telemetry
         assert blob is not None
         assert isinstance(blob["pid"], int)
-        assert blob["t_start"] <= blob["t_end"]
-        assert blob["dropped"] == 0
-        assert blob["events_emitted"] == len(blob["events"])
+        assert "events" not in blob  # the span tree is the trace record
         # Everything the job did sits under one svc.job root span.
         assert len(blob["spans"]) == 1
         root = blob["spans"][0]
         assert root["name"] == "svc.job"
         assert root["attrs"]["job"] == "j"
+        assert root["start"] + root["duration"] <= blob["t_end"]
         child_names = {c["name"] for c in root["children"]}
         assert "explain_program" in child_names
+        for child in root["children"]:  # children start inside the job
+            assert root["start"] <= child["start"]
         # Worker-side solver activity was measured, not just spanned.
         assert blob["counters"].get("solver.sat_queries", 0) > 0
         json.dumps(blob)  # the whole blob must be JSON-able
 
-    def test_event_cap_drops_oldest_and_counts(self):
+    def test_span_cap_truncates_and_flags(self, monkeypatch):
+        monkeypatch.setattr(tel, "MAX_SPANS", 3)
         spec = JobSpec("j", "run", PASSING)
-        cfg = TelemetryConfig(max_events=16)
-        blob = tel.execute_with_telemetry(spec, 0, cfg).telemetry
-        assert len(blob["events"]) <= 16
-        assert blob["dropped"] == blob["events_emitted"] - len(blob["events"])
-        assert blob["dropped"] > 0  # a real job emits far more than 16
-
-    def test_span_cap_truncates_and_flags(self):
-        spec = JobSpec("j", "run", PASSING)
-        blob = tel.execute_with_telemetry(
-            spec, 0, TelemetryConfig(max_spans=3)
-        ).telemetry
+        blob = tel.execute_with_telemetry(spec, 0, True).telemetry
 
         def count(nodes):
             return sum(1 + count(n["children"]) for n in nodes)
@@ -135,15 +122,11 @@ class TestWorkerCapture:
         assert blob["spans_truncated"] is True
 
     def test_host_obs_state_is_restored(self):
-        previous = obs_journal.Journal(capacity=8)
-        obs_journal.ACTIVE = previous
         obs.enabled(False)
-        tel.execute_with_telemetry(
-            JobSpec("j", "run", PASSING), 0, TelemetryConfig()
-        )
-        assert obs_journal.ACTIVE is previous
+        tel.execute_with_telemetry(JobSpec("j", "run", PASSING), 0, True)
         assert obs_config.ENABLED is False
         assert obs_tracer.trace() == []  # worker spans don't leak
+        assert obs_tracer.retained() == []
 
 
 # -- supervisor-side merge ---------------------------------------------------
@@ -151,8 +134,18 @@ class TestWorkerCapture:
 
 def _run_blob(job_id="j"):
     return tel.execute_with_telemetry(
-        JobSpec(job_id, "run", PASSING), 0, TelemetryConfig()
+        JobSpec(job_id, "run", PASSING), 0, True
     ).telemetry
+
+
+def _walk(spans):
+    for sp in spans:
+        yield sp
+        yield from _walk(sp.children)
+
+
+def _count(docs):
+    return sum(1 + _count(d["children"]) for d in docs)
 
 
 class TestMerge:
@@ -161,18 +154,14 @@ class TestMerge:
         queries = blob["counters"]["solver.sat_queries"]
         obs.enabled(True)
         obs_metrics.REGISTRY.reset()
-        with obs_journal.journaled() as j:
-            result = JobResult("j", "run", PROVED, telemetry=dict(blob))
-            merged = tel.consume_blob(result, clock_offset=0.0)
-            assert merged is not None
-            assert result.telemetry is None  # detached
-            events = j.events()
-        # One M registration + every shipped event lands on the worker
-        # track (counter folding emits its own host-side C events, on
-        # the supervisor thread's tid — not the worker's).
-        worker_events = [ev for ev in events if ev[1] == blob["pid"]]
-        assert len(worker_events) == len(blob["events"]) + 1
-        assert worker_events[0][2] == "M"
+        result = JobResult("j", "run", PROVED, telemetry=dict(blob))
+        spans = tel.consume_blob(result, clock_offset=0.0)
+        assert result.telemetry is None  # detached
+        # Every shipped span comes back, on the worker pid's track.
+        assert len(list(_walk(spans))) == _count(blob["spans"])
+        assert {(sp.pid, sp.tid) for sp in _walk(spans)} == {
+            (blob["pid"], blob["pid"])
+        }
         assert (
             obs_metrics.REGISTRY.counter("solver.sat_queries").value == queries
         )
@@ -180,27 +169,24 @@ class TestMerge:
 
     def test_clock_offset_shifts_timestamps(self):
         blob = _run_blob()
-        with obs_journal.journaled() as j:
-            tel.consume_blob(
-                JobResult("j", "run", PROVED, telemetry=dict(blob)),
-                clock_offset=1000.0,
-            )
-            [first_ts] = [j.events()[1][0]]
-        assert first_ts == pytest.approx(blob["events"][0][0] + 1000.0)
+        [root] = tel.consume_blob(
+            JobResult("j", "run", PROVED, telemetry=dict(blob)),
+            clock_offset=1000.0,
+        )
+        assert root.start == pytest.approx(blob["spans"][0]["start"] + 1000.0)
+        assert root.duration == blob["spans"][0]["duration"]
 
     def test_corrupt_blob_merges_nothing(self):
+        blob = _run_blob()
         obs.enabled(True)
         obs_metrics.REGISTRY.reset()
-        bad = {"pid": "not-an-int", "events": [["x"]], "t_end": 0.0}
-        with obs_journal.journaled() as j:
-            out = tel.consume_blob(
-                JobResult("j", "run", PROVED, telemetry=bad), None
-            )
-            assert out is None
-            # All-or-nothing: nothing from the blob reached the journal
-            # (the only event is the merge-error counter's own C tick).
-            leaked = [ev for ev in j.events() if ev[2] != "C"]
-            assert leaked == []
+        bad = dict(blob, spans=blob["spans"] + [{"name": "x"}])
+        out = tel.consume_blob(
+            JobResult("j", "run", PROVED, telemetry=bad), None
+        )
+        # All-or-nothing: no span and no counter of the blob merged.
+        assert out == []
+        assert obs_metrics.REGISTRY.counter("solver.sat_queries").value == 0
         assert (
             obs_metrics.REGISTRY.counter("svc.telemetry.merge_errors").value
             == 1
@@ -208,14 +194,16 @@ class TestMerge:
 
     def test_missing_blob_is_a_cheap_noop(self):
         result = JobResult("j", "run", PROVED)
-        assert tel.consume_blob(result, None) is None
+        assert tel.consume_blob(result, None) == []
 
     def test_graft_spans_rebuilds_worker_tree(self):
         blob = _run_blob()
         obs.enabled(True)
         with obs_tracer.span("svc.job", job="j") as sp:
             pass
-        tel.graft_spans(sp, blob)
+        sp.children.extend(
+            tel.consume_blob(JobResult("j", "run", PROVED, telemetry=blob), 0.0)
+        )
         assert sp.children[0].name == "svc.job"
         names = {c.name for c in sp.children[0].children}
         assert "explain_program" in names
@@ -235,8 +223,8 @@ class TestMerge:
             lambda inner: st.lists(inner, max_size=4)
             | st.dictionaries(
                 st.sampled_from(
-                    ["pid", "events", "counters", "hists", "spans",
-                     "t_start", "t_end", "dropped", "junk"]
+                    ["pid", "counters", "hists", "spans", "name", "attrs",
+                     "start", "duration", "children", "t_end", "junk"]
                 ),
                 inner,
                 max_size=6,
@@ -246,28 +234,15 @@ class TestMerge:
     )
     def test_fuzzed_blobs_never_corrupt_the_journal(self, blob):
         obs.enabled(True)
-        with obs_journal.journaled() as j:
-            result = JobResult("j", "run", PROVED)
-            result.telemetry = blob
-            tel.consume_blob(result, None)  # must never raise
-            assert result.telemetry is None
-            for ev in j.events():  # merged events keep the 5-tuple shape
-                assert len(ev) == 5
-                assert isinstance(ev[0], float) and isinstance(ev[1], int)
+        result = JobResult("j", "run", PROVED)
+        result.telemetry = blob
+        spans = tel.consume_blob(result, None)  # must never raise
+        assert result.telemetry is None
+        for sp in _walk(spans):  # merged spans are closed and well-formed
+            assert isinstance(sp.start, float) and isinstance(sp.tid, int)
+            assert sp.duration is not None and sp.duration >= 0
+        json.dumps(chrome_trace(spans))  # and export to valid JSON
         obs.enabled(False)
-
-    @settings(
-        max_examples=20,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(cap=st.integers(min_value=1, max_value=64))
-    def test_blob_event_count_respects_any_cap(self, cap):
-        blob = tel.execute_with_telemetry(
-            JobSpec("j", "run", PASSING), 0, TelemetryConfig(max_events=cap)
-        ).telemetry
-        assert len(blob["events"]) <= cap
-        assert blob["dropped"] + len(blob["events"]) == blob["events_emitted"]
 
 
 # -- fork hygiene (satellite) ------------------------------------------------
@@ -286,8 +261,8 @@ class TestResetInheritedState:
                 obs_metrics.REGISTRY.counter("solver.sat_queries").value == 0
             )
             assert obs_tracer.trace() == []
+            assert obs_tracer.retained() == []
             assert obs_tracer._state().stack == []
-            assert obs_journal.ACTIVE is None
         del open_span
 
 
@@ -307,10 +282,10 @@ class TestGoldenTrace:
     def test_two_worker_batch_has_two_balanced_tracks(self):
         specs = [JobSpec(f"job-{i}", "run", PASSING) for i in range(6)]
         obs.reset()
-        with obs_journal.journaled() as j:
-            with WorkerPool(2, telemetry=TelemetryConfig()) as pool:
+        with obs.observed():
+            with WorkerPool(2) as pool:
                 results = pool.run_jobs(specs, retry=FAST_RETRY)
-            doc = chrome_trace(j)
+            doc = chrome_trace()
         assert all(r.outcome == PROVED for r in results)
         assert all(r.telemetry is None for r in results)  # consumed
 
@@ -369,14 +344,12 @@ class TestGoldenTrace:
         )
         chaos = WorkerChaosPolicy(seed=seed, kill_rate=0.5)
         obs.reset()
-        with obs_journal.journaled() as j:
-            with WorkerPool(
-                1, chaos=chaos, telemetry=TelemetryConfig()
-            ) as pool:
+        with obs.observed():
+            with WorkerPool(1, chaos=chaos) as pool:
                 [result] = pool.run_jobs(
                     [JobSpec("victim", "run", PASSING)], retry=FAST_RETRY
                 )
-            doc = chrome_trace(j)
+            doc = chrome_trace()
         assert result.outcome == PROVED and result.attempts == 2
         assert (
             obs_metrics.REGISTRY.counter("svc.telemetry.merge_errors").value
@@ -394,15 +367,13 @@ class TestGoldenTrace:
     def test_all_kills_leave_host_journal_clean(self):
         chaos = WorkerChaosPolicy(seed=0, kill_rate=1.0)
         obs.reset()
-        with obs_journal.journaled() as j:
-            with WorkerPool(
-                1, chaos=chaos, telemetry=TelemetryConfig()
-            ) as pool:
+        with obs.observed():
+            with WorkerPool(1, chaos=chaos) as pool:
                 [result] = pool.run_jobs(
                     [JobSpec("doomed", "run", PASSING)],
                     retry=RetryPolicy(max_retries=1, base_delay=0.01),
                 )
-            doc = chrome_trace(j)
+            doc = chrome_trace()
         assert result.outcome == UNKNOWN
         assert _worker_tracks(doc) == {}  # no blob ever arrived
         assert (
@@ -415,11 +386,11 @@ class TestGoldenTrace:
 
     def test_telemetry_off_ships_nothing(self):
         obs.reset()
-        with WorkerPool(1) as pool:  # obs off -> default_config() is None
+        with WorkerPool(1) as pool:  # obs off at pool start -> no telemetry
             [result] = pool.run_jobs([JobSpec("quiet", "run", PASSING)])
         assert result.outcome == PROVED
         assert result.telemetry is None
-        assert pool.telemetry is None
+        assert pool.telemetry is False
 
 
 # -- rolling stats block (--stats) -------------------------------------------
