@@ -58,16 +58,6 @@ def _locally_universal(
     return True
 
 
-def prune_lookahead_sets(
-    rules_lookahead: Iterable[tuple[frozenset[State], ...]],
-    universal: frozenset[State],
-) -> list[tuple[frozenset[State], ...]]:
-    """Drop universal states from lookahead tuples."""
-    return [
-        tuple(l - universal for l in lookahead) for lookahead in rules_lookahead
-    ]
-
-
 def reachable_lookahead_rules(
     sta: STA, roots: Iterable[State]
 ) -> tuple[STARule, ...]:

@@ -20,7 +20,10 @@ factors that work out of the hot loop:
   from observed sign vectors (an observed vector is its own
   satisfiability proof — no solver involved); :meth:`CompiledSTTR.
   precompute` eagerly enumerates the satisfiable vectors with
-  :func:`repro.smt.minterms.minterms` when a solver is at hand.
+  :func:`repro.smt.minterms.minterms` when a solver is at hand.  A run
+  memoizes each pair's dispatched rules on ``(state, symbol,
+  attributes)``, so a pair whose rules carry no lookahead costs one
+  lookup; ``exec.dispatch`` still counts every pair.
 
 * **Output assembly is a closure, lowered twice.**  Each rule body
   becomes a nest of closures mirroring ``run._eval_output`` (cross
@@ -28,47 +31,95 @@ factors that work out of the hot loop:
   returns one tree or None.  A run capped at one output per task
   (``limit=1``, i.e. ``apply_one``) holds at most one tree per child
   result, so its cross products have at most one element and the
-  second lowering builds it with no lists.
+  second lowering builds it with no lists.  Output attributes are
+  lowered with the body (:func:`_lower_attrs`): copies and constants
+  read the node's ``attrs`` directly, so only an output computing a
+  new value builds an attribute environment.
 
-:func:`run_compiled_checked` makes one pass for the lookahead table,
-then one explicit-stack post-order walk over ``(state, node)`` pairs:
-a pair is dispatched on the way down and emits on the way up, after
-every pair it reads.  It replicates the interpreter's observable
-semantics *exactly* — output order, ``limit``/probe truncation and
-taint propagation, one ``transducer.task`` budget tick per reachable
-pair, the provenance note — for every STTR, deterministic or not, and
-is property-tested equivalent (``tests/exec/test_compiled_equivalence``).
+:func:`run_compiled_checked` is one explicit-stack post-order walk
+over ``(state, node)`` pairs: a pair is dispatched on the way down and
+emits on the way up, after every pair it reads.  Lookahead is read
+from an :class:`~repro.automata.semantics.AcceptanceTable` only at the
+children a rule constrains; the table walks only the positions its
+automaton constrains and fills any other node on demand.  The walk
+replicates the interpreter's observable semantics *exactly* — output
+order, ``limit``/probe truncation and taint propagation, one
+``transducer.task`` budget tick per reachable pair, the provenance
+note — for every STTR, deterministic or not, and is property-tested
+equivalent (``tests/exec/test_compiled_equivalence``).
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Optional
 
 from ..automata.semantics import acceptance_table
+from ..guard.budget import active as _active_budgets
 from ..guard.budget import tick as _tick
 from ..obs import config as obs_config
 from ..obs import metrics as obs_metrics
 from ..obs import provenance as prov
 from ..smt.minterms import minterms
 from ..smt.solver import Solver
-from ..smt.terms import Term
+from ..smt.terms import Const, Term
 from ..transducers.output_terms import OutApply, OutNode, OutputTerm
 from ..transducers.run import TransductionError, _cross
 from ..transducers.sttr import STTR, STTRRule, State
 from ..trees.tree import Tree
+from ..trees.types import TreeType
 
 _OBS_COMPILES = obs_metrics.counter("exec.compile")
 _OBS_DISPATCH = obs_metrics.counter("exec.dispatch")
 _OBS_DISPATCH_MEMO = obs_metrics.counter("exec.dispatch.table_fills")
 _OBS_CLASSIFY = obs_metrics.counter("exec.classify")
 
-#: ``emit(env, node, results, probe) -> (outputs, hit-the-probe-cap?)``
-Emit = Callable[[dict, Tree, dict, Optional[int]], tuple[list[Tree], bool]]
-#: ``emit_one(env, node, results) -> the one output, or None``
-EmitOne = Callable[[dict, Tree, dict], Optional[Tree]]
+#: ``emit(node, results, probe) -> (outputs, hit-the-probe-cap?)``
+Emit = Callable[[Tree, dict, Optional[int]], tuple[list[Tree], bool]]
+#: ``emit_one(node, results) -> the one output, or None``
+EmitOne = Callable[[Tree, dict], Optional[Tree]]
+#: ``attrs_of(node) -> the output node's attribute tuple``
+AttrsOf = Callable[[Tree], tuple]
+
+_own_attrs: AttrsOf = attrgetter("attrs")
 
 
-def _lower_output(term: OutputTerm) -> Emit:
+def _lower_attrs(exprs: tuple[Term, ...], input_type: TreeType) -> AttrsOf:
+    """An output node's attribute expressions -> ``attrs_of(node)``.
+
+    The identity field list is ``node.attrs`` itself; a field variable
+    reads ``node.attrs`` by index and a constant is its value.  Only
+    other expressions are evaluated, against an attribute env built
+    when they are.  Every branch yields the values evaluation would,
+    the very objects (a copied ``1`` stays an ``int``), for trees that
+    carry one value per field of the input type.
+    """
+    fields = input_type.attr_vars()
+    if exprs == fields:
+        return _own_attrs
+    slot_of = {v: i for i, v in enumerate(fields)}
+    if all(isinstance(e, Const) or e in slot_of for e in exprs):
+        parts = tuple(
+            (None, e.value) if isinstance(e, Const) else (slot_of[e], None)
+            for e in exprs
+        )
+
+        def copy_attrs(node):
+            attrs = node.attrs
+            return tuple([v if i is None else attrs[i] for i, v in parts])
+
+        return copy_attrs
+    attr_env = input_type.attr_env
+    evals = tuple(e.evaluate for e in exprs)
+
+    def eval_attrs(node):
+        env = attr_env(node.attrs)
+        return tuple([ev(env) for ev in evals])
+
+    return eval_attrs
+
+
+def _lower_output(term: OutputTerm, input_type: TreeType) -> Emit:
     """One output term -> a pre-resolved assembly closure.
 
     Mirrors ``run._eval_output`` case by case; the ``isinstance``
@@ -77,21 +128,21 @@ def _lower_output(term: OutputTerm) -> Emit:
     if isinstance(term, OutApply):
         state, index = term.state, term.index
 
-        def emit_apply(env, node, results, probe):
+        def emit_apply(node, results, probe):
             return results[(state, id(node.children[index]))], False
 
         return emit_apply
     if isinstance(term, OutNode):
         ctor = term.ctor
-        attr_evals = tuple(e.evaluate for e in term.attr_exprs)
-        kids = tuple(_lower_output(c) for c in term.children)
+        attrs_of = _lower_attrs(term.attr_exprs, input_type)
+        kids = tuple(_lower_output(c, input_type) for c in term.children)
 
-        def emit_node(env, node, results, probe):
-            attrs = tuple(ev(env) for ev in attr_evals)
+        def emit_node(node, results, probe):
+            attrs = attrs_of(node)
             kid_lists: list[list[Tree]] = []
             capped = False
             for kid in kids:
-                outs, kid_capped = kid(env, node, results, probe)
+                outs, kid_capped = kid(node, results, probe)
                 capped = capped or kid_capped
                 kid_lists.append(outs)
             out: list[Tree] = []
@@ -102,7 +153,7 @@ def _lower_output(term: OutputTerm) -> Emit:
     raise TransductionError(f"cannot lower extended term {term!r}")
 
 
-def _lower_output_one(term: OutputTerm) -> EmitOne:
+def _lower_output_one(term: OutputTerm, input_type: TreeType) -> EmitOne:
     """One output term -> a closure building its single output.
 
     The ``limit=1`` twin of :func:`_lower_output`: every child result
@@ -113,18 +164,18 @@ def _lower_output_one(term: OutputTerm) -> EmitOne:
     if isinstance(term, OutApply):
         state, index = term.state, term.index
 
-        def emit_apply(env, node, results):
+        def emit_apply(node, results):
             return results[(state, id(node.children[index]))]
 
         return emit_apply
     if isinstance(term, OutNode):
         ctor = term.ctor
-        attr_evals = tuple(e.evaluate for e in term.attr_exprs)
-        kids = tuple(_lower_output_one(c) for c in term.children)
+        attrs_of = _lower_attrs(term.attr_exprs, input_type)
+        kids = tuple(_lower_output_one(c, input_type) for c in term.children)
 
-        def emit_node(env, node, results):
-            attrs = tuple([ev(env) for ev in attr_evals])
-            children = tuple([kid(env, node, results) for kid in kids])
+        def emit_node(node, results):
+            attrs = attrs_of(node)
+            children = tuple([kid(node, results) for kid in kids])
             for child in children:
                 if child is None:
                     return None
@@ -139,7 +190,7 @@ class CompiledRule:
 
     __slots__ = ("rule", "guard_slot", "lookahead", "targets", "emit", "emit_one")
 
-    def __init__(self, rule: STTRRule, guard_slot: int) -> None:
+    def __init__(self, rule: STTRRule, guard_slot: int, input_type: TreeType) -> None:
         self.rule = rule
         #: Index of this rule's guard in the symbol's distinct-guard tuple.
         self.guard_slot = guard_slot
@@ -154,8 +205,8 @@ class CompiledRule:
             for t in rule.output.iter_terms()
             if isinstance(t, OutApply)
         )
-        self.emit = _lower_output(rule.output)
-        self.emit_one = _lower_output_one(rule.output)
+        self.emit = _lower_output(rule.output, input_type)
+        self.emit_one = _lower_output_one(rule.output, input_type)
 
 
 class CompiledSTTR:
@@ -179,7 +230,7 @@ class CompiledSTTR:
         grouped: dict[tuple[State, str], list[CompiledRule]] = {}
         for r in sttr.rules:
             grouped.setdefault((r.state, r.ctor), []).append(
-                CompiledRule(r, guard_slots[r.ctor][r.guard])
+                CompiledRule(r, guard_slots[r.ctor][r.guard], sttr.input_type)
             )
         self.rules_by_key = {k: tuple(v) for k, v in grouped.items()}
         # (state, ctor, sign vector) -> applicable rules; filled lazily
@@ -250,16 +301,22 @@ def run_compiled_checked(
     """
     sttr = compiled.sttr
     root_state = sttr.initial if state is None else state
-    la_table = acceptance_table(sttr.lookahead_sta, tree)
+    la = acceptance_table(sttr.lookahead_sta, tree)
     attr_env = sttr.input_type.attr_env
+    budgets = _active_budgets()
+    counting = obs_config.ENABLED
 
     # A sign vector depends only on the node's symbol and attribute
     # tuple, so each distinct (symbol, attribute tuple) evaluates each
     # distinct guard at most once, however many nodes carry it and
-    # however many states visit them.  Attribute envs are built from
-    # each node's own values: output expressions copy values out of
-    # them, and a value keyed memo would let ``1`` stand in for ``True``.
+    # however many states visit them.  The rules a state dispatches to
+    # depend on the same key plus the state, so a pair costs one lookup
+    # in ``rules_of``: ``(rules, any of them has lookahead?)``.  Only
+    # truth values and rules are memoized, never attribute values:
+    # output expressions copy values out of each node itself, and a
+    # value-keyed memo would let ``1`` stand in for ``True``.
     signs_of: dict[tuple, tuple[bool, ...]] = {}
+    rules_of: dict[tuple, tuple[tuple[CompiledRule, ...], bool]] = {}
 
     # One post-order walk over (state, node) pairs.  A pair is pushed
     # with ``applicable=None``; popped so, it is dispatched and pushed
@@ -283,33 +340,42 @@ def run_compiled_checked(
                 continue
             entered.add(key)
             kids = t.children
-            sign_key = (t.ctor, t.attrs)
-            signs = signs_of.get(sign_key)
-            if signs is None:
-                signs = compiled.classify(t, attr_env(t.attrs))
-                signs_of[sign_key] = signs
-                if obs_config.ENABLED:
-                    _OBS_CLASSIFY.inc()
-            applicable = tuple(
-                cr
-                for cr in compiled.dispatch(q, t.ctor, signs)
-                if not cr.lookahead
-                or all(l <= la_table[id(kids[i])] for i, l in cr.lookahead)
-            )
+            rules_key = (q, t.ctor, t.attrs)
+            dispatched = rules_of.get(rules_key)
+            if dispatched is None:
+                sign_key = (t.ctor, t.attrs)
+                signs = signs_of.get(sign_key)
+                if signs is None:
+                    signs = compiled.classify(t, attr_env(t.attrs))
+                    signs_of[sign_key] = signs
+                    if counting:
+                        _OBS_CLASSIFY.inc()
+                rules = compiled.dispatch(q, t.ctor, signs)
+                dispatched = (rules, any(cr.lookahead for cr in rules))
+                rules_of[rules_key] = dispatched
+            elif counting:
+                _OBS_DISPATCH.inc()
+            applicable, constrained = dispatched
+            if constrained:
+                applicable = tuple(
+                    cr
+                    for cr in applicable
+                    if all(l <= la(kids[i]) for i, l in cr.lookahead)
+                )
             stack.append((q, t, applicable))
             for cr in applicable:
                 for target_state, index in cr.targets:
                     stack.append((target_state, kids[index], None))
             continue
-        _tick(kind="transducer.task")
-        env = attr_env(t.attrs)
+        if budgets:
+            _tick(kind="transducer.task")
         cut = False
         if single:
             # At most one output per pair: the first applicable rule's,
             # cut when a later rule yields a different tree.
             kept = None
             for cr in applicable:
-                out = cr.emit_one(env, t, results)
+                out = cr.emit_one(t, results)
                 if out is None or out is kept:
                     continue
                 if kept is None:
@@ -320,7 +386,7 @@ def run_compiled_checked(
         else:
             outputs: dict[Tree, None] = {}
             for cr in applicable:
-                produced, capped = cr.emit(env, t, results, probe)
+                produced, capped = cr.emit(t, results, probe)
                 cut = cut or capped
                 for out in produced:
                     outputs.setdefault(out)

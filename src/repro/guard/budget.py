@@ -248,6 +248,16 @@ def current() -> Optional[Budget]:
     return stack[-1] if stack else None
 
 
+def active() -> list[Budget]:
+    """This thread's stack of active budgets, as a live list (read only).
+
+    :func:`scope` pushes and pops this very list, so a hot loop that
+    opens no scope may bind it once and call :func:`tick` only while it
+    is non-empty; the charges stay exactly those of ticking every time.
+    """
+    return _STATE.stack
+
+
 @contextmanager
 def scope(
     budget: Budget | None = None,

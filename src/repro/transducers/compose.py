@@ -118,9 +118,14 @@ def prune_trivial_lookahead(sttr: STTR, solver: Solver) -> STTR:
     Composition chains accumulate constraints like "the child lies in
     the domain of a total transducer"; without this pass every further
     composition and every execution pays for them (the flat line of
-    Figure 7 depends on it).
+    Figure 7 depends on it).  Universal states are removed from the
+    lookahead sets of the STTR's rules *and* of the lookahead
+    automaton's own rules, and their rules are dropped: a universal
+    state constrains nothing, so every surviving state keeps its
+    language while a run no longer classifies the subtrees it named.
     """
     from ..automata.cleanup import reachable_lookahead_rules, universal_states
+    from ..automata.sta import STA, STARule
 
     universal = universal_states(sttr.lookahead_sta, solver)
     if not universal:
@@ -137,17 +142,24 @@ def prune_trivial_lookahead(sttr: STTR, solver: Solver) -> STTR:
         )
         for r in sttr.rules
     )
+    pruned_sta = STA(
+        sttr.input_type,
+        tuple(
+            STARule(
+                r.state, r.ctor, r.guard, tuple(l - universal for l in r.lookahead)
+            )
+            for r in sttr.lookahead_sta.rules
+            if r.state not in universal
+        ),
+    )
     roots = {s for r in new_rules for l in r.lookahead for s in l}
-    la_rules = reachable_lookahead_rules(sttr.lookahead_sta, roots)
-    from ..automata.sta import STA
-
     return STTR(
         sttr.name,
         sttr.input_type,
         sttr.output_type,
         sttr.initial,
         new_rules,
-        STA(sttr.input_type, la_rules),
+        STA(sttr.input_type, reachable_lookahead_rules(pruned_sta, roots)),
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..automata.semantics import acceptance_table
+from ..automata.semantics import AcceptanceTable, acceptance_table
 from ..guard.budget import tick as _tick
 from ..obs import provenance as prov
 from ..trees.tree import Tree, dag_post_order
@@ -50,9 +50,13 @@ class OutputTruncated(TransducerError):
 
 
 def _discover_tasks(
-    sttr: STTR, tree: Tree, state: State, la_table: dict
+    sttr: STTR, tree: Tree, state: State, la: AcceptanceTable
 ) -> list[tuple[State, Tree, list[STTRRule]]]:
-    """All (state, node) tasks reachable from the root, discovery order."""
+    """All (state, node) tasks reachable from the root, discovery order.
+
+    A child is looked up in the acceptance table only where a rule's
+    lookahead set is non-empty; an empty set holds for every child.
+    """
     tasks: list[tuple[State, Tree, list[STTRRule]]] = []
     seen: set[tuple[State, int]] = set()
     work: list[tuple[State, Tree]] = [(state, tree)]
@@ -67,7 +71,7 @@ def _discover_tasks(
             r
             for r in sttr.rules_from(q, t.ctor)
             if bool(r.guard.evaluate(env))
-            and all(l <= la_table[id(c)] for l, c in zip(r.lookahead, t.children))
+            and all(l <= la(c) for l, c in zip(r.lookahead, t.children) if l)
         ]
         tasks.append((q, t, applicable))
         for r in applicable:
@@ -94,8 +98,8 @@ def run_checked(
     dependency graph as a taint.
     """
     root_state = sttr.initial if state is None else state
-    la_table = acceptance_table(sttr.lookahead_sta, tree)
-    tasks = _discover_tasks(sttr, tree, root_state, la_table)
+    la = acceptance_table(sttr.lookahead_sta, tree)
+    tasks = _discover_tasks(sttr, tree, root_state, la)
 
     # Dependencies always point at strict subtrees.  Subtree *objects* can
     # be shared (e.g. a single nil leaf), so discovery order is not

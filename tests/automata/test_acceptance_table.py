@@ -1,10 +1,13 @@
 """Property: the memoized ``acceptance_table`` matches a per-node reference.
 
 ``acceptance_table`` shares guard results and accepting sets between
-nodes with equal (symbol, attribute tuple) and equal children's sets.
-Both execution tiers call it, so the compiled-vs-interpreter property
-cannot catch a bug there; this test compares it against a test-local
-reference that evaluates every guard afresh at every node.
+nodes with equal (symbol, attribute tuple) and equal constrained
+children's sets, walks only the child positions some rule constrains,
+and fills any other node on demand.  Both execution tiers call it, so
+the compiled-vs-interpreter property cannot catch a bug there; this
+test reads every node through the table's accessor, in random order,
+and compares it against a test-local reference that evaluates every
+guard afresh at every node.
 
 Trees are drawn with heavily repeated attribute values, equal-valued
 attributes of different Python types (``1`` and ``Fraction(1)`` both
@@ -106,19 +109,49 @@ def reference_states(sta: STA, t: Tree) -> frozenset:
     )
 
 
-@given(sta=stas(), tree=dags())
+@given(sta=stas(), tree=dags(), order=st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
-def test_acceptance_table_matches_reference(sta, tree):
-    order = dag_post_order(tree)
+def test_acceptance_table_matches_reference(sta, tree, order):
+    nodes = dag_post_order(tree)
+    order.shuffle(nodes)
     table = acceptance_table(sta, tree)
-    assert set(table) == {id(n) for n in order}
-    for n in order:
-        assert table[id(n)] == reference_states(sta, n)
+    for n in nodes:
+        assert table(n) == reference_states(sta, n)
+    assert set(table.states) == {id(n) for n in nodes}
 
 
 def test_equal_values_of_different_types_share_a_result():
-    sta = STA(AT, (rule("a", "L", mk_eq(y, mk_real(1))),))
+    sta = STA(
+        AT, (rule("a", "L", mk_eq(y, mk_real(1))), rule("b", "B", None, ["a", "a"]))
+    )
     one, frac_one = Tree("L", (0, 1)), Tree("L", (0, Fraction(1)))
     tree = Tree("B", (0, 0), (one, frac_one))
     table = acceptance_table(sta, tree)
-    assert table[id(one)] == table[id(frac_one)] == frozenset({"a"})
+    assert table(tree) == frozenset({"b"})
+    assert table(one) == table(frac_one) == frozenset({"a"})
+
+
+def test_walk_enters_only_constrained_positions():
+    """Only ``B``'s second child is constrained, so the walk from the
+    root follows that spine and never enters a first child or ``U``'s
+    child; reading such a node afterwards fills it then."""
+    sta = STA(
+        AT,
+        (
+            rule("a", "L", mk_gt(x, mk_int(0))),
+            rule("a", "B", None, [[], ["a"]]),
+            rule("a", "U", None, [[]]),
+        ),
+    )
+    below_u = Tree("L", (1, 1))
+    unconstrained = Tree("U", (1, 1), (below_u,))
+    leaf = Tree("L", (1, 1))
+    spine = Tree("B", (0, 0), (unconstrained, leaf))
+    tree = Tree("B", (0, 0), (Tree("L", (0, 0)), spine))
+    table = acceptance_table(sta, tree)
+    assert set(table.states) == {id(tree), id(spine), id(leaf)}
+    assert table(tree) == frozenset({"a"})
+    assert table(unconstrained) == frozenset({"a"})
+    # ``U`` constrains nothing, so filling it does not enter its child.
+    assert id(below_u) not in table.states
+    assert table(below_u) == frozenset({"a"})

@@ -10,7 +10,9 @@ Trees share subtree objects (DAGs) and carry equal-valued attributes of
 different Python types (``1`` and ``Fraction(1)`` both inhabit
 ``Real``).  ``Tree`` equality cannot tell those apart, so outputs are
 also compared by ``repr``: a memo that let one node's attribute values
-stand in for another's would show there.
+stand in for another's would show there.  Output attribute lists take
+every form the compiled tier lowers separately: the identity field
+list, permuted and repeated field copies, constants, and arithmetic.
 """
 
 from fractions import Fraction
@@ -19,16 +21,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.automata import STA, rule
-from repro.exec.compiled import CompiledSTTR, run_compiled_checked
+from repro.exec.compiled import CompiledSTTR, _lower_attrs, run_compiled_checked
 from repro.guard import Budget, scope
 from repro.obs import provenance as prov
 from repro.smt import INT, REAL, Solver, mk_add, mk_eq, mk_gt, mk_int, mk_real, mk_var
 from repro.transducers import OutApply, OutNode, STTR, Transducer, run_checked, trule
 from repro.trees import Tree, make_tree_type, node
 
-ET = make_tree_type("ET", [("x", INT), ("y", REAL)], {"L": 0, "U": 1, "B": 2})
+ET = make_tree_type(
+    "ET", [("x", INT), ("y", REAL), ("z", REAL)], {"L": 0, "U": 1, "B": 2}
+)
 x = mk_var("x", INT)
 y = mk_var("y", REAL)
+z = mk_var("z", REAL)
 
 #: Guard pool; ``None`` means ``true`` (via ``trule``).
 GUARDS = (
@@ -51,9 +56,21 @@ LA = STA(
 
 STATES = ("p", "q")
 
-#: Output attribute tuples; ``y`` is copied or recomputed, so its
-#: Python type flows from the input node into the output tree.
-ATTR_EXPRS = ((x, y), (mk_add(x, mk_int(1)), y), (x, mk_add(y, mk_real(1))))
+#: Output attribute tuples; ``y`` and ``z`` are copied or recomputed,
+#: so their Python types flow from the input node into the output
+#: tree.  Each lowering is drawn: the identity field list; permuted or
+#: repeated field copies, with or without constants; all constants;
+#: arithmetic.
+ATTR_EXPRS = (
+    (x, y, z),
+    (x, z, y),
+    (x, y, y),
+    (mk_int(5), z, mk_real(Fraction(1, 2))),
+    (mk_int(2), mk_real(Fraction(1, 2)), mk_real(1)),
+    (mk_add(x, mk_int(1)), y, z),
+    (x, mk_add(y, mk_real(1)), z),
+    (mk_add(x, mk_int(1)), mk_real(1), y),
+)
 
 
 def _outputs_for(ctor, draw, states):
@@ -71,7 +88,7 @@ def _outputs_for(ctor, draw, states):
                     OutNode("U", e, (OutApply(s, 0),)),
                     OutNode("L", e, ()),  # delete the child
                     # duplication: same child in two states
-                    OutNode("B", (x, y), (OutApply(s, 0), OutApply(s2, 0))),
+                    OutNode("B", (x, y, z), (OutApply(s, 0), OutApply(s2, 0))),
                 ]
             )
         )
@@ -81,7 +98,7 @@ def _outputs_for(ctor, draw, states):
                 OutApply(s, 0),
                 OutApply(s, 1),
                 OutNode("B", e, (OutApply(s, 0), OutApply(s2, 1))),
-                OutNode("B", (x, y), (OutApply(s, 1), OutApply(s2, 0))),  # swap
+                OutNode("B", (x, y, z), (OutApply(s, 1), OutApply(s2, 0))),  # swap
                 OutNode("U", e, (OutApply(s, 0),)),  # drop one child
             ]
         )
@@ -125,6 +142,7 @@ def sttrs(draw):
 attrs = st.tuples(
     st.integers(min_value=-1, max_value=2),
     st.sampled_from([0, 1, Fraction(1, 2)]),
+    st.sampled_from([0, 1, Fraction(1)]),
 )
 
 #: Cap on a drawn tree's size counted as a tree (shared objects once
@@ -132,14 +150,19 @@ attrs = st.tuples(
 MAX_UNFOLDED = 15
 
 
+def _flip(value):
+    """An equal value of the other Python type (``1`` <-> ``Fraction(1)``)."""
+    if isinstance(value, int):
+        return Fraction(value)
+    if value.denominator == 1:
+        return int(value)
+    return value
+
+
 def _twin(values):
-    """Equal attribute values of another Python type (``1`` <-> ``Fraction(1)``)."""
-    x_value, y_value = values
-    if isinstance(y_value, int):
-        return x_value, Fraction(y_value)
-    if y_value.denominator == 1:
-        return x_value, int(y_value)
-    return values
+    """Equal attribute values of other Python types."""
+    x_value, y_value, z_value = values
+    return x_value, _flip(y_value), _flip(z_value)
 
 
 @st.composite
@@ -175,14 +198,17 @@ IDENTITY = STTR(
     ET,
     "p",
     (
-        trule("p", "L", OutNode("L", (x, y), ()), rank=0),
-        trule("p", "U", OutNode("U", (x, y), (OutApply("p", 0),)), rank=1),
+        trule("p", "L", OutNode("L", (x, y, z), ()), rank=0),
+        trule("p", "U", OutNode("U", (x, y, z), (OutApply("p", 0),)), rank=1),
         trule(
-            "p", "B", OutNode("B", (x, y), (OutApply("p", 0), OutApply("p", 1))), rank=2
+            "p",
+            "B",
+            OutNode("B", (x, y, z), (OutApply("p", 0), OutApply("p", 1))),
+            rank=2,
         ),
     ),
 )
-TWIN_LEAVES = node("B", (0, 0), node("L", (0, 1)), node("L", (0, Fraction(1))))
+TWIN_LEAVES = node("B", (0, 0, 0), node("L", (0, 1, 0)), node("L", (0, Fraction(1), 0)))
 
 
 def _sttr(*rules):
@@ -195,35 +221,40 @@ def _sttr(*rules):
 #: one output, and nothing is cut.
 FIRST_RULE_EMPTY = _sttr(
     trule(
-        "p", "U", OutNode("B", (x, y), (OutApply("p", 0), OutApply("q", 0))), rank=1
+        "p", "U", OutNode("B", (x, y, z), (OutApply("p", 0), OutApply("q", 0))), rank=1
     ),
-    trule("p", "U", OutNode("L", (x, y), ()), rank=1),
-    trule("p", "L", OutNode("L", (x, y), ()), rank=0),
+    trule("p", "U", OutNode("L", (x, y, z), ()), rank=1),
+    trule("p", "L", OutNode("L", (x, y, z), ()), rank=0),
 )
 
 #: Two applicable leaf rules emit different trees: ``limit=1`` keeps
 #: the first, flags the cut, and the taint reaches the root.
 TWO_OUTPUTS = _sttr(
-    trule("p", "U", OutNode("U", (x, y), (OutApply("p", 0),)), rank=1),
-    trule("p", "L", OutNode("L", (x, y), ()), rank=0),
-    trule("p", "L", OutNode("L", (mk_add(x, mk_int(1)), y), ()), rank=0),
+    trule("p", "U", OutNode("U", (x, y, z), (OutApply("p", 0),)), rank=1),
+    trule("p", "L", OutNode("L", (x, y, z), ()), rank=0),
+    trule("p", "L", OutNode("L", (mk_add(x, mk_int(1)), y, z), ()), rank=0),
 )
-U_LEAF = node("U", (0, 0), node("L", (1, 0)))
+U_LEAF = node("U", (0, 0, 0), node("L", (1, 0, 0)))
 
 #: One subtree object under both children of the root, read in ``p``
 #: through the first and in ``q`` through the second; each of those
 #: reads the shared leaf in the other state.
 TWO_STATES = _sttr(
     trule(
-        "p", "B", OutNode("B", (x, y), (OutApply("p", 0), OutApply("q", 1))), rank=2
+        "p", "B", OutNode("B", (x, y, z), (OutApply("p", 0), OutApply("q", 1))), rank=2
     ),
-    trule("p", "U", OutNode("U", (x, y), (OutApply("q", 0),)), rank=1),
-    trule("q", "U", OutNode("U", (mk_add(x, mk_int(1)), y), (OutApply("p", 0),)), rank=1),
-    trule("p", "L", OutNode("L", (x, y), ()), rank=0),
-    trule("q", "L", OutNode("L", (mk_add(x, mk_int(1)), y), ()), rank=0),
+    trule("p", "U", OutNode("U", (x, y, z), (OutApply("q", 0),)), rank=1),
+    trule(
+        "q",
+        "U",
+        OutNode("U", (mk_add(x, mk_int(1)), y, z), (OutApply("p", 0),)),
+        rank=1,
+    ),
+    trule("p", "L", OutNode("L", (x, y, z), ()), rank=0),
+    trule("q", "L", OutNode("L", (mk_add(x, mk_int(1)), y, z), ()), rank=0),
 )
-_SHARED = node("U", (1, 0), node("L", (2, 1)))
-SHARED_DAG = node("B", (0, 0), _SHARED, _SHARED)
+_SHARED = node("U", (1, 0, 0), node("L", (2, 1, 0)))
+SHARED_DAG = node("B", (0, 0, 0), _SHARED, _SHARED)
 
 
 def _run_notes(collector):
@@ -261,7 +292,7 @@ def test_compiled_matches_interpreter(sttr, tree, limit):
 def test_hand_examples_reach_their_cases():
     """The hand-written examples above exercise what their comments say."""
     assert run_checked(FIRST_RULE_EMPTY, U_LEAF, limit=1) == (
-        [node("L", (0, 0))],
+        [node("L", (0, 0, 0))],
         False,
     )
     outputs, truncated = run_checked(TWO_OUTPUTS, U_LEAF, limit=1)
@@ -272,6 +303,20 @@ def test_hand_examples_reach_their_cases():
     assert _run_notes(collector) == [
         "ran hand from state p: 5 tasks, 1 output(s)"
     ]
+
+
+def test_attribute_lowering_matches_evaluation():
+    """Each lowered attribute list yields the values evaluation does, the
+    same objects; the identity list hands back the node's own tuple."""
+    for values in ((1, 1, 0), (1, Fraction(1), Fraction(1)), (-1, Fraction(1, 2), 1)):
+        t = Tree("L", values)
+        env = ET.attr_env(values)
+        for exprs in ATTR_EXPRS:
+            lowered = _lower_attrs(exprs, ET)(t)
+            expected = tuple(e.evaluate(env) for e in exprs)
+            assert lowered == expected and repr(lowered) == repr(expected)
+            assert [type(v) for v in lowered] == [type(v) for v in expected]
+        assert _lower_attrs((x, y, z), ET)(t) is t.attrs
 
 
 @given(sttr=sttrs(), tree=trees())
@@ -293,15 +338,15 @@ def test_precompute_fills_table():
             trule(
                 "p",
                 "L",
-                OutNode("L", (x, y), ()),
+                OutNode("L", (x, y, z), ()),
                 guard=mk_gt(x, mk_int(0)),
                 rank=0,
             ),
-            trule("p", "L", OutNode("L", (mk_add(x, mk_int(1)), y), ()), rank=0),
+            trule("p", "L", OutNode("L", (mk_add(x, mk_int(1)), y, z), ()), rank=0),
             trule(
                 "p",
                 "U",
-                OutNode("U", (x, y), (OutApply("p", 0),)),
+                OutNode("U", (x, y, z), (OutApply("p", 0),)),
                 rank=1,
             ),
         ),
@@ -311,7 +356,7 @@ def test_precompute_fills_table():
     filled = compiled.precompute(Solver())
     assert filled == compiled.table_size() > 0
     # A warm table answers without growing.
-    t = node("U", (1, 0), node("L", (2, 0)))
+    t = node("U", (1, 0, 0), node("L", (2, 0, 0)))
     out, truncated = run_compiled_checked(compiled, t)
     assert not truncated
     assert out == run_checked(sttr, t)[0]
@@ -325,16 +370,16 @@ def test_facade_routes_through_compiled_tier(monkeypatch):
         ET,
         "p",
         (
-            trule("p", "L", OutNode("L", (mk_add(x, mk_int(1)), y), ()), rank=0),
+            trule("p", "L", OutNode("L", (mk_add(x, mk_int(1)), y, z), ()), rank=0),
             trule(
                 "p",
                 "B",
-                OutNode("B", (x, y), (OutApply("p", 0), OutApply("p", 1))),
+                OutNode("B", (x, y, z), (OutApply("p", 0), OutApply("p", 1))),
                 rank=2,
             ),
         ),
     )
-    t = node("B", (0, 0), node("L", (1, 0)), node("L", (2, 0)))
+    t = node("B", (0, 0, 0), node("L", (1, 0, 0)), node("L", (2, 0, 0)))
     trans = Transducer(sttr)
     monkeypatch.setenv("REPRO_EXEC", "compiled")
     compiled_out = trans.apply(t)
