@@ -10,21 +10,25 @@ Pipeline
 --------
 1. ``Mod`` elimination: each ``t % k`` is replaced by a fresh variable
    ``m`` with side constraints ``0 <= m < k`` and ``k | t - m``.
-2. Literals are normalized to three canonical forms over integer-coefficient
-   linear terms: ``lin <= 0``, ``lin = 0`` and ``d | lin`` (disequalities
-   are split into two ``<=`` branches).
-3. Variables are eliminated one by one: equalities by substitution
+2. Literals are normalized to canonical forms over ``int``-coefficient
+   linear terms: ``lin <= 0``, ``lin = 0``, ``lin != 0`` and ``d | lin``.
+3. Disequalities are split lazily: the ``<=``/``=``/``|`` constraints
+   are solved first (if they are UNSAT, so is the cube, since dropping
+   constraints only relaxes it).  Only a disequality the model violates
+   is split, into ``lin + 1 <= 0`` or ``-lin + 1 <= 0``.
+4. Variables are eliminated one by one: equalities by substitution
    (after coefficient scaling), otherwise Cooper's quantifier
    elimination with the classic ``F_-inf`` / lower-bound case split.
 
-Models are reconstructed on the way back out of the recursion.
+Every number in the recursion is a plain ``int``.  Models are
+reconstructed on the way back out of the recursion, and a returned
+model satisfies every literal of the cube.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional
 
@@ -57,13 +61,6 @@ class IntConstraint:
         return f"{self.lin!r} {op}"
 
 
-def _int_lin(lin: LinTerm) -> LinTerm:
-    """Scale a rational linear term to have integer coefficients."""
-    denoms = [c.denominator for _, c in lin.coeffs] + [lin.const.denominator]
-    mult = lcm(*denoms) if denoms else 1
-    return lin.scale(mult) if mult != 1 else lin
-
-
 def _eliminate_mods(
     atoms: list[tuple[bool, Term]], counter: itertools.count
 ) -> tuple[list[tuple[bool, Term]], list[IntConstraint]]:
@@ -81,8 +78,7 @@ def _eliminate_mods(
         replaced = _replace_term(atom, mod, fresh)
         work.insert(0, (pos, replaced))
         # 0 <= fresh < modulus  and  modulus | (arg - fresh).  The chosen
-        # Mod is innermost, so its argument is already mod-free and has
-        # integer coefficients (Int terms never produce fractions).
+        # Mod is innermost, so its argument is already mod-free.
         lin_fresh = LinTerm.variable(fresh.name)
         extra.append(IntConstraint("le", lin_fresh.negate()))  # -m <= 0
         extra.append(
@@ -133,28 +129,29 @@ def _replace_term(term: Term, target: Term, replacement: Term) -> Term:
 
 
 def normalize_literals(literals: Iterable[tuple[bool, Term]]) -> list[IntConstraint]:
-    """Turn (sign, atom) literals into canonical integer constraints."""
+    """Turn (sign, atom) literals into canonical integer constraints.
+
+    Int terms linearize to ``int`` coefficients, so no scaling is needed.
+    """
     counter = itertools.count()
     atoms, extra = _eliminate_mods(list(literals), counter)
     out = list(extra)
     for pos, atom in atoms:
+        if not isinstance(atom, (Lt, Le, Eq)):
+            raise SmtError(f"unsupported integer atom: {atom!r}")
+        lin = linearize(atom.left).sub(linearize(atom.right))
         if isinstance(atom, Lt):
-            lin = _int_lin(linearize(atom.left).sub(linearize(atom.right)))
             if pos:  # l - r < 0  <=>  l - r + 1 <= 0
                 out.append(IntConstraint("le", lin.add(LinTerm.constant(1))))
             else:  # r <= l  <=>  r - l <= 0
                 out.append(IntConstraint("le", lin.negate()))
         elif isinstance(atom, Le):
-            lin = _int_lin(linearize(atom.left).sub(linearize(atom.right)))
             if pos:
                 out.append(IntConstraint("le", lin))
             else:  # l > r  <=>  r - l + 1 <= 0
                 out.append(IntConstraint("le", lin.negate().add(LinTerm.constant(1))))
-        elif isinstance(atom, Eq):
-            lin = _int_lin(linearize(atom.left).sub(linearize(atom.right)))
-            out.append(IntConstraint("eq" if pos else "ne", lin))
         else:
-            raise SmtError(f"unsupported integer atom: {atom!r}")
+            out.append(IntConstraint("eq" if pos else "ne", lin))
     return out
 
 
@@ -164,7 +161,7 @@ def solve_int_cube(literals: Iterable[tuple[bool, Term]]) -> Optional[dict[str, 
     model = _solve(constraints)
     if model is None:
         return None
-    return {v: int(x) for v, x in model.items() if not v.startswith(_INTERNAL)}
+    return {v: x for v, x in model.items() if not v.startswith(_INTERNAL)}
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +171,15 @@ def solve_int_cube(literals: Iterable[tuple[bool, Term]]) -> Optional[dict[str, 
 _fresh_counter = itertools.count()
 
 
-def _solve(constraints: list[IntConstraint]) -> Optional[dict[str, Fraction]]:
-    # Split the first disequality, if any, into the two strict branches.
+def _solve(constraints: list[IntConstraint]) -> Optional[dict[str, int]]:
+    # Solve without the disequalities; UNSAT there is UNSAT here.
+    model = _solve_basic([c for c in constraints if c.kind != "ne"])
+    if model is None:
+        return None
+    # Split only the first disequality the model violates, into the two
+    # strict branches.
     for i, c in enumerate(constraints):
-        if c.kind == "ne":
+        if c.kind == "ne" and _eval_extend(c.lin, model) == 0:
             rest = constraints[:i] + constraints[i + 1 :]
             left = rest + [IntConstraint("le", c.lin.add(LinTerm.constant(1)))]
             model = _solve(left)
@@ -185,15 +187,15 @@ def _solve(constraints: list[IntConstraint]) -> Optional[dict[str, Fraction]]:
                 return model
             right = rest + [IntConstraint("le", c.lin.negate().add(LinTerm.constant(1)))]
             return _solve(right)
-    return _solve_basic(constraints)
+    return model
 
 
-def _eval_extend(lin: LinTerm, model: dict[str, Fraction]) -> Fraction:
+def _eval_extend(lin: LinTerm, model: dict[str, int]) -> int:
     """Evaluate ``lin`` under ``model``, defaulting unconstrained variables
     to 0 and recording the default in the model (sound: the variable no
     longer occurs in any remaining constraint)."""
     for v in lin.variables:
-        model.setdefault(v, Fraction(0))
+        model.setdefault(v, 0)
     return lin.evaluate(model)
 
 
@@ -208,7 +210,7 @@ def _ground_ok(c: IntConstraint) -> bool:
     raise AssertionError(c.kind)
 
 
-def _solve_basic(constraints: list[IntConstraint]) -> Optional[dict[str, Fraction]]:
+def _solve_basic(constraints: list[IntConstraint]) -> Optional[dict[str, int]]:
     """Decide a conjunction of le/eq/div constraints (no disequalities)."""
     ground = [c for c in constraints if c.lin.is_constant()]
     if not all(_ground_ok(c) for c in ground):
@@ -232,11 +234,11 @@ def _solve_basic(constraints: list[IntConstraint]) -> Optional[dict[str, Fractio
 
     # Scale so the coefficient of `var` is +-lam everywhere, then replace
     # lam*var by a fresh variable X with the side constraint lam | X.
-    lam = lcm(*(abs(int(c.lin.coeff(var))) for c in with_var))
+    lam = lcm(*(abs(c.lin.coeff(var)) for c in with_var))
     fresh = f"{_INTERNAL}x{next(_fresh_counter)}"
     scaled: list[IntConstraint] = []
     for c in with_var:
-        a = int(c.lin.coeff(var))
+        a = c.lin.coeff(var)
         factor = lam // abs(a)
         lin = c.lin.scale(factor)
         divisor = c.divisor * factor if c.kind == "div" else 0
@@ -244,23 +246,23 @@ def _solve_basic(constraints: list[IntConstraint]) -> Optional[dict[str, Fractio
         coeffs = lin.as_dict()
         sign = 1 if coeffs[var] > 0 else -1
         del coeffs[var]
-        coeffs[fresh] = Fraction(sign)
+        coeffs[fresh] = sign
         scaled.append(IntConstraint(c.kind, LinTerm.of(coeffs, lin.const), divisor))
     if lam != 1:
         scaled.append(IntConstraint("div", LinTerm.variable(fresh), divisor=lam))
 
-    def finish(model: Optional[dict[str, Fraction]]) -> Optional[dict[str, Fraction]]:
+    def finish(model: Optional[dict[str, int]]) -> Optional[dict[str, int]]:
         if model is None:
             return None
         x_val = model.pop(fresh)
-        model[var] = x_val / lam
-        assert model[var].denominator == 1, "lam must divide X"
+        assert x_val % lam == 0, "lam must divide X"
+        model[var] = x_val // lam
         return model
 
     # Equality on the scaled variable: substitute X := t.
     for i, c in enumerate(scaled):
         if c.kind == "eq":
-            sign = int(c.lin.coeff(fresh))
+            sign = c.lin.coeff(fresh)
             t = c.lin.drop(fresh).scale(-sign)  # X = t
             others = scaled[:i] + scaled[i + 1 :]
             new = [o.substitute(fresh, t) for o in others] + without
@@ -277,7 +279,7 @@ def _solve_basic(constraints: list[IntConstraint]) -> Optional[dict[str, Fractio
     divs: list[IntConstraint] = []
     for c in scaled:
         if c.kind == "le":
-            sign = int(c.lin.coeff(fresh))
+            sign = c.lin.coeff(fresh)
             rest = c.lin.drop(fresh)
             if sign > 0:  # X + rest <= 0  =>  X <= -rest
                 uppers.append(rest.negate())
@@ -295,12 +297,12 @@ def _solve_basic(constraints: list[IntConstraint]) -> Optional[dict[str, Fractio
             model = _solve_basic(new_divs + without)
             if model is not None:
                 if uppers:
-                    bound = min(int(_eval_extend(u, model)) for u in uppers)
+                    bound = min(_eval_extend(u, model) for u in uppers)
                 else:
                     bound = j
                 # Largest X <= bound with X = j (mod period).
                 x_val = bound - ((bound - j) % period)
-                model[fresh] = Fraction(x_val)
+                model[fresh] = x_val
                 return finish(model)
         return None
 

@@ -1,7 +1,11 @@
 """Linearization of arithmetic terms.
 
 Converts a numeric :class:`~repro.smt.terms.Term` into a linear form
-``coeffs · vars + const`` with :class:`fractions.Fraction` coefficients.
+``coeffs · vars + const``.  Numbers keep the type they are given: an
+``Int`` term has ``int`` coefficients throughout (so Cooper's procedure
+runs on exact machine integers), a ``Real`` term has
+:class:`fractions.Fraction` ones (``Real`` constants are fractions, and
+Fourier-Motzkin scales by fractions).
 Raises :class:`~repro.smt.terms.NonLinearError` when the term multiplies
 two non-constant factors (those go to the univariate polynomial solver)
 and :class:`ModPresentError` when a ``Mod`` node survives (the integer
@@ -12,9 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Union
 
+from .sorts import INT, REAL
 from .terms import Add, Const, Mod, Mul, Neg, NonLinearError, SmtError, Term, Var
+
+#: A coefficient or constant: ``int`` for Int terms, ``Fraction`` for Real.
+Num = Union[int, Fraction]
 
 
 class ModPresentError(SmtError):
@@ -25,30 +33,30 @@ class ModPresentError(SmtError):
 class LinTerm:
     """An immutable linear combination of variables plus a constant."""
 
-    coeffs: tuple[tuple[str, Fraction], ...]
-    const: Fraction
+    coeffs: tuple[tuple[str, Num], ...]
+    const: Num
 
     @staticmethod
-    def of(coeffs: Mapping[str, Fraction], const: Fraction) -> "LinTerm":
+    def of(coeffs: Mapping[str, Num], const: Num) -> "LinTerm":
         items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
         return LinTerm(items, const)
 
     @staticmethod
-    def constant(value: int | Fraction) -> "LinTerm":
-        return LinTerm((), Fraction(value))
+    def constant(value: Num) -> "LinTerm":
+        return LinTerm((), value)
 
     @staticmethod
     def variable(name: str) -> "LinTerm":
-        return LinTerm(((name, Fraction(1)),), Fraction(0))
+        return LinTerm(((name, 1),), 0)
 
-    def as_dict(self) -> dict[str, Fraction]:
+    def as_dict(self) -> dict[str, Num]:
         return dict(self.coeffs)
 
-    def coeff(self, var: str) -> Fraction:
+    def coeff(self, var: str) -> Num:
         for v, c in self.coeffs:
             if v == var:
                 return c
-        return Fraction(0)
+        return 0
 
     @property
     def variables(self) -> frozenset[str]:
@@ -60,11 +68,10 @@ class LinTerm:
     def add(self, other: "LinTerm") -> "LinTerm":
         coeffs = self.as_dict()
         for v, c in other.coeffs:
-            coeffs[v] = coeffs.get(v, Fraction(0)) + c
+            coeffs[v] = coeffs.get(v, 0) + c
         return LinTerm.of(coeffs, self.const + other.const)
 
-    def scale(self, factor: int | Fraction) -> "LinTerm":
-        factor = Fraction(factor)
+    def scale(self, factor: Num) -> "LinTerm":
         if factor == 0:
             return LinTerm.constant(0)
         return LinTerm.of(
@@ -88,10 +95,10 @@ class LinTerm:
             return self
         return self.drop(var).add(replacement.scale(c))
 
-    def evaluate(self, env: Mapping[str, int | Fraction]) -> Fraction:
+    def evaluate(self, env: Mapping[str, Num]) -> Num:
         total = self.const
         for v, c in self.coeffs:
-            total += c * Fraction(env[v])
+            total += c * env[v]
         return total
 
     def __repr__(self) -> str:
@@ -106,8 +113,8 @@ def linearize(term: Term) -> LinTerm:
     Raises :class:`NonLinearError` for products of non-constant factors
     and :class:`ModPresentError` if a ``Mod`` node is present.
     """
-    if isinstance(term, Const):
-        return LinTerm.constant(Fraction(term.value))  # type: ignore[arg-type]
+    if isinstance(term, Const) and term.const_sort in (INT, REAL):
+        return LinTerm.constant(term.value)  # type: ignore[arg-type]
     if isinstance(term, Var):
         return LinTerm.variable(term.name)
     if isinstance(term, Neg):

@@ -9,13 +9,13 @@ from repro.obs.live import (
     LiveStats,
     RollingWindow,
     metric_name,
-    parse_exposition,
     render_prometheus,
 )
 from repro.obs.metrics import Registry
 from repro.svc.breaker import BreakerConfig, BreakerRegistry
 from repro.svc.gate import AdmissionGate, GateConfig
 from repro.svc.job import PROVED, JobResult, JobSpec
+from tests.exposition import parse_exposition
 
 
 class FakeClock:

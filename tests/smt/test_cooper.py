@@ -89,6 +89,17 @@ class TestSolveCube:
         ]
         assert solve_int_cube(lits) is None
 
+    def test_residue_disequalities(self):
+        # v % 8 != 4 and v % 5 != 0: the heaviest shape analyze produces.
+        lits = [
+            (False, mk_eq(mk_mod(x, 8), mk_int(4))),
+            (False, mk_eq(mk_mod(x, 5), mk_int(0))),
+        ]
+        m = solve_int_cube(lits)
+        assert m is not None
+        assert m["x"] % 8 != 4 and m["x"] % 5 != 0
+        assert all(type(v) is int for v in m.values())
+
 
 @settings(max_examples=200, deadline=None)
 @given(
@@ -97,7 +108,7 @@ class TestSolveCube:
             st.integers(-3, 3),
             st.integers(-3, 3),
             st.integers(-6, 6),
-            st.sampled_from(["lt", "le", "eq", "mod2", "mod3"]),
+            st.sampled_from(["lt", "le", "eq", "ne", "mod2", "mod3", "mod4ne"]),
             st.booleans(),
         ),
         min_size=1,
@@ -105,7 +116,10 @@ class TestSolveCube:
     )
 )
 def test_cooper_agrees_with_bounded_search(spec):
-    """If a bounded search finds a model, Cooper must; Cooper's models check."""
+    """If a bounded search finds a model, Cooper must; Cooper's models check.
+
+    ``ne`` and ``mod4ne`` atoms give cubes with several disequalities,
+    which the solver splits only when a model violates one."""
     lits = []
     for a, b, c, kind, sign in spec:
         t = mk_add(mk_mul(mk_int(a), x), mk_mul(mk_int(b), y), mk_int(c))
@@ -115,10 +129,14 @@ def test_cooper_agrees_with_bounded_search(spec):
             atom = mk_le(t, mk_int(0))
         elif kind == "eq":
             atom = mk_eq(t, mk_int(0))
+        elif kind == "ne":
+            atom, sign = mk_eq(t, mk_int(0)), False
         elif kind == "mod2":
             atom = mk_eq(mk_mod(t, 2), mk_int(0))
-        else:
+        elif kind == "mod3":
             atom = mk_eq(mk_mod(t, 3), mk_int(1))
+        else:
+            atom, sign = mk_eq(mk_mod(t, 4), mk_int(1)), False
         if atom.sort.name != "Bool":  # constant-folded to a value: skip
             continue
         from repro.smt import Const
@@ -136,6 +154,8 @@ def test_cooper_agrees_with_bounded_search(spec):
     if model is not None:
         env = {"x": model.get("x", 0), "y": model.get("y", 0)}
         assert conj_holds(env)
+        assert all(type(v) is int for v in model.values())
     else:
-        for vx, vy in itertools.product(range(-10, 11), repeat=2):
+        # The box is wider than the moduli's lcm (12) on each axis.
+        for vx, vy in itertools.product(range(-12, 13), repeat=2):
             assert not conj_holds({"x": vx, "y": vy})

@@ -94,6 +94,45 @@ class TestFourierMotzkin:
             for _, atom in lits:
                 assert atom.evaluate(env)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-3, 3),
+                st.integers(-3, 3),
+                st.integers(-4, 4),
+                st.sampled_from(["lt", "le", "eq", "square"]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_model_values_are_exact(self, spec):
+        """Linear terms keep ``int`` coefficients until scaled, so every
+        FM (and Sturm) model value must still be a ``Fraction`` or an
+        ``int`` -- never a ``float`` from dividing two ints."""
+        lits = []
+        for a, b, c, kind, sign in spec:
+            if kind == "square":  # univariate non-linear: r*r + a*r + c
+                t = mk_add(mk_mul(r, r), mk_mul(mk_real(a), r), mk_real(c))
+                atom = mk_lt(t, mk_real(0))
+            else:
+                t = mk_add(mk_mul(mk_real(a), r), mk_mul(mk_real(b), q), mk_real(c))
+                atom = {"lt": mk_lt, "le": mk_le, "eq": mk_eq}[kind](t, mk_real(0))
+            if atom in (TRUE, FALSE):
+                continue
+            lits.append((sign, atom))
+        res = solve_real_cube(lits)
+        if res is None:
+            return
+        for value in res.assignment.values():
+            assert isinstance(value, (Fraction, int)) and not isinstance(value, bool)
+        if res.exact:
+            env = {"r": Fraction(0), "q": Fraction(0), **res.assignment}
+            for sign, atom in lits:
+                assert bool(atom.evaluate(env)) == sign
+
 
 class TestStringSolver:
     s1 = mk_var("a", STRING)

@@ -12,7 +12,6 @@ import pytest
 from repro.guard.chaos import WorkerChaosPolicy
 from repro import obs
 from repro.obs import export
-from repro.obs.live import parse_exposition
 from repro.svc import (
     GateConfig,
     HttpFrontEnd,
@@ -22,6 +21,7 @@ from repro.svc import (
 )
 from repro.svc.gate import SHED_REASONS
 from repro.svc.job import PROVED, UNKNOWN
+from tests.exposition import parse_exposition
 
 PASSING = """\
 type BT[v : Int]{L(0), N(2)}

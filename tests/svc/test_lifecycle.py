@@ -334,7 +334,8 @@ class TestInWorkerHygiene:
 
 class TestExposition:
     def test_snapshot_appears_in_health_and_metrics(self):
-        from repro.obs.live import parse_exposition, render_prometheus
+        from repro.obs.live import render_prometheus
+        from tests.exposition import parse_exposition
         from repro.svc.gate import AdmissionGate, GateConfig
 
         with WorkerPool(2, lifecycle=LifecyclePolicy(max_jobs=2)) as pool:

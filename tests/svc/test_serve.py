@@ -479,7 +479,7 @@ class TestDrainShedLedger:
     all read the gate's one ledger."""
 
     def test_drain_sheds_reach_every_stats_view(self):
-        from repro.obs.live import parse_exposition
+        from tests.exposition import parse_exposition
         from repro.svc import GateConfig
         from repro.svc.serve import FrontEndBase, run_until_drained
 

@@ -26,7 +26,7 @@ import time
 import pytest
 
 import repro
-from repro.obs.live import parse_exposition
+from tests.exposition import parse_exposition
 
 PROGRAM = (
     "type BT[v : Int]{L(0), N(2)}\n"
