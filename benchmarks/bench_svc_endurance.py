@@ -48,7 +48,6 @@ from repro.obs import metrics as obs_metrics  # noqa: E402
 from repro.svc import (  # noqa: E402
     JobSpec,
     LifecyclePolicy,
-    RetryPolicy,
     WorkerPool,
 )
 
@@ -66,9 +65,6 @@ type BT[v : Int]{L(0), N(2)}
 lang pos : BT { N(l, r) where (v > 0) given (pos l) (pos r) | L() }
 assert-false (is-empty pos)
 """
-
-FAST_RETRY = RetryPolicy(max_retries=3, base_delay=0.01, max_delay=0.05)
-
 
 def _quantile(sorted_values: list[float], q: float) -> float:
     if not sorted_values:
@@ -114,7 +110,7 @@ def _run_leg(
         results.extend(
             pool.run_jobs(
                 specs[start:start + per_batch],
-                retry=FAST_RETRY,
+                retries=3,
                 kill_timeout=kill_timeout,
             )
         )

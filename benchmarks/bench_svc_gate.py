@@ -41,7 +41,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.obs import metrics as obs_metrics  # noqa: E402
 from repro.svc import (  # noqa: E402
     GateConfig,
-    RetryPolicy,
     ServiceConfig,
 )
 from repro.svc.serve import SocketFrontEnd  # noqa: E402
@@ -111,9 +110,7 @@ class _LoadClient:
 
 def measure() -> dict[str, float]:
     front = SocketFrontEnd(
-        config=ServiceConfig(
-            jobs=2, retry=RetryPolicy(base_delay=0.01)
-        ),
+        config=ServiceConfig(jobs=2),
         gate_config=GateConfig(
             max_queue=MAX_QUEUE,
             max_deadline=MAX_DEADLINE,

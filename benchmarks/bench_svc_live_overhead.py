@@ -52,7 +52,6 @@ from repro.svc import (  # noqa: E402
     AnalysisService,
     GateConfig,
     JobSpec,
-    RetryPolicy,
     ServiceConfig,
     Shed,
 )
@@ -159,9 +158,7 @@ def _serve_live(svc: AnalysisService, gate: AdmissionGate, line: str) -> float:
 
 def measure_overhead() -> dict[str, float]:
     """Per-request p50 per arm, rounds interleaved (bare, live, ...)."""
-    config = ServiceConfig(
-        jobs=POOL_SIZE, retry=RetryPolicy(base_delay=0.01)
-    )
+    config = ServiceConfig(jobs=POOL_SIZE)
     bare_lat: list[float] = []
     live_lat: list[float] = []
     with AnalysisService(config) as svc:

@@ -36,7 +36,6 @@ from repro.obs import metrics as obs_metrics  # noqa: E402
 from repro.svc import (  # noqa: E402
     AnalysisService,
     JobSpec,
-    RetryPolicy,
     ServiceConfig,
 )
 
@@ -97,9 +96,7 @@ def measure_overhead() -> dict[str, float]:
     def service(observed: bool) -> AnalysisService:
         # Telemetry follows the obs state when the pool starts.
         with obs.observed(observed):
-            return AnalysisService(
-                ServiceConfig(jobs=POOL_SIZE, retry=RetryPolicy(base_delay=0.01))
-            )
+            return AnalysisService(ServiceConfig(jobs=POOL_SIZE))
 
     disabled = enabled = float("inf")
     with service(False) as off, service(True) as on:

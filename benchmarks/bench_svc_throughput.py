@@ -46,7 +46,6 @@ from repro.obs import metrics as obs_metrics  # noqa: E402
 from repro.svc import (  # noqa: E402
     AnalysisService,
     JobSpec,
-    RetryPolicy,
     ServiceConfig,
 )
 
@@ -105,9 +104,7 @@ def warm(svc: AnalysisService, pool_size: int) -> None:
 
 def measure(pool_size: int) -> dict[str, float]:
     """One corpus through one warm pool; wall-clock excludes spawn."""
-    config = ServiceConfig(
-        jobs=pool_size, retry=RetryPolicy(base_delay=0.01)
-    )
+    config = ServiceConfig(jobs=pool_size)
     with AnalysisService(config) as svc:
         warm(svc, pool_size)
         t0 = time.perf_counter()

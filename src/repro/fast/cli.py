@@ -10,8 +10,8 @@
 * ``batch`` — run many programs concurrently through the supervised
   worker pool (:mod:`repro.svc`) with per-file crash isolation:
   ``fast batch examples/ --jobs 8 --timeout 10 --json``;
-* ``serve`` — JSONL serving against a persistent pool with per-kind
-  circuit breakers: ``--stdin-jsonl`` (one JSON request per input
+* ``serve`` — JSONL serving against a persistent worker pool:
+  ``--stdin-jsonl`` (one JSON request per input
   line, one JSON result per output line), ``--listen HOST:PORT``
   (the same protocol over TCP, behind an admission gate: bounded
   queue with load shedding, per-tenant token-bucket quotas, a
@@ -167,8 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="K",
         default=2,
-        help="retries per job for transient failures (worker crashes); "
-        "exponential backoff with full jitter (default 2)",
+        help="retries per job for transient failures (worker crashes, "
+        "corrupt replies); a failed attempt is re-queued at once "
+        "(default 2)",
     )
     svc_common.add_argument(
         "--kill-timeout",
@@ -182,8 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
     svc_common.add_argument(
         "--stats",
         action="store_true",
-        help="print a per-kind latency/retry summary table (p50/p95/p99 "
-        "and circuit-breaker states) to stderr when done",
+        help="print a per-kind latency/retry summary table (p50/p95/p99) "
+        "to stderr when done",
     )
     svc_common.add_argument(
         "--worker-max-jobs",
@@ -427,7 +428,7 @@ def _budget_spec(args: argparse.Namespace):
 
 
 def _service_config(args: argparse.Namespace):
-    from ..svc import LifecyclePolicy, RetryPolicy, ServiceConfig, parse_size
+    from ..svc import LifecyclePolicy, ServiceConfig, parse_size
 
     lifecycle = None
     max_rss = getattr(args, "worker_max_rss", None)
@@ -446,7 +447,7 @@ def _service_config(args: argparse.Namespace):
     return ServiceConfig(
         jobs=args.jobs,
         kill_timeout=args.kill_timeout,
-        retry=RetryPolicy(max_retries=args.retries),
+        retries=args.retries,
         lifecycle=lifecycle,
     )
 

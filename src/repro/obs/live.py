@@ -22,11 +22,12 @@ about the last minute's brownout).  This module keeps *recent* truth:
   flat gauge samples for the ``/metrics`` exposition.
 
 * :func:`render_prometheus` — Prometheus text exposition (version
-  0.0.4) over the pieces a server holds: its admission-gate ledger,
-  breaker states, live windows, and (optionally) the process-wide
-  metric registry.  The gate ledger — not the obs registry — feeds the
-  ``svc_gate_*`` families, so the exposition agrees exactly with the
-  wire-level served/shed partition even with observability off.
+  0.0.4) over the pieces a server holds: its admission-gate ledger
+  (counters and live windows), its worker pool, and (optionally) the
+  process-wide metric registry.  The gate ledger — not the obs
+  registry — feeds the ``svc_gate_*`` families and the window gauges,
+  so the exposition agrees exactly with the wire-level served/shed
+  partition even with observability off.
 
 **Bucket math.**  A window of ``span`` seconds uses ``buckets`` ring
 slots of width ``span / buckets``.  An event at time ``t`` lands in
@@ -386,32 +387,21 @@ class _Exposition:
         return "\n".join(out) + "\n"
 
 
-#: Circuit-breaker states, encoded as the value of a one-hot gauge.
-_BREAKER_STATES = ("closed", "open", "half-open")
-
-
 def render_prometheus(
     *,
     gate: Any = None,
-    breakers: Any = None,
-    live: Optional[LiveStats] = None,
     registry: Any = None,
-    extra: Optional[dict[str, float]] = None,
     pool: Any = None,
 ) -> str:
     """The server's state in Prometheus text exposition format.
 
     * ``gate`` — an :class:`~repro.svc.gate.AdmissionGate`; its own
-      ledger feeds ``svc_gate_*`` so the exposition matches the wire
-      exactly, independent of the obs flag.
-    * ``breakers`` — a :class:`~repro.svc.breaker.BreakerRegistry`;
-      one-hot ``svc_breaker_state{kind=...,state=...}`` gauges.
-    * ``live`` — a :class:`LiveStats`; window totals and latency
-      quantile gauges.
+      ledger feeds ``svc_gate_*`` and its :class:`LiveStats` the window
+      totals and latency quantile gauges, so the exposition matches
+      the wire exactly, independent of the obs flag.
     * ``registry`` — an :class:`~repro.obs.metrics.Registry`; every
       registered counter/gauge/histogram, name-sanitized under the
       ``repro_`` prefix (histograms as quantile gauges + _count/_sum).
-    * ``extra`` — flat name -> value gauges (uptime, build info).
     * ``pool`` — a :class:`~repro.svc.pool.WorkerPool`; per-worker
       lifecycle gauges (``svc_worker_rss_bytes``,
       ``svc_worker_generation``, ``svc_worker_jobs_served``, labelled
@@ -446,7 +436,7 @@ def render_prometheus(
                 help_text="proactive worker recycles by threshold",
             )
     if gate is not None:
-        health = gate.health(breakers)
+        health = gate.health()
         counters = health["counters"]
         exp.add(
             "svc_gate_ready", "gauge", 1.0 if health["ready"] else 0.0,
@@ -469,17 +459,7 @@ def render_prometheus(
                 labels={"reason": reason},
                 help_text="requests refused with a shed response",
             )
-    if breakers is not None:
-        for kind, current in sorted(breakers.states().items()):
-            for state in _BREAKER_STATES:
-                exp.add(
-                    "svc_breaker_state", "gauge",
-                    1.0 if current == state else 0.0,
-                    labels={"kind": kind, "state": state},
-                    help_text="one-hot circuit-breaker state per job kind",
-                )
-    if live is not None:
-        for name, labels, value in live.gauge_samples():
+        for name, labels, value in gate.live.gauge_samples():
             exp.add(name, "gauge", value, labels=labels)
     if registry is not None:
         from .metrics import Counter, Gauge, Histogram
@@ -500,6 +480,4 @@ def render_prometheus(
                     )
                 exp.add(f"{pname}_count", "counter", snap["count"])
                 exp.add(f"{pname}_sum", "counter", snap["sum"])
-    for name, value in sorted((extra or {}).items()):
-        exp.add(metric_name(name), "gauge", value)
     return exp.render()

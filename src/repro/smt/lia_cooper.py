@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Optional
 
+from ..guard.budget import tick as _tick
 from .linear import LinTerm, linearize
 from .terms import Eq, Le, Lt, Mod, SmtError, Term, Var, interned
 
@@ -212,6 +213,9 @@ def _ground_ok(c: IntConstraint) -> bool:
 
 def _solve_basic(constraints: list[IntConstraint]) -> Optional[dict[str, int]]:
     """Decide a conjunction of le/eq/div constraints (no disequalities)."""
+    # One step per recursive call: the recursion is the solver's only
+    # unbounded loop, so this is where a budget's deadline bites.
+    _tick(kind="solver.cooper")
     ground = [c for c in constraints if c.lin.is_constant()]
     if not all(_ground_ok(c) for c in ground):
         return None

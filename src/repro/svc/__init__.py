@@ -12,15 +12,11 @@ process survives anything a job does:
 * :mod:`~repro.svc.worker` — the subprocess loop + respawnable handle
   (and the hook where worker-level chaos faults fire);
 * :mod:`~repro.svc.pool` — the single-threaded supervisor: dispatch,
-  wall-clock kill timeouts, crash detection, respawn;
+  wall-clock kill timeouts, crash detection, respawn, and immediate
+  re-queue of transient failures;
 * :mod:`~repro.svc.lifecycle` — long-haul hygiene: worker generation
   numbers, proactive recycling by jobs-served / RSS / age thresholds
   (``--worker-max-*``), and the in-worker intern-table ceiling;
-* :mod:`~repro.svc.retry` — exponential backoff with full jitter for
-  transient failures;
-* :mod:`~repro.svc.breaker` — per-analysis-kind circuit breakers
-  (closed → open → half-open) so a poisonous workload degrades to
-  immediate UNKNOWNs instead of starving the pool;
 * :mod:`~repro.svc.service` — the :class:`AnalysisService` facade;
 * :mod:`~repro.svc.telemetry` — cross-process observability: worker
   span trees and metric deltas ship back over the job boundary as
@@ -46,8 +42,7 @@ Quick use::
         result = svc.run_job(JobSpec("job-1", "run", source))
         print(result.outcome, result.reason)
 
-Every failure mode — worker crash, hang, corrupted reply, open breaker
-— comes back as an UNKNOWN result with a structured
+Every failure mode — worker crash, hang, corrupted reply — comes back as an UNKNOWN result with a structured
 :class:`~repro.svc.job.JobFailure`; the supervisor never raises for
 job-level trouble.
 """
@@ -55,7 +50,6 @@ job-level trouble.
 from __future__ import annotations
 
 from .batch import BatchReport, build_specs, collect_program_paths, run_batch
-from .breaker import BreakerConfig, BreakerRegistry, CircuitBreaker
 from .gate import AdmissionGate, GateConfig, Shed, Ticket, TokenBucket
 from .job import (
     BudgetSpec,
@@ -69,7 +63,6 @@ from .job import (
 from .http import HttpFrontEnd, serve_http
 from .lifecycle import LifecyclePolicy, current_rss_bytes, parse_size
 from .pool import WorkerPool
-from .retry import RetryPolicy
 from .serve import (
     FrontEndBase,
     RequestError,
@@ -87,10 +80,7 @@ __all__ = [
     "AdmissionGate",
     "AnalysisService",
     "BatchReport",
-    "BreakerConfig",
-    "BreakerRegistry",
     "BudgetSpec",
-    "CircuitBreaker",
     "FrontEndBase",
     "GateConfig",
     "HttpFrontEnd",
@@ -102,7 +92,6 @@ __all__ = [
     "LifecyclePolicy",
     "RequestError",
     "RequestLimits",
-    "RetryPolicy",
     "ServiceConfig",
     "Shed",
     "SocketFrontEnd",

@@ -25,7 +25,7 @@ from typing import Any, Optional
 from ..guard import Budget, scope as _budget_scope
 from .job import BudgetSpec, ERROR, JobResult, JobSpec, PROVED, REFUTED, UNKNOWN
 from .service import AnalysisService, ServiceConfig
-from .telemetry import KindLatency, breaker_line
+from .telemetry import KindLatency
 
 #: Wall-clock cap on compiling any single shared source during prewarm:
 #: the supervisor must never be taken down (or stalled) by a
@@ -33,9 +33,9 @@ from .telemetry import KindLatency, breaker_line
 PREWARM_DEADLINE = 10.0
 
 #: JSON schema tag of ``fast batch --json`` output.  v2 added the
-#: per-kind ``latency`` quantile block, ``summary.retries``, and
-#: ``breakers``.
-SCHEMA = "repro.svc.batch/v2"
+#: per-kind ``latency`` quantile block and ``summary.retries``; v3
+#: dropped the top-level per-kind circuit-state map.
+SCHEMA = "repro.svc.batch/v3"
 
 
 def collect_program_paths(paths: list[str]) -> list[str]:
@@ -73,15 +73,9 @@ def build_specs(
 
 @dataclass
 class BatchReport:
-    """Results plus the summary the CLI renders.
-
-    ``breakers`` is the post-batch circuit-breaker state per job kind
-    (only kinds whose breaker was ever consulted appear); filled in by
-    :func:`run_batch`.
-    """
+    """Results plus the summary the CLI renders."""
 
     results: list[JobResult] = field(default_factory=list)
-    breakers: dict[str, str] = field(default_factory=dict)
 
     def counts(self) -> dict[str, int]:
         c = {"PROVED": 0, "REFUTED": 0, "UNKNOWN": 0, "ERROR": 0}
@@ -130,8 +124,7 @@ class BatchReport:
 
     def render_stats(self) -> str:
         """The ``fast top``-style per-kind latency/retry table."""
-        lines = KindLatency(self.results).render("batch stats")
-        return "\n".join(lines + breaker_line(self.breakers))
+        return "\n".join(KindLatency(self.results).render("batch stats"))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -144,7 +137,6 @@ class BatchReport:
                 "exit_code": self.exit_code,
             },
             "latency": self.latency(),
-            "breakers": dict(self.breakers),
             "results": [r.to_dict() for r in self.results],
         }
 
@@ -198,8 +190,6 @@ def run_batch(
     specs = build_specs(collect_program_paths(paths), budget)
     prewarm_shared_sources(specs)
     if service is not None:
-        results = service.run_jobs(specs)
-        return BatchReport(results, service.breakers.states())
+        return BatchReport(service.run_jobs(specs))
     with AnalysisService(config) as svc:
-        results = svc.run_jobs(specs)
-        return BatchReport(results, svc.breakers.states())
+        return BatchReport(svc.run_jobs(specs))

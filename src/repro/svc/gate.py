@@ -33,8 +33,8 @@ that implicit, unbounded queue with explicit, deliberate policy:
   without ever touching a worker.  Queue time is not free time.
 
 * **Health.**  :meth:`AdmissionGate.health` snapshots readiness, queue
-  depth, per-reason shed counters, and per-kind breaker states into
-  one JSON-able dict — the payload of the ``health`` request kind.
+  depth, per-reason shed counters, and the worker lifecycle into one
+  JSON-able dict — the payload of the ``health`` request kind.
 
 * **The serving ledger.**  The gate is the one record of served and
   shed requests: its counters, its :class:`~repro.obs.live.LiveStats`
@@ -444,7 +444,6 @@ class AdmissionGate:
 
     def health(
         self,
-        breakers: Any = None,
         workers: Optional[int] = None,
         pool: Any = None,
     ) -> dict[str, Any]:
@@ -452,12 +451,11 @@ class AdmissionGate:
 
         ``ready`` means "may I send you work and expect an answer" —
         false once draining.  Counters come from the gate's own
-        bookkeeping (valid with observability off); breaker states are
-        read from the service's :class:`BreakerRegistry` when given;
-        with a ``pool`` the worker lifecycle snapshot (per-worker
-        generation / RSS / jobs served, recycle counts by reason) rides
-        along under ``"lifecycle"`` so an operator — or a probe — can
-        see recycling happen without scraping ``/metrics``.
+        bookkeeping (valid with observability off); with a ``pool`` the
+        worker lifecycle snapshot (per-worker generation / RSS / jobs
+        served, recycle counts by reason) rides along under
+        ``"lifecycle"`` so an operator — or a probe — can see recycling
+        happen without scraping ``/metrics``.
         """
         with self._lock:
             shed_total = sum(self.shed.values())
@@ -479,7 +477,6 @@ class AdmissionGate:
                     "shed_total": shed_total,
                 },
             }
-        doc["breakers"] = breakers.states() if breakers is not None else {}
         if pool is not None:
             snapshot = getattr(pool, "lifecycle_snapshot", None)
             if callable(snapshot):

@@ -30,7 +30,7 @@ graceful drain are shared code, not a re-implementation:
 
 * ``GET /metrics`` — Prometheus text exposition
   (:func:`repro.obs.live.render_prometheus`): gate ledger counters,
-  rolling-window gauges and latency quantiles, breaker states, worker
+  rolling-window gauges and latency quantiles, worker
   lifecycle gauges (``svc_worker_rss_bytes`` / ``svc_worker_generation``
   per worker, ``svc_recycles_total`` by reason), and the obs registry
   when recording is on.

@@ -14,7 +14,7 @@ objects: hash-consed terms must not cross process boundaries — their
 identity-based caches only make sense inside one intern table — and a
 JSON payload feeds ``fast batch --json`` and ``fast serve`` directly.
 Failures that are *errors* (a crash, a corrupted reply, an exhausted
-retry budget) travel as a structured :class:`JobFailure`, optionally
+retry cap) travel as a structured :class:`JobFailure`, optionally
 carrying the original pickled :class:`~repro.errors.ReproError`.
 
 :func:`execute_job` is the worker-side entry point: it activates the
@@ -149,9 +149,9 @@ class JobFailure:
 
     * ``kind`` — ``crash`` (worker died), ``timeout`` (supervisor
       killed a hung worker), ``corrupt`` (reply failed validation),
-      ``breaker-open`` (rejected without dispatch), ``error``
-      (in-worker exception);
-    * ``transient`` — whether the supervisor may retry;
+      ``error`` (in-worker exception);
+    * ``transient`` — whether the supervisor may retry (at once, up to
+      its ``retries`` cap);
     * ``exception`` — the original error when it pickles (the
       :class:`~repro.errors.ReproError` hierarchy does, by contract).
     """
@@ -184,7 +184,7 @@ class JobResult:
     The supervisor fills in ``attempts`` and ``attempt_failures`` when
     the job was retried, and fabricates whole results (UNKNOWN +
     failure) for jobs that never produced one — crashes past the retry
-    cap, timeouts, open breakers.
+    cap and kill timeouts.
 
     ``telemetry`` is the worker-side observability blob
     (:mod:`repro.svc.telemetry`): the metric deltas and span tree
@@ -238,7 +238,7 @@ class JobResult:
     def to_verdict(self) -> Verdict:
         """The result as the library's three-valued :class:`Verdict`.
 
-        Crash / timeout / open-breaker results are UNKNOWN verdicts
+        Crash and timeout results are UNKNOWN verdicts
         whose reason is the structured failure message; the budget
         snapshot is reconstructed when the worker got far enough to
         record one.  (The full derivation stays in the worker — the

@@ -5,18 +5,15 @@ select-style event loop (:func:`multiprocessing.connection.wait` over
 result pipes *and* process sentinels, so replies and deaths wake it
 equally).  Per iteration it:
 
-1. moves due retries from the backoff heap to the ready queue;
-2. dispatches ready jobs to idle workers — unless the job kind's
-   circuit breaker is open, in which case the job degrades to an
-   immediate UNKNOWN without touching the pool;
-3. sleeps until the next reply, death, kill deadline, or retry due
-   time;
-4. classifies what woke it: a valid reply finalizes (or, for a
-   transient failure, re-queues with exponential backoff + full
-   jitter), an invalid reply counts as a *corrupt* transient failure,
-   a dead sentinel as a *crash*, and a blown kill deadline gets the
-   worker SIGKILLed and the job finalized UNKNOWN (a hang is
-   deterministic; retrying it would just hang again).
+1. dispatches ready jobs to idle workers;
+2. sleeps until the next reply, death, or kill deadline;
+3. classifies what woke it: a valid reply finalizes, an invalid reply
+   counts as a *corrupt* transient failure, a dead sentinel as a
+   *crash*, and a blown kill deadline gets the worker SIGKILLed and the
+   job finalized UNKNOWN (a hang is deterministic; retrying it would
+   just hang again).  A transient failure goes straight back on the
+   ready queue, up to ``retries`` extra attempts — there is no backoff
+   to wait out, since only an idle, live worker is ever dispatched to.
 
 Dead and killed workers are respawned immediately, so pool capacity is
 constant no matter how hostile the workload.  The supervisor itself
@@ -31,7 +28,6 @@ Perfetto trace exports.
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import time
 from collections import deque
@@ -43,10 +39,8 @@ from ..obs import config as obs_config
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
 from . import telemetry as svc_telemetry
-from .breaker import BreakerRegistry
 from .job import ERROR, JobFailure, JobResult, JobSpec, REFUTED, UNKNOWN
 from .lifecycle import RECYCLE_REASONS, LifecyclePolicy
-from .retry import RetryPolicy
 from .worker import Worker, default_start_method
 
 _OBS_SUBMITTED = obs_metrics.counter("svc.jobs_submitted")
@@ -273,14 +267,18 @@ class WorkerPool:
         self,
         specs: list[JobSpec],
         *,
-        retry: Optional[RetryPolicy] = None,
-        breakers: Optional[BreakerRegistry] = None,
+        retries: int = 2,
         kill_timeout: float = 300.0,
         kill_grace: float = 5.0,
         clock: Callable[[], float] = time.monotonic,
         on_result: Optional[Callable[[JobResult], None]] = None,
     ) -> list[JobResult]:
         """Run every job to a result; never raises for job-level trouble.
+
+        A *transient* failure (crash, corrupt reply) is re-queued at
+        once, up to ``retries`` attempts beyond the first; a kill
+        timeout is deterministic — the job would hang again — and
+        finalizes UNKNOWN at once.
 
         ``kill_timeout`` is the hard wall-clock cap per attempt when a
         job has no deadline of its own; with a soft ``budget.deadline``
@@ -297,8 +295,6 @@ class WorkerPool:
         """
         if self._closed:
             raise RuntimeError("pool is closed")
-        retry = retry if retry is not None else RetryPolicy()
-        breakers = breakers if breakers is not None else BreakerRegistry()
         seen: set[str] = set()
         for spec in specs:
             if spec.job_id in seen:
@@ -308,8 +304,6 @@ class WorkerPool:
         self._ensure_workers()
         states = {spec.job_id: _JobState(spec) for spec in specs}
         ready: deque[str] = deque(spec.job_id for spec in specs)
-        delayed: list[tuple[float, int, str]] = []  # (due, seq, job_id)
-        seq = 0
         busy: dict[int, tuple[Worker, str, float]] = {}  # id(worker) -> (w, job, kill_at)
         results: dict[str, JobResult] = {}
 
@@ -327,8 +321,8 @@ class WorkerPool:
             state = states[job_id]
             result.attempts = state.attempt + 1
             if result.trace_id is None:
-                # Fabricated results (crash past retries, open breaker,
-                # kill timeout) never rode through a worker; the spec
+                # Fabricated results (crash past retries, kill
+                # timeout) never rode through a worker; the spec
                 # still knows the request they belong to.
                 result.trace_id = state.spec.trace_id
             result.attempt_failures = state.failures
@@ -372,14 +366,11 @@ class WorkerPool:
 
         def fail_attempt(job_id: str, failure: JobFailure) -> None:
             """Route one failed attempt: retry, or finalize UNKNOWN."""
-            nonlocal seq
             state = states[job_id]
             state.failures.append(
                 {"attempt": state.attempt, **failure.to_dict()}
             )
-            breakers.get(state.spec.kind).record_failure()
-            if retry.should_retry(failure, state.attempt):
-                delay = retry.delay(state.attempt)
+            if failure.transient and state.attempt < retries:
                 state.attempt += 1
                 if obs_config.ENABLED:
                     _OBS_RETRIES.inc()
@@ -388,12 +379,10 @@ class WorkerPool:
                     {
                         "job": job_id,
                         "attempt": state.attempt,
-                        "delay": round(delay, 6),
                         "failure": failure.kind,
                     },
                 )
-                seq += 1
-                heapq.heappush(delayed, (clock() + delay, seq, job_id))
+                ready.append(job_id)
             else:
                 finalize(
                     job_id,
@@ -407,12 +396,10 @@ class WorkerPool:
                 )
 
         def classify_reply(worker: Worker, job_id: str, payload: Any) -> None:
-            state = states[job_id]
             if (
                 isinstance(payload, JobResult)
                 and payload.job_id == job_id
             ):
-                breakers.get(state.spec.kind).record_success()
                 self._note_hygiene(worker, payload)
                 # Fold the worker's telemetry blob (metric deltas, span
                 # tree) into host obs state before the span is recorded;
@@ -440,11 +427,6 @@ class WorkerPool:
 
         with obs_tracer.span("svc.pool.run", jobs=len(specs)):
             while len(results) < len(states):
-                now = clock()
-                while delayed and delayed[0][0] <= now:
-                    _, _, job_id = heapq.heappop(delayed)
-                    ready.append(job_id)
-
                 # Proactively recycle idle workers that crossed a
                 # lifecycle threshold — replacement first, then retire,
                 # so the dispatch below never sees reduced capacity.
@@ -460,27 +442,6 @@ class WorkerPool:
                 while ready and idle:
                     job_id = ready.popleft()
                     state = states[job_id]
-                    breaker = breakers.get(state.spec.kind)
-                    if not breaker.allow():
-                        finalize(
-                            job_id,
-                            JobResult(
-                                job_id,
-                                state.spec.kind,
-                                UNKNOWN,
-                                reason=(
-                                    f"circuit breaker open for kind "
-                                    f"{state.spec.kind!r}"
-                                ),
-                                failure=JobFailure(
-                                    "breaker-open",
-                                    f"circuit breaker for {state.spec.kind!r} "
-                                    f"is {breaker.state}",
-                                    transient=False,
-                                ),
-                            ),
-                        )
-                        continue
                     worker = idle.pop()
                     budget = state.spec.budget
                     if budget is not None and budget.deadline is not None:
@@ -511,23 +472,14 @@ class WorkerPool:
                     busy[id(worker)] = (worker, job_id, clock() + attempt_cap)
 
                 if not busy:
-                    if ready:
-                        continue  # breaker rejections may have drained all
-                    if delayed and len(results) < len(states):
-                        # Nothing in flight; sleep until the next retry.
-                        pause = max(0.0, delayed[0][0] - clock())
-                        if pause:
-                            time.sleep(pause)
-                        continue
                     continue
 
-                # Sleep until a reply, a death, a kill deadline, or the
-                # next retry — whichever comes first.
-                now = clock()
-                deadlines = [kill_at for (_, _, kill_at) in busy.values()]
-                if delayed:
-                    deadlines.append(delayed[0][0])
-                wait_timeout = max(0.0, min(deadlines) - now)
+                # Sleep until a reply, a death, or a kill deadline —
+                # whichever comes first.
+                wait_timeout = max(
+                    0.0,
+                    min(kill_at for (_, _, kill_at) in busy.values()) - clock(),
+                )
                 handles = []
                 for worker, _, _ in busy.values():
                     handles.append(worker.conn)
@@ -606,8 +558,7 @@ class WorkerPool:
         # A hang is deterministic from the supervisor's viewpoint:
         # retrying would occupy another worker for the full kill
         # timeout.  ``transient=False`` makes fail_attempt finalize the
-        # job UNKNOWN immediately while still recording the failure
-        # against the kind's circuit breaker.
+        # job UNKNOWN immediately.
         fail_attempt(
             job_id,
             JobFailure(

@@ -24,7 +24,7 @@ an ``id`` echo), shed notices (``{"id": ..., "shed": true, "reason":
 dies on bad input — the same posture the worker pool takes toward bad
 jobs.
 
-Both front-ends put every request through the same
+All three front-ends put every request through the same
 :class:`~repro.svc.gate.AdmissionGate`:
 
 * :func:`serve_lines` — the ``--stdin-jsonl`` loop: synchronous, one
@@ -41,9 +41,12 @@ Both front-ends put every request through the same
   stop admitting, finish what was admitted (up to the gate's drain
   timeout), close the pool, exit 0.
 
-The service — pool, breakers, warm workers — persists across requests,
-so a poisonous request kind trips its breaker for subsequent requests
-exactly as it would in a long-running deployment.
+* :class:`~repro.svc.http.HttpFrontEnd` — ``--http HOST:PORT``: the
+  socket front-end's serving core behind an HTTP/1.1 surface.
+
+The service — pool and warm workers — persists across requests.  No
+request can shut out another: a job's cost is bounded by the gate's
+deadline ceiling plus the kill grace, and each tenant by its quota.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ from typing import IO, Any, Callable, Iterator, Optional
 
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
-from .breaker import BreakerRegistry
 from .gate import AdmissionGate, GateConfig, SHED_DRAINING, Shed, Ticket
 from .job import KINDS, BudgetSpec, JobSpec
 from .service import AnalysisService, ServiceConfig
@@ -377,11 +379,9 @@ def serve_lines(
             if not _emit(out, doc):
                 break
             served += 1
-            mark = _rolling_stats(
-                gate, svc.breakers, stats_interval, err, mark
-            )
+            mark = _rolling_stats(gate, stats_interval, err, mark)
         if stats:
-            err.write(stats_summary(gate, svc.breakers) + "\n")
+            err.write(stats_summary(gate) + "\n")
             err.flush()
     return served
 
@@ -462,9 +462,8 @@ def triage(
 def health_doc(
     gate: AdmissionGate, svc: Optional[AnalysisService], workers: int
 ) -> dict[str, Any]:
-    """The ``health`` ledger: gate, breakers and worker lifecycle."""
+    """The ``health`` ledger: gate and worker lifecycle."""
     return gate.health(
-        svc.breakers if svc is not None else None,
         workers=workers,
         pool=svc.pool if svc is not None else None,
     )
@@ -482,7 +481,6 @@ def stats_response(request: Request, gate: AdmissionGate) -> dict[str, Any]:
 
 def _rolling_stats(
     gate: AdmissionGate,
-    breakers: Optional[BreakerRegistry],
     interval: float,
     err: IO[str],
     mark: tuple[float, int],
@@ -493,7 +491,7 @@ def _rolling_stats(
         return mark
     # One write call: stats output must never interleave with other
     # stderr traffic mid-line.
-    err.write(stats_line(gate, breakers, since=mark) + "\n")
+    err.write(stats_line(gate, since=mark) + "\n")
     err.flush()
     return (gate.clock(), gate.served)
 
@@ -622,13 +620,8 @@ class FrontEndBase:
         """Jobs answered so far (the gate's ledger)."""
         return self.gate.served
 
-    @property
-    def breakers(self) -> Optional[BreakerRegistry]:
-        """The service's breaker registry, once the dispatcher runs."""
-        return self._svc.breakers if self._svc is not None else None
-
     def health_doc(self) -> dict[str, Any]:
-        """The ``health`` ledger (gate + breakers + worker lifecycle)."""
+        """The ``health`` ledger (gate + worker lifecycle)."""
         return health_doc(self.gate, self._svc, self.config.jobs)
 
     def metrics_text(self) -> str:
@@ -644,8 +637,6 @@ class FrontEndBase:
 
         return render_prometheus(
             gate=self.gate,
-            breakers=self.breakers,
-            live=self.gate.live,
             registry=obs_metrics.REGISTRY if obs_config.ENABLED else None,
             pool=self._svc.pool if self._svc is not None else None,
         )
@@ -765,7 +756,7 @@ class FrontEndBase:
             doc = result.to_dict()
             doc["job_id"] = ticket.client_id
             doc["id"] = ticket.client_id
-            # Fabricated results (crash past retries, open breaker)
+            # Fabricated results (crash past retries, kill timeout)
             # never saw the worker, so the spec's id fills the gap.
             doc.setdefault("trace_id", ticket.spec.trace_id)
             if ticket.reply is not None:
@@ -776,8 +767,7 @@ class FrontEndBase:
 
         svc.run_jobs(specs, on_result=deliver)
         self._stats_mark = _rolling_stats(
-            self.gate, svc.breakers, self.stats_interval, self.err,
-            self._stats_mark,
+            self.gate, self.stats_interval, self.err, self._stats_mark
         )
 
 
@@ -917,7 +907,7 @@ def run_until_drained(
     finally:
         front.close()
     if stats:
-        front.err.write(stats_summary(front.gate, front.breakers) + "\n")
+        front.err.write(stats_summary(front.gate) + "\n")
         front.err.flush()
     return front.served
 

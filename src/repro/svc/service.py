@@ -1,17 +1,14 @@
-"""The analysis service facade: configuration + pool + breakers.
+"""The analysis service facade: configuration + pool.
 
 :class:`AnalysisService` is what callers use: configure once, submit
 jobs (single, batch, or an endless stream), get
 :class:`~repro.svc.job.JobResult`\\ s — or library-level
 :class:`~repro.guard.Verdict`\\ s — back.  The service owns the pieces
-with *state that must outlive a batch*:
+with *state that must outlive a batch*: the
+:class:`~repro.svc.pool.WorkerPool` (warm workers amortize spawn cost
+across batches and ``fast serve`` requests).
 
-* the :class:`~repro.svc.pool.WorkerPool` (warm workers amortize spawn
-  cost across batches and ``fast serve`` requests);
-* the :class:`~repro.svc.breaker.BreakerRegistry` (a kind that melted
-  down during one batch stays open into the next until its cooldown).
-
-Retry policy and chaos injection are configuration; see
+The retry cap and chaos injection are configuration; see
 :class:`ServiceConfig`.  The worker chaos policy defaults to whatever
 ``REPRO_CHAOS`` carries in ``worker_*`` keys, so a chaos soak (CI, the
 verdict-stability property test) needs no code changes — just the
@@ -21,16 +18,14 @@ environment variable that already drives solver chaos.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..guard import Verdict
 from ..guard.chaos import WorkerChaosPolicy, worker_policy_from_spec
-from .breaker import BreakerConfig, BreakerRegistry
 from .job import JobResult, JobSpec
 from .lifecycle import LifecyclePolicy
 from .pool import WorkerPool
-from .retry import RetryPolicy
 
 
 def chaos_from_env(var: str = "REPRO_CHAOS") -> Optional[WorkerChaosPolicy]:
@@ -51,8 +46,9 @@ class ServiceConfig:
     kill_timeout: float = 300.0
     #: Kill margin above a job's soft ``budget.deadline``.
     kill_grace: float = 5.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
+    #: Immediate re-attempts of a transiently failed job (crash,
+    #: corrupt reply) beyond the first attempt.
+    retries: int = 2
     #: Worker-level fault injection; None = read ``REPRO_CHAOS``.
     worker_chaos: Optional[WorkerChaosPolicy] = None
     #: multiprocessing start method; None = fork where available.
@@ -74,8 +70,8 @@ class AnalysisService:
         with AnalysisService(ServiceConfig(jobs=8)) as svc:
             results = svc.run_jobs(specs)
 
-    Every result is final: crashed, hung, corrupted, and
-    breaker-rejected jobs come back as UNKNOWN with a structured
+    Every result is final: crashed, hung and corrupted jobs come back
+    as UNKNOWN with a structured
     :class:`~repro.svc.job.JobFailure`, never as an exception.
     """
 
@@ -87,7 +83,6 @@ class AnalysisService:
             start_method=self.config.start_method,
             lifecycle=self.config.lifecycle,
         )
-        self.breakers = BreakerRegistry(config=self.config.breaker)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -112,8 +107,7 @@ class AnalysisService:
         """
         return self.pool.run_jobs(
             specs,
-            retry=self.config.retry,
-            breakers=self.breakers,
+            retries=self.config.retries,
             kill_timeout=self.config.kill_timeout,
             kill_grace=self.config.kill_grace,
             on_result=on_result,
@@ -121,10 +115,6 @@ class AnalysisService:
 
     def run_job(self, spec: JobSpec) -> JobResult:
         return self.run_jobs([spec])[0]
-
-    def breaker_states(self) -> dict[str, str]:
-        """Per-kind circuit-breaker states (for health reporting)."""
-        return {k: b.state for k, b in self.breakers.breakers.items()}
 
     def lifecycle_snapshot(self) -> dict:
         """Per-worker generation/RSS/age state (for health reporting)."""

@@ -62,7 +62,6 @@ from ..obs.metrics import Counter, Gauge, Histogram
 from .job import JobResult, JobSpec, execute_job
 
 if TYPE_CHECKING:
-    from .breaker import BreakerRegistry
     from .gate import AdmissionGate
 
 #: Handshake message markers (tuple heads on the worker pipe).
@@ -326,7 +325,7 @@ class KindLatency:
     --json``'s ``latency`` block and every ``--stats`` table, so it
     works with observability off.  Only results that reached a worker
     (``worker_pid`` set) count toward latency — crashes past the retry
-    cap and open breakers have no duration — but every result counts
+    cap and kill timeouts have no duration — but every result counts
     its retries.  Quantiles are exact up to
     :data:`Histogram.RESERVOIR_SIZE` jobs per kind and a seeded
     reservoir estimate above that; count, mean and max stay exact.
@@ -385,15 +384,6 @@ class KindLatency:
         return lines
 
 
-def breaker_line(states: dict[str, str]) -> list[str]:
-    """``breakers: kind=state ...`` as a row list (empty when none)."""
-    if not states:
-        return []
-    return [
-        "breakers: " + " ".join(f"{k}={v}" for k, v in sorted(states.items()))
-    ]
-
-
 #: LiveStats window the rolling line's per-tenant rows report from.
 LINE_WINDOW = "1m"
 
@@ -431,9 +421,7 @@ def _tenant_rows(live: LiveStats) -> list[str]:
 
 
 def stats_line(
-    gate: "AdmissionGate",
-    breakers: Optional["BreakerRegistry"] = None,
-    since: Optional[tuple[float, int]] = None,
+    gate: "AdmissionGate", since: Optional[tuple[float, int]] = None
 ) -> str:
     """One rolling ``--stats`` block read from the gate's ledger.
 
@@ -455,14 +443,10 @@ def stats_line(
                 f"{kind} n={entry['count']} "
                 + " ".join(f"{q}={entry[q + '_ms']:.1f}ms" for q in _QS)
             )
-    if breakers is not None:
-        parts.extend(breaker_line(breakers.states()))
     return "\n".join(["[svc] " + " | ".join(parts)] + _tenant_rows(gate.live))
 
 
-def stats_summary(
-    gate: "AdmissionGate", breakers: Optional["BreakerRegistry"] = None
-) -> str:
+def stats_summary(gate: "AdmissionGate") -> str:
     """The closing ``--stats`` table of ``fast serve``, from the gate."""
     lines = gate.latency.render("svc stats")
     elapsed = max(gate.clock() - gate.started, 1e-9)
@@ -474,6 +458,4 @@ def stats_summary(
     if shed:
         breakdown = " ".join(f"{reason}={n}" for reason, n in shed.items())
         lines.append(f"shed: {sum(shed.values())} ({breakdown})")
-    if breakers is not None:
-        lines.extend(breaker_line(breakers.states()))
     return "\n".join(lines)

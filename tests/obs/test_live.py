@@ -12,7 +12,6 @@ from repro.obs.live import (
     render_prometheus,
 )
 from repro.obs.metrics import Registry
-from repro.svc.breaker import BreakerConfig, BreakerRegistry
 from repro.svc.gate import AdmissionGate, GateConfig
 from repro.svc.job import PROVED, JobResult, JobSpec
 from tests.exposition import parse_exposition
@@ -180,28 +179,14 @@ class TestRenderPrometheus:
             health["counters"]["shed"]["queue-full"]
         )
 
-    def test_breaker_states_are_one_hot(self):
-        breakers = BreakerRegistry(BreakerConfig(failure_threshold=1))
-        breakers.get("run").record_failure()
-        text = render_prometheus(breakers=breakers)
-        fams = parse_exposition(text)
-        states = {
-            dict(key)["state"]: value
-            for key, value in fams["svc_breaker_state"].items()
-            if dict(key)["kind"] == "run"
-        }
-        assert sum(states.values()) == 1.0
-        assert states["open"] == 1.0
-
     def test_live_windows_and_registry_render(self):
-        clock = FakeClock()
-        live = LiveStats(clock=clock)
-        live.record_served("run", "team-a", 0.02)
+        gate = AdmissionGate(GateConfig(workers=1), clock=FakeClock())
+        gate.note_served(JobResult("a", "run", PROVED, duration=0.02), "team-a")
         registry = Registry()
         registry.counter("solver.sat_queries").inc(7)
         registry.gauge("svc.live.overhead_pct").set(1.5)
         registry.histogram("svc.job_latency").observe(0.5)
-        text = render_prometheus(live=live, registry=registry)
+        text = render_prometheus(gate=gate, registry=registry)
         fams = parse_exposition(text)
         assert fams["svc_window_served"][
             (("window", "10s"),)
@@ -214,10 +199,11 @@ class TestRenderPrometheus:
         ] == pytest.approx(0.5)
 
     def test_one_type_line_per_family(self):
-        live = LiveStats(clock=FakeClock())
-        live.record_served("run", "team-a", 0.01)
-        live.record_served("emptiness", "team-b", 0.02)
-        text = render_prometheus(live=live, extra={"uptime": 3.0})
+        gate = _gate_with_traffic()
+        gate.note_served(
+            JobResult("e", "emptiness", PROVED, duration=0.02), "team-b"
+        )
+        text = render_prometheus(gate=gate, registry=Registry())
         type_lines = [
             l for l in text.splitlines() if l.startswith("# TYPE ")
         ]
@@ -232,12 +218,7 @@ class TestRenderPrometheus:
 
 class TestParseExposition:
     def test_roundtrip_of_renderer_output(self):
-        gate = _gate_with_traffic()
-        live = LiveStats(clock=FakeClock())
-        live.record_served("run", "team-a", 0.01)
-        text = render_prometheus(
-            gate=gate, live=live, extra={"up": 1.0}
-        )
+        text = render_prometheus(gate=_gate_with_traffic())
         fams = parse_exposition(text)
         assert fams  # every family parsed
         sample_lines = [

@@ -1,11 +1,13 @@
 """Direct tests of the Cooper integer solver (normalization + elimination)."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.guard import Budget, DeadlineExceeded, scope
 from repro.smt import INT, mk_add, mk_eq, mk_int, mk_le, mk_lt, mk_mod, mk_mul, mk_var
 from repro.smt.lia_cooper import IntConstraint, normalize_literals, solve_int_cube
 from repro.smt.linear import LinTerm
@@ -99,6 +101,26 @@ class TestSolveCube:
         assert m is not None
         assert m["x"] % 8 != 4 and m["x"] % 5 != 0
         assert all(type(v) is int for v in m.values())
+
+    def test_deadline_bounds_a_slow_cube(self):
+        # UNSAT from the bounds alone (x <= -1 and x >= 9), yet Cooper
+        # branches for tens of seconds before a ground contradiction
+        # shows; the budget's deadline must cut it short.
+        def lin(a, b, c):
+            return mk_add(mk_mul(mk_int(a), x), mk_mul(mk_int(b), y), mk_int(c))
+
+        lits = [
+            (True, mk_le(lin(0, -3, 5), mk_int(0))),
+            (True, mk_lt(mk_int(0), lin(1, -1, -6))),
+            (True, mk_lt(mk_int(0), lin(3, 1, 2))),
+            (True, mk_le(mk_int(0), lin(-2, 0, -1))),
+            (False, mk_eq(mk_mod(lin(2, -3, 4), 3), mk_int(1))),
+        ]
+        t0 = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            with scope(Budget(deadline=0.5)):
+                solve_int_cube(lits)
+        assert time.monotonic() - t0 < 2.0
 
 
 @settings(max_examples=200, deadline=None)

@@ -74,7 +74,7 @@ def test_batch_soak(tmp_path):
     )
     # sanitizer_buggy.fast FAILs by design; nothing else may.
     assert code == 1, doc["summary"]
-    assert doc["schema"] == "repro.svc.batch/v2", doc["schema"]
+    assert doc["schema"] == "repro.svc.batch/v3", doc["schema"]
     s = doc["summary"]
     assert s["refuted"] == 1 and s["exit_code"] == 1, s
     assert s["unknown"] == 0 and s["error"] == 0, s

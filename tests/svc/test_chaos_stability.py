@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.guard.chaos import WorkerChaosPolicy
-from repro.svc import AnalysisService, JobSpec, RetryPolicy, ServiceConfig
+from repro.svc import AnalysisService, JobSpec, ServiceConfig
 from repro.svc.job import ERROR, PROVED, REFUTED
 
 PASSING = """\
@@ -77,7 +77,7 @@ def test_fault_free_baseline():
 def test_chaos_never_flips_a_decided_verdict(seed):
     config = ServiceConfig(
         jobs=2,
-        retry=RetryPolicy(max_retries=2, base_delay=0.01, seed=seed),
+        retries=2,
         worker_chaos=WorkerChaosPolicy(
             seed=seed, kill_rate=0.3, corrupt_rate=0.2
         ),

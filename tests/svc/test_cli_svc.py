@@ -72,7 +72,7 @@ class TestBatchOutput:
         d = programs({"a.fast": PASSING, "b.fast": BROKEN})
         main(["batch", d, "--json", "--jobs", "2"])
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro.svc.batch/v2"
+        assert doc["schema"] == "repro.svc.batch/v3"
         assert doc["summary"]["proved"] == 1
         assert doc["summary"]["error"] == 1
         assert doc["summary"]["retries"] == 0
@@ -88,7 +88,7 @@ class TestBatchOutput:
         assert lat["retries"] == 0
         assert 0 < lat["p50_ms"] <= lat["p95_ms"] <= lat["p99_ms"]
         assert lat["p99_ms"] <= lat["max_ms"]
-        assert doc["breakers"] == {"run": "closed"}
+        assert "breakers" not in doc
 
     def test_stats_flag_prints_table_to_stderr(self, programs, capsys):
         d = programs({"a.fast": PASSING})
@@ -96,7 +96,7 @@ class TestBatchOutput:
         err = capsys.readouterr().err
         assert "== batch stats ==" in err
         assert "run" in err and "p95" in err
-        assert "breakers: run=closed" in err
+        assert "breakers" not in err
 
     def test_per_job_budget_flags_flow_to_workers(self, programs, capsys):
         d = programs({"a.fast": PASSING})

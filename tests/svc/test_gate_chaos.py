@@ -34,7 +34,7 @@ from repro.guard.chaos import (
     overload_policy_from_spec,
     policy_from_spec,
 )
-from repro.svc import GateConfig, RetryPolicy, ServiceConfig
+from repro.svc import GateConfig, ServiceConfig
 from repro.svc.gate import SHED_REASONS
 from repro.svc.job import PROVED, UNKNOWN
 from repro.svc.serve import SocketFrontEnd
@@ -179,7 +179,7 @@ def test_overload_chaos_partition_and_verdict_safety(seed):
     front = SocketFrontEnd(
         config=ServiceConfig(
             jobs=2,
-            retry=RetryPolicy(max_retries=2, base_delay=0.01, seed=seed),
+            retries=2,
             worker_chaos=WorkerChaosPolicy(seed=seed, kill_rate=0.15),
         ),
         gate_config=GateConfig(

@@ -16,7 +16,6 @@ from repro.svc import (
     GateConfig,
     HttpFrontEnd,
     RequestLimits,
-    RetryPolicy,
     ServiceConfig,
 )
 from repro.svc.gate import SHED_REASONS
@@ -51,7 +50,7 @@ def _request(front, method, path, body=None, timeout=60.0):
 @pytest.fixture()
 def front():
     fe = HttpFrontEnd(
-        config=ServiceConfig(jobs=1, retry=RetryPolicy(base_delay=0.01)),
+        config=ServiceConfig(jobs=1),
         gate_config=GateConfig(
             max_queue=8, max_deadline=30.0, drain_timeout=20.0, workers=1
         ),
@@ -235,9 +234,7 @@ class TestOverloadCoherence:
         front = HttpFrontEnd(
             config=ServiceConfig(
                 jobs=2,
-                retry=RetryPolicy(
-                    max_retries=2, base_delay=0.01, seed=self.SEED
-                ),
+                retries=2,
                 worker_chaos=WorkerChaosPolicy(
                     seed=self.SEED, kill_rate=0.15
                 ),

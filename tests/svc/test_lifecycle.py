@@ -27,11 +27,8 @@ import pytest
 
 from repro.guard.chaos import WorkerChaosPolicy
 from repro.svc import (
-    BreakerConfig,
-    BreakerRegistry,
     JobSpec,
     LifecyclePolicy,
-    RetryPolicy,
     WorkerPool,
     current_rss_bytes,
     parse_size,
@@ -52,7 +49,6 @@ lang pos : BT { N(l, r) where (v > 0) given (pos l) (pos r) | L() }
 assert-false (is-empty pos)
 """
 
-FAST_RETRY = RetryPolicy(max_retries=2, base_delay=0.01, max_delay=0.05)
 
 
 def specs(n, prefix="job"):
@@ -176,7 +172,7 @@ class TestRecycleThresholds:
         batch = specs(8)
         with WorkerPool(2, lifecycle=LifecyclePolicy(max_jobs=2)) as pool:
             gens = track_generations(pool)
-            results = pool.run_jobs(batch, retry=FAST_RETRY)
+            results = pool.run_jobs(batch, retries=2)
             snapshot = pool.lifecycle_snapshot()
         assert [r.job_id for r in results] == [s.job_id for s in batch]
         assert all(r.outcome == PROVED for r in results)
@@ -189,7 +185,7 @@ class TestRecycleThresholds:
         # 1 byte: any real worker crosses it with its first self-report.
         policy = LifecyclePolicy(max_rss_bytes=1)
         with WorkerPool(1, lifecycle=policy) as pool:
-            results = pool.run_jobs(specs(3), retry=FAST_RETRY)
+            results = pool.run_jobs(specs(3), retries=2)
         assert all(r.outcome == PROVED for r in results)
         assert pool.recycles[REASON_RSS] >= 1
         assert pool.recycles[REASON_JOBS] == 0
@@ -197,13 +193,13 @@ class TestRecycleThresholds:
     def test_age_threshold_recycles(self):
         with WorkerPool(1, lifecycle=LifecyclePolicy(max_age=0.05)) as pool:
             time.sleep(0.1)  # let the first generation cross max_age
-            results = pool.run_jobs(specs(2), retry=FAST_RETRY)
+            results = pool.run_jobs(specs(2), retries=2)
         assert all(r.outcome == PROVED for r in results)
         assert pool.recycles[REASON_AGE] >= 1
 
     def test_recycle_pause_is_recorded(self):
         with WorkerPool(1, lifecycle=LifecyclePolicy(max_jobs=1)) as pool:
-            pool.run_jobs(specs(3), retry=FAST_RETRY)
+            pool.run_jobs(specs(3), retries=2)
         assert len(pool.recycle_pause_s) == sum(pool.recycles.values())
         assert all(p >= 0.0 for p in pool.recycle_pause_s)
 
@@ -237,7 +233,7 @@ class TestRecycleUnderChaos:
             2, chaos=chaos, lifecycle=LifecyclePolicy(max_jobs=1)
         ) as pool:
             gens = track_generations(pool)
-            results = pool.run_jobs(batch, retry=FAST_RETRY)
+            results = pool.run_jobs(batch, retries=2)
         assert [r.job_id for r in results] == [s.job_id for s in batch]
         assert len({r.job_id for r in results}) == len(batch)
         assert pool.recycles[REASON_JOBS] >= 1
@@ -247,11 +243,10 @@ class TestRecycleUnderChaos:
         """Satellite: SIGKILL a worker exactly during a recycle's prewarm.
 
         The replacement spawn inside ``_recycle`` is the widest window
-        in the swap; a sibling dying right there must not lose a job,
-        reuse a generation, or corrupt the breaker ledger.
+        in the swap; a sibling dying right there must not lose a job
+        or reuse a generation.
         """
         chaos_struck = []
-        breakers = BreakerRegistry(config=BreakerConfig(failure_threshold=5))
         batch = specs(10, prefix="swap")
         with WorkerPool(2, lifecycle=LifecyclePolicy(max_jobs=2)) as pool:
             gens = track_generations(pool)
@@ -270,17 +265,11 @@ class TestRecycleUnderChaos:
                 return replacement
 
             pool._prepare_replacement = sabotaged
-            results = pool.run_jobs(
-                batch, retry=FAST_RETRY, breakers=breakers
-            )
+            results = pool.run_jobs(batch, retries=2)
         assert chaos_struck, "the recycle window was never exercised"
         assert [r.job_id for r in results] == [s.job_id for s in batch]
         assert all(r.outcome == PROVED for r in results)
         assert len(set(gens)) == len(gens), "a generation number was reused"
-        # Breaker continuity: one induced crash is far below the
-        # threshold; the kind must still be closed and never tripped.
-        assert breakers.get("run").state == "closed"
-        assert breakers.get("run").trips == 0
 
     def test_leak_chaos_inflates_worker_rss(self):
         chaos = WorkerChaosPolicy(seed=0, leak_rate=1.0, leak_bytes=4 << 20)
@@ -303,7 +292,7 @@ class TestRecycleUnderChaos:
             pytest.skip("no RSS sampling on this platform")
         policy = LifecyclePolicy(max_rss_bytes=baseline + (12 << 20))
         with WorkerPool(1, chaos=chaos, lifecycle=policy) as pool:
-            results = pool.run_jobs(specs(6), retry=FAST_RETRY)
+            results = pool.run_jobs(specs(6), retries=2)
         assert all(r.outcome == PROVED for r in results)
         assert pool.recycles[REASON_RSS] >= 1
 
@@ -318,7 +307,7 @@ class TestInWorkerHygiene:
         # reply is sent, so result N reports the flushes of jobs < N.
         policy = LifecyclePolicy(max_terms=1)
         with WorkerPool(1, lifecycle=policy) as pool:
-            results = pool.run_jobs(specs(3), retry=FAST_RETRY)
+            results = pool.run_jobs(specs(3), retries=2)
         assert all(r.outcome == PROVED for r in results)
         assert results[0].hygiene["flushes"] == 0
         assert results[-1].hygiene["flushes"] >= 1
@@ -339,7 +328,7 @@ class TestExposition:
         from repro.svc.gate import AdmissionGate, GateConfig
 
         with WorkerPool(2, lifecycle=LifecyclePolicy(max_jobs=2)) as pool:
-            pool.run_jobs(specs(6), retry=FAST_RETRY)
+            pool.run_jobs(specs(6), retries=2)
             health = AdmissionGate(GateConfig()).health(pool=pool)
             families = parse_exposition(render_prometheus(pool=pool))
         lifecycle = health["lifecycle"]

@@ -1,8 +1,8 @@
 """The supervised pool against real subprocess workers.
 
 Every failure mode the supervisor must survive — chaos-killed workers,
-hangs past the kill timeout, corrupted replies, poisonous kinds that
-trip the breaker — exercised with deterministic
+hangs past the kill timeout, corrupted replies, one tenant's hangs
+next to another tenant's work — exercised with deterministic
 :class:`~repro.guard.chaos.WorkerChaosPolicy` seeds.  The seed-search
 helper picks seeds with a *known* fault schedule per ``(job, attempt)``
 so the assertions are exact, not probabilistic.
@@ -10,16 +10,14 @@ so the assertions are exact, not probabilistic.
 
 from __future__ import annotations
 
+import io
+import json
+import time
+
 import pytest
 
 from repro.guard.chaos import WorkerChaosPolicy
-from repro.svc import (
-    BreakerConfig,
-    BreakerRegistry,
-    JobSpec,
-    RetryPolicy,
-    WorkerPool,
-)
+from repro.svc import JobSpec, ServiceConfig, WorkerPool, serve_lines
 from repro.svc.job import PROVED, UNKNOWN
 
 PASSING = """\
@@ -27,9 +25,6 @@ type BT[v : Int]{L(0), N(2)}
 lang pos : BT { N(l, r) where (v > 0) given (pos l) (pos r) | L() }
 assert-false (is-empty pos)
 """
-
-FAST_RETRY = RetryPolicy(max_retries=2, base_delay=0.01, max_delay=0.05)
-
 
 def find_seed(predicate, limit=2000):
     """The first chaos seed whose fault schedule matches ``predicate``."""
@@ -43,7 +38,7 @@ class TestHappyPath:
     def test_jobs_come_back_in_input_order(self):
         specs = [JobSpec(f"job-{i}", "run", PASSING) for i in range(4)]
         with WorkerPool(2) as pool:
-            results = pool.run_jobs(specs, retry=FAST_RETRY)
+            results = pool.run_jobs(specs, retries=2)
         assert [r.job_id for r in results] == [s.job_id for s in specs]
         assert all(r.outcome == PROVED for r in results)
         assert all(r.attempts == 1 for r in results)
@@ -73,19 +68,41 @@ class TestCrashRecovery:
         chaos = WorkerChaosPolicy(seed=seed, kill_rate=0.5)
         with WorkerPool(1, chaos=chaos) as pool:
             [result] = pool.run_jobs(
-                [JobSpec("victim", "run", PASSING)], retry=FAST_RETRY
+                [JobSpec("victim", "run", PASSING)], retries=2
             )
         assert result.outcome == PROVED
         assert result.attempts == 2
         assert result.attempt_failures[0]["kind"] == "crash"
         assert result.attempt_failures[0]["transient"] is True
 
+    def test_chaos_kill_is_requeued_without_a_wait(self, monkeypatch):
+        seed = find_seed(
+            lambda s: (p := WorkerChaosPolicy(seed=s, kill_rate=0.5)).decide(
+                "victim", 0
+            )
+            == "kill"
+            and p.decide("victim", 1) is None
+        )
+        # The supervisor's only reason to sleep would be a backoff
+        # between the crash and the re-dispatch.
+        sleeps = []
+        real_sleep = time.sleep
+        monkeypatch.setattr(
+            time, "sleep", lambda s: (sleeps.append(s), real_sleep(s))
+        )
+        chaos = WorkerChaosPolicy(seed=seed, kill_rate=0.5)
+        with WorkerPool(1, chaos=chaos) as pool:
+            [result] = pool.run_jobs([JobSpec("victim", "run", PASSING)])
+        assert result.outcome == PROVED
+        assert result.attempts == 2
+        assert sleeps == []
+
     def test_exhausted_retries_degrade_to_unknown(self):
         chaos = WorkerChaosPolicy(seed=0, kill_rate=1.0)  # every attempt dies
         with WorkerPool(1, chaos=chaos) as pool:
             [result] = pool.run_jobs(
                 [JobSpec("doomed", "run", PASSING)],
-                retry=RetryPolicy(max_retries=1, base_delay=0.01),
+                retries=1,
             )
         assert result.outcome == UNKNOWN
         assert result.failure.kind == "crash"
@@ -97,7 +114,7 @@ class TestCrashRecovery:
         with WorkerPool(1, chaos=chaos) as pool:
             pool.run_jobs(
                 [JobSpec("doomed", "run", PASSING)],
-                retry=RetryPolicy(max_retries=0),
+                retries=0,
             )
             # Workers were respawned; a fault-free batch still works.
             pool.chaos = None
@@ -115,7 +132,7 @@ class TestTimeouts:
         with WorkerPool(1, chaos=chaos) as pool:
             [result] = pool.run_jobs(
                 [JobSpec("hang", "run", PASSING)],
-                retry=FAST_RETRY,
+                retries=2,
                 kill_timeout=0.7,
             )
         assert result.outcome == UNKNOWN
@@ -136,28 +153,54 @@ class TestCorruptReplies:
         chaos = WorkerChaosPolicy(seed=seed, corrupt_rate=0.5)
         with WorkerPool(1, chaos=chaos) as pool:
             [result] = pool.run_jobs(
-                [JobSpec("garbled", "run", PASSING)], retry=FAST_RETRY
+                [JobSpec("garbled", "run", PASSING)], retries=2
             )
         assert result.outcome == PROVED
         assert result.attempts == 2
         assert result.attempt_failures[0]["kind"] == "corrupt"
 
 
-class TestBreakerIntegration:
-    def test_poisonous_kind_trips_breaker_and_sheds_load(self):
-        chaos = WorkerChaosPolicy(seed=0, hang_rate=1.0, hang_seconds=3600.0)
-        breakers = BreakerRegistry(config=BreakerConfig(failure_threshold=2))
-        specs = [JobSpec(f"poison-{i}", "run", PASSING) for i in range(4)]
-        with WorkerPool(1, chaos=chaos) as pool:
-            results = pool.run_jobs(
-                specs,
-                retry=FAST_RETRY,
-                breakers=breakers,
-                kill_timeout=0.5,
+class TestTenantIsolation:
+    def test_one_tenants_hangs_do_not_shut_out_another(self):
+        # Five of mallory's requests hang past their deadline; alice's
+        # request of the same kind right after them must still be
+        # served with its real verdict.
+        victims = [f"mallory-{i}" for i in range(5)]
+        seed = find_seed(
+            lambda s: all(
+                (p := WorkerChaosPolicy(seed=s, hang_rate=0.5)).decide(v, 0)
+                == "hang"
+                for v in victims
             )
-        kinds = [r.failure.kind for r in results]
-        # Two timeouts trip the breaker; the rest shed without dispatch.
-        assert kinds == ["timeout", "timeout", "breaker-open", "breaker-open"]
-        assert all(r.outcome == UNKNOWN for r in results)
-        assert breakers.get("run").state == "open"
-        assert breakers.get("run").trips == 1
+            and p.decide("alice-0", 0) is None
+        )
+        chaos = WorkerChaosPolicy(seed=seed, hang_rate=0.5)
+        lines = [
+            json.dumps(
+                {
+                    "id": v,
+                    "kind": "run",
+                    "tenant": "mallory",
+                    "source": PASSING,
+                    "budget": {"deadline": 0.2},
+                }
+            )
+            for v in victims
+        ]
+        lines.append(
+            json.dumps(
+                {"id": "alice-0", "kind": "run", "tenant": "alice",
+                 "source": PASSING}
+            )
+        )
+        out = io.StringIO()
+        config = ServiceConfig(jobs=1, kill_grace=0.2, worker_chaos=chaos)
+        assert serve_lines(iter(lines), out, config) == 6
+        replies = {
+            doc["id"]: doc
+            for doc in map(json.loads, out.getvalue().splitlines())
+        }
+        for v in victims:
+            assert replies[v]["outcome"] == UNKNOWN
+            assert replies[v]["failure"]["kind"] == "timeout"
+        assert replies["alice-0"]["outcome"] == PROVED

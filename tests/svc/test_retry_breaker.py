@@ -1,116 +1,41 @@
-"""Retry backoff and circuit breaker state machines (no subprocesses)."""
+"""The supervisor's retry rule against real subprocess workers.
+
+A transient failure (a crash, a corrupt reply) is re-queued at once, up
+to ``retries`` attempts beyond the first; a permanent one (a kill
+timeout) finalizes UNKNOWN on the spot.
+"""
 
 from __future__ import annotations
 
-from repro.svc import BreakerConfig, BreakerRegistry, CircuitBreaker, RetryPolicy
-from repro.svc.breaker import CLOSED, HALF_OPEN, OPEN
-from repro.svc.job import JobFailure
+from repro.guard.chaos import WorkerChaosPolicy
+from repro.svc import JobSpec, WorkerPool
+from repro.svc.job import UNKNOWN
 
-TRANSIENT = JobFailure("crash", "worker died", transient=True)
-PERMANENT = JobFailure("timeout", "worker hung", transient=False)
+PASSING = """\
+type BT[v : Int]{L(0), N(2)}
+lang pos : BT { N(l, r) where (v > 0) given (pos l) (pos r) | L() }
+assert-false (is-empty pos)
+"""
 
 
 class TestRetryPolicy:
     def test_transient_failures_retry_up_to_cap(self):
-        policy = RetryPolicy(max_retries=2)
-        assert policy.should_retry(TRANSIENT, 0)
-        assert policy.should_retry(TRANSIENT, 1)
-        assert not policy.should_retry(TRANSIENT, 2)
+        chaos = WorkerChaosPolicy(seed=0, kill_rate=1.0)  # every attempt dies
+        with WorkerPool(1, chaos=chaos) as pool:
+            [result] = pool.run_jobs(
+                [JobSpec("doomed", "run", PASSING)], retries=2
+            )
+        assert result.outcome == UNKNOWN
+        assert result.attempts == 3
+        assert [f["attempt"] for f in result.attempt_failures] == [0, 1, 2]
+        assert all(f["transient"] for f in result.attempt_failures)
 
     def test_permanent_failures_never_retry(self):
-        policy = RetryPolicy(max_retries=5)
-        assert not policy.should_retry(PERMANENT, 0)
-
-    def test_full_jitter_delay_bounds(self):
-        policy = RetryPolicy(base_delay=0.1, max_delay=0.5, seed=3)
-        for attempt in range(8):
-            cap = min(0.5, 0.1 * 2**attempt)
-            delay = policy.delay(attempt)
-            assert 0.0 <= delay <= cap
-
-    def test_seeded_delays_are_reproducible(self):
-        a = RetryPolicy(seed=42)
-        b = RetryPolicy(seed=42)
-        assert [a.delay(k) for k in range(5)] == [b.delay(k) for k in range(5)]
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-class TestCircuitBreaker:
-    def make(self, threshold=3, cooldown=10.0):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            "run", BreakerConfig(threshold, cooldown), clock
-        )
-        return breaker, clock
-
-    def test_trips_after_consecutive_failures(self):
-        breaker, _ = self.make(threshold=3)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == CLOSED and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert breaker.trips == 1
-        assert not breaker.allow()
-        assert breaker.rejected == 1
-
-    def test_success_resets_the_failure_count(self):
-        breaker, _ = self.make(threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CLOSED  # never reached 3 consecutive
-
-    def test_half_open_probe_success_closes(self):
-        breaker, clock = self.make(threshold=2, cooldown=10.0)
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        clock.advance(9.9)
-        assert not breaker.allow()  # cooldown not yet elapsed
-        clock.advance(0.2)
-        assert breaker.allow()  # the probe slot
-        assert breaker.state == HALF_OPEN
-        assert not breaker.allow()  # queue-mates wait behind the probe
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        assert breaker.allow()
-
-    def test_half_open_probe_failure_reopens_with_fresh_cooldown(self):
-        breaker, clock = self.make(threshold=2, cooldown=10.0)
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()  # probe
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert breaker.trips == 2
-        clock.advance(5.0)
-        assert not breaker.allow()  # the cooldown restarted at re-trip
-        clock.advance(5.0)
-        assert breaker.allow()
-
-
-class TestBreakerRegistry:
-    def test_one_breaker_per_kind(self):
-        registry = BreakerRegistry()
-        assert registry.get("run") is registry.get("run")
-        assert registry.get("run") is not registry.get("compose")
-
-    def test_registry_config_is_shared(self):
-        registry = BreakerRegistry(config=BreakerConfig(failure_threshold=1))
-        breaker = registry.get("emptiness")
-        breaker.record_failure()
-        assert breaker.state == OPEN
+        chaos = WorkerChaosPolicy(seed=0, hang_rate=1.0, hang_seconds=3600.0)
+        with WorkerPool(1, chaos=chaos) as pool:
+            [result] = pool.run_jobs(
+                [JobSpec("hang", "run", PASSING)], retries=5, kill_timeout=0.5
+            )
+        assert result.outcome == UNKNOWN
+        assert result.failure.kind == "timeout"
+        assert result.attempts == 1

@@ -338,7 +338,7 @@ class TestServeLines:
         assert doc["id"] == "probe"
         assert doc["ready"] is True
         assert doc["counters"]["admitted"] == 0
-        assert "breakers" in doc
+        assert "breakers" not in doc
 
     def test_health_request_carries_worker_lifecycle(self):
         # The same health reply as the socket and HTTP front-ends.

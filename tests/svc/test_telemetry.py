@@ -26,7 +26,7 @@ from repro.obs import config as obs_config
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs_tracer
 from repro.obs.export import chrome_trace
-from repro.svc import JobSpec, RetryPolicy, WorkerPool
+from repro.svc import JobSpec, WorkerPool
 from repro.svc.gate import AdmissionGate, GateConfig, Ticket
 from repro.svc.job import JobResult, PROVED, UNKNOWN
 from repro.svc import telemetry as tel
@@ -38,7 +38,6 @@ lang pos : BT { N(l, r) where (v > 0) given (pos l) (pos r) | L() }
 assert-false (is-empty pos)
 """
 
-FAST_RETRY = RetryPolicy(max_retries=2, base_delay=0.01, max_delay=0.05)
 
 
 @pytest.fixture(autouse=True)
@@ -284,7 +283,7 @@ class TestGoldenTrace:
         obs.reset()
         with obs.observed():
             with WorkerPool(2) as pool:
-                results = pool.run_jobs(specs, retry=FAST_RETRY)
+                results = pool.run_jobs(specs, retries=2)
             doc = chrome_trace()
         assert all(r.outcome == PROVED for r in results)
         assert all(r.telemetry is None for r in results)  # consumed
@@ -347,7 +346,7 @@ class TestGoldenTrace:
         with obs.observed():
             with WorkerPool(1, chaos=chaos) as pool:
                 [result] = pool.run_jobs(
-                    [JobSpec("victim", "run", PASSING)], retry=FAST_RETRY
+                    [JobSpec("victim", "run", PASSING)], retries=2
                 )
             doc = chrome_trace()
         assert result.outcome == PROVED and result.attempts == 2
@@ -371,7 +370,7 @@ class TestGoldenTrace:
             with WorkerPool(1, chaos=chaos) as pool:
                 [result] = pool.run_jobs(
                     [JobSpec("doomed", "run", PASSING)],
-                    retry=RetryPolicy(max_retries=1, base_delay=0.01),
+                    retries=1,
                 )
             doc = chrome_trace()
         assert result.outcome == UNKNOWN
