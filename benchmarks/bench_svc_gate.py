@@ -2,24 +2,27 @@
 
 The gate's pitch (:mod:`repro.svc.gate`) is that overload turns into
 *fast, explicit* shedding instead of unbounded queueing.  This
-benchmark makes that claim measurable: ~200 requests are blasted at a
-socket front-end with a deliberately tiny pool (2 workers) and queue
+benchmark makes that claim measurable: ~200 requests are blasted at the
+HTTP front-end with a deliberately tiny pool (2 workers) and queue
 (8 slots) — far past 2x the service capacity — and every request's
-client-side latency is recorded.  Reported per run:
+client-side latency is recorded.  Each client sends its requests one
+after another over one keep-alive connection; HTTP/1.1 does not
+pipeline, so overload comes from the number of clients, which must
+exceed queue plus workers.  Reported per run:
 
 * **offered / served / shed** — the partition (must be exact: every
   request gets exactly one response; ``svc.gate.unanswered`` counts
   the holes and is diff-gated at **zero** in CI);
 * **served jobs/sec** — goodput under overload;
 * **shed p50/p95** — how fast a refusal arrives.  The whole point of
-  admission control on the reader thread is that a shed answer does
+  admission control on the handler thread is that a shed answer does
   not wait behind the backlog: the gate requires p95 **< 10 ms**;
 * **served p50/p99** — latency of accepted work; p99 must stay under
   the deadline ceiling plus execution slop, because admitted jobs
   carry their *remaining* deadline into the pool.
 
 Environment knobs: ``GATE_REQUESTS`` (default 200), ``GATE_CLIENTS``
-(default 4), ``GATE_MAX_QUEUE`` (default 8), ``GATE_SHED_P95_MS``
+(default 40), ``GATE_MAX_QUEUE`` (default 8), ``GATE_SHED_P95_MS``
 (default 10).
 
 Run directly for a quick report::
@@ -29,9 +32,9 @@ Run directly for a quick report::
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
-import socket
 import sys
 import threading
 import time
@@ -41,12 +44,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.obs import metrics as obs_metrics  # noqa: E402
 from repro.svc import (  # noqa: E402
     GateConfig,
+    HttpFrontEnd,
     ServiceConfig,
 )
-from repro.svc.serve import SocketFrontEnd  # noqa: E402
 
 N_REQUESTS = int(os.environ.get("GATE_REQUESTS", 200))
-N_CLIENTS = int(os.environ.get("GATE_CLIENTS", 4))
+N_CLIENTS = int(os.environ.get("GATE_CLIENTS", 40))
 MAX_QUEUE = int(os.environ.get("GATE_MAX_QUEUE", 8))
 SHED_P95_MS = float(os.environ.get("GATE_SHED_P95_MS", 10.0))
 MAX_DEADLINE = 30.0
@@ -70,7 +73,8 @@ def _quantile(sorted_values: list[float], q: float) -> float:
 
 
 class _LoadClient:
-    """One connection blasting pipelined requests, timing every reply."""
+    """One keep-alive connection sending requests back to back, timing
+    every reply."""
 
     def __init__(self, host: str, port: int, ids: list[str]) -> None:
         self.addr = (host, port)
@@ -80,36 +84,25 @@ class _LoadClient:
         self.errors: list[BaseException] = []
 
     def run(self) -> None:
+        conn = http.client.HTTPConnection(*self.addr, timeout=120)
         try:
-            with socket.create_connection(self.addr, timeout=120) as conn:
-                wire = conn.makefile(
-                    "rw", encoding="utf-8", newline="\n"
+            for request_id in self.ids:
+                body = json.dumps(
+                    {"id": request_id, "kind": "run", "source": PASSING}
                 )
-                for request_id in self.ids:
-                    self.sent_at[request_id] = time.perf_counter()
-                    wire.write(
-                        json.dumps(
-                            {
-                                "id": request_id,
-                                "kind": "run",
-                                "source": PASSING,
-                            }
-                        )
-                        + "\n"
-                    )
-                    wire.flush()
-                for _ in self.ids:
-                    line = wire.readline()
-                    if not line:
-                        break  # holes become unanswered, counted below
-                    doc = json.loads(line)
-                    self.replies[doc["id"]] = (doc, time.perf_counter())
+                self.sent_at[request_id] = time.perf_counter()
+                conn.request("POST", "/v1/analyze", body=body)
+                doc = json.loads(conn.getresponse().read())
+                # Holes (a reply for another id) become unanswered below.
+                self.replies[doc.get("id")] = (doc, time.perf_counter())
         except BaseException as exc:
             self.errors.append(exc)
+        finally:
+            conn.close()
 
 
 def measure() -> dict[str, float]:
-    front = SocketFrontEnd(
+    front = HttpFrontEnd(
         config=ServiceConfig(jobs=2),
         gate_config=GateConfig(
             max_queue=MAX_QUEUE,
@@ -119,17 +112,15 @@ def measure() -> dict[str, float]:
         ),
     )
     per_client = N_REQUESTS // N_CLIENTS
-    clients = [
-        _LoadClient(
-            "127.0.0.1",
-            0,
-            [f"c{c}-r{i}" for i in range(per_client)],
-        )
-        for c in range(N_CLIENTS)
-    ]
     with front:
-        for client in clients:
-            client.addr = (front.host, front.port)
+        clients = [
+            _LoadClient(
+                front.host,
+                front.port,
+                [f"c{c}-r{i}" for i in range(per_client)],
+            )
+            for c in range(N_CLIENTS)
+        ]
         t0 = time.perf_counter()
         threads = [
             threading.Thread(target=client.run) for client in clients

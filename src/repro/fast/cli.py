@@ -10,15 +10,14 @@
 * ``batch`` — run many programs concurrently through the supervised
   worker pool (:mod:`repro.svc`) with per-file crash isolation:
   ``fast batch examples/ --jobs 8 --timeout 10 --json``;
-* ``serve`` — JSONL serving against a persistent worker pool:
-  ``--stdin-jsonl`` (one JSON request per input
-  line, one JSON result per output line), ``--listen HOST:PORT``
-  (the same protocol over TCP, behind an admission gate: bounded
-  queue with load shedding, per-tenant token-bucket quotas, a
-  deadline ceiling, ``health``/``stats`` request kinds, and graceful
-  drain on SIGTERM), or ``--http HOST:PORT`` (the same protocol over
-  HTTP/1.1: ``POST /v1/analyze``, ``GET /metrics`` Prometheus
-  exposition, ``GET /healthz``).
+* ``serve`` — JSONL serving against a persistent worker pool, behind
+  an admission gate (per-tenant token-bucket quotas, a deadline
+  ceiling, ``health``/``stats`` request kinds): ``--stdin-jsonl``
+  (one JSON request per input line, one JSON result per output line)
+  or ``--http HOST:PORT`` (the same protocol over HTTP/1.1, with a
+  bounded queue and load shedding: ``POST /v1/analyze``,
+  ``GET /metrics`` Prometheus exposition, ``GET /healthz``, and
+  graceful drain on SIGTERM).
 
 ``run`` is the default: ``fast program.fast`` and
 ``fast --profile program.fast`` both work without naming a subcommand.
@@ -281,18 +280,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "result per stdout line",
     )
     serve.add_argument(
-        "--listen",
-        metavar="HOST:PORT",
-        default=None,
-        help="serve JSONL over a TCP socket with admission control "
-        "(bounded queue, tenant quotas, deadline shedding); PORT 0 "
-        "picks a free port (printed to stderr)",
-    )
-    serve.add_argument(
         "--http",
         metavar="HOST:PORT",
         default=None,
-        help="serve the same job protocol over HTTP/1.1: POST "
+        help="serve the same job protocol over HTTP/1.1 with admission "
+        "control (bounded queue, tenant quotas, deadline shedding): POST "
         "/v1/analyze (one JSON request per body; shed -> 429/503 with "
         "Retry-After), GET /metrics (Prometheus text exposition), GET "
         "/healthz; PORT 0 picks a free port (printed to stderr)",
@@ -350,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="directory 'file' requests are confined to (default: cwd "
-        "for --stdin-jsonl, disabled for --listen)",
+        "for --stdin-jsonl, disabled for --http)",
     )
     serve.add_argument(
         "--max-source-bytes",
@@ -471,20 +463,13 @@ def _serve_command(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    if not args.stdin_jsonl and not args.listen and not args.http:
+    if not args.stdin_jsonl and not args.http:
         print(
-            "error: fast serve requires --stdin-jsonl, --listen HOST:PORT, "
-            "or --http HOST:PORT",
+            "error: fast serve requires --stdin-jsonl or --http HOST:PORT",
             file=sys.stderr,
         )
         return EXIT_ERROR
-    from ..svc import (
-        GateConfig,
-        RequestLimits,
-        serve_http,
-        serve_lines,
-        serve_socket,
-    )
+    from ..svc import GateConfig, RequestLimits, serve_http, serve_lines
 
     gate_config = GateConfig(
         max_queue=args.max_queue,
@@ -495,25 +480,21 @@ def _serve_command(args: argparse.Namespace) -> int:
         workers=args.jobs,
     )
 
-    if args.listen or args.http:
-        flag, value = (
-            ("--listen", args.listen) if args.listen else ("--http", args.http)
-        )
-        host, _, port_s = value.rpartition(":")
+    if args.http:
+        host, _, port_s = args.http.rpartition(":")
         if not host or not port_s.isdigit():
             print(
-                f"error: {flag} wants HOST:PORT, got {value!r}",
+                f"error: --http wants HOST:PORT, got {args.http!r}",
                 file=sys.stderr,
             )
             return EXIT_ERROR
         limits = RequestLimits(
             root=args.serve_root, max_source_bytes=args.max_source_bytes
         )
-        banner = "http listening on" if args.http else "listening on"
 
         def ready(front) -> None:
             print(
-                f"{banner} {front.host}:{front.port} "
+                f"http listening on {front.host}:{front.port} "
                 f"(queue {args.max_queue}, deadline ceiling "
                 f"{args.max_deadline}s; SIGTERM drains)",
                 file=sys.stderr,
@@ -523,8 +504,7 @@ def _serve_command(args: argparse.Namespace) -> int:
                 for sig in (signal.SIGTERM, signal.SIGINT):
                     signal.signal(sig, lambda *_: front.initiate_drain())
 
-        runner = serve_http if args.http else serve_socket
-        served = runner(
+        served = serve_http(
             host,
             int(port_s),
             config=_service_config(args),

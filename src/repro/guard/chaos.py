@@ -48,7 +48,7 @@ With the admission gate (:mod:`repro.svc.gate`) in front of the pool,
 the harness also models **overload** faults — hostile *traffic*, not
 hostile workers: :class:`OverloadChaosPolicy` deterministically decides
 per request index whether a client bursts (floods the gate with extra
-back-to-back requests) or stalls (sleeps mid-send like a slow client).
+concurrent requests) or stalls (sleeps mid-send like a slow client).
 The overload property test drives the gate with these schedules and
 asserts the invariants that make shedding safe: every admitted request
 gets exactly one response, every shed request gets a shed response, and
@@ -306,7 +306,7 @@ class OverloadChaosPolicy:
     seed: int = 0
     #: Probability a request index starts a burst flood.
     burst_rate: float = 0.0
-    #: Extra back-to-back requests injected per burst.
+    #: Extra concurrent requests injected per burst.
     burst_size: int = 8
     #: Probability a client stalls (sleeps) before sending its request.
     stall_rate: float = 0.0
@@ -330,27 +330,6 @@ class OverloadChaosPolicy:
             return "stall"
         return None
 
-    def schedule(self, n: int) -> list[tuple[int, Optional[str]]]:
-        """The full ``(index, action)`` plan for ``n`` base requests.
-
-        Purely derived from :meth:`decide`; handy for tests that want
-        to assert how many bursts/stalls a seed produces before driving
-        the gate with them.
-        """
-        return [(i, self.decide(i)) for i in range(n)]
-
-    def total_requests(self, n: int) -> int:
-        """How many requests ``n`` base sends expand to (bursts included)."""
-        total = n
-        for _, action in self.schedule(n):
-            if action == "burst":
-                total += self.burst_size
-        return total
-
-    @property
-    def active(self) -> bool:
-        return bool(self.burst_rate or self.stall_rate)
-
 
 #: Spec keys understood by :func:`worker_policy_from_spec`; ignored by
 #: :func:`policy_from_spec` so one ``REPRO_CHAOS`` string can carry both
@@ -363,16 +342,6 @@ _WORKER_KEYS = {
     "worker_leak_rate": ("leak_rate", float),
     "worker_leak_bytes": ("leak_bytes", int),
 }
-
-#: Spec keys understood by :func:`overload_policy_from_spec`; ignored by
-#: the solver- and worker-level parsers for the same reason.
-_OVERLOAD_KEYS = {
-    "overload_burst_rate": ("burst_rate", float),
-    "overload_burst_size": ("burst_size", int),
-    "overload_stall_rate": ("stall_rate", float),
-    "overload_stall_seconds": ("stall_seconds", float),
-}
-
 
 def _parse_spec(spec: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
@@ -400,7 +369,7 @@ def policy_from_spec(spec: str) -> ChaosPolicy:
             kwargs[key] = int(value)
         elif key in ("fault_rate", "unknown_rate", "latency", "flush_rate"):
             kwargs[key] = float(value)
-        elif key in _WORKER_KEYS or key in _OVERLOAD_KEYS:
+        elif key in _WORKER_KEYS:
             continue
         else:
             raise ValueError(f"unknown chaos spec key {key!r}")
@@ -423,25 +392,6 @@ def worker_policy_from_spec(spec: str) -> Optional[WorkerChaosPolicy]:
     if "seed" in pairs:
         kwargs["seed"] = int(pairs["seed"])
     policy = WorkerChaosPolicy(**kwargs)  # type: ignore[arg-type]
-    return policy if policy.active else None
-
-
-def overload_policy_from_spec(spec: str) -> Optional[OverloadChaosPolicy]:
-    """The :class:`OverloadChaosPolicy` of a spec, or None when inert.
-
-    Shares the ``seed`` key with the other policies; only ``overload_*``
-    keys activate it, so solver- and worker-only specs return None.
-    """
-    pairs = _parse_spec(spec) if spec else {}
-    kwargs: dict[str, object] = {}
-    for key, (field_name, conv) in _OVERLOAD_KEYS.items():
-        if key in pairs:
-            kwargs[field_name] = conv(pairs[key])
-    if not kwargs:
-        return None
-    if "seed" in pairs:
-        kwargs["seed"] = int(pairs["seed"])
-    policy = OverloadChaosPolicy(**kwargs)  # type: ignore[arg-type]
     return policy if policy.active else None
 
 

@@ -28,11 +28,12 @@ process survives anything a job does:
   server-side deadline ceiling with remaining-time propagation, health
   snapshots, and graceful drain;
 * :mod:`~repro.svc.batch` / :mod:`~repro.svc.serve` — the engines of
-  ``fast batch``, ``fast serve --stdin-jsonl``, and
-  ``fast serve --listen HOST:PORT`` (the socket JSONL front-end);
-* :mod:`~repro.svc.http` — ``fast serve --http HOST:PORT``: the same
-  serving core behind an HTTP/1.1 surface (``POST /v1/analyze``,
-  ``GET /metrics`` Prometheus exposition, ``GET /healthz``).
+  ``fast batch`` and ``fast serve --stdin-jsonl`` (request parsing,
+  triage and admission shared by both serving loops);
+* :mod:`~repro.svc.http` — ``fast serve --http HOST:PORT``, the network
+  front-end: the pending queue, dispatcher and drain behind an HTTP/1.1
+  surface (``POST /v1/analyze``, ``GET /metrics`` Prometheus
+  exposition, ``GET /healthz``).
 
 Quick use::
 
@@ -64,15 +65,12 @@ from .http import HttpFrontEnd, serve_http
 from .lifecycle import LifecyclePolicy, current_rss_bytes, parse_size
 from .pool import WorkerPool
 from .serve import (
-    FrontEndBase,
     RequestError,
     RequestLimits,
-    SocketFrontEnd,
     mint_trace_id,
     parse_line,
     parse_request,
     serve_lines,
-    serve_socket,
 )
 from .service import AnalysisService, ServiceConfig, chaos_from_env
 
@@ -81,7 +79,6 @@ __all__ = [
     "AnalysisService",
     "BatchReport",
     "BudgetSpec",
-    "FrontEndBase",
     "GateConfig",
     "HttpFrontEnd",
     "InvalidBudget",
@@ -94,7 +91,6 @@ __all__ = [
     "RequestLimits",
     "ServiceConfig",
     "Shed",
-    "SocketFrontEnd",
     "Ticket",
     "TokenBucket",
     "WorkerPool",
@@ -110,5 +106,4 @@ __all__ = [
     "run_batch",
     "serve_http",
     "serve_lines",
-    "serve_socket",
 ]

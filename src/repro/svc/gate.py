@@ -49,11 +49,11 @@ that implicit, unbounded queue with explicit, deliberate policy:
   letting the dispatcher finish what was already admitted, up to the
   front-end's drain timeout.
 
-The gate is deliberately front-end agnostic: the stdin-JSONL loop and
-the socket server (:mod:`repro.svc.serve`) both run every request
-through the same :meth:`admit` / :meth:`release` pair, so admission
-semantics cannot drift between transports.  All methods are
-thread-safe (the socket front-end admits from many connection threads
+The gate is deliberately front-end agnostic: the stdin-JSONL loop
+(:mod:`repro.svc.serve`) and the HTTP server (:mod:`repro.svc.http`)
+both run every request through the same :meth:`admit` / :meth:`release`
+pair, so admission semantics cannot drift between them.  All methods
+are thread-safe (the HTTP front-end admits from many handler threads
 while one dispatcher releases).
 
 See DESIGN.md §11 for the admission/shedding state machine.

@@ -1,4 +1,4 @@
-"""``fast serve``: JSONL serving front-ends (stdin loop and socket).
+"""``fast serve``: the JSONL serving protocol and the stdin loop.
 
 The minimal serving surface: one JSON object per input line describes a
 request, one JSON object per output line reports its outcome.  Request
@@ -24,25 +24,19 @@ an ``id`` echo), shed notices (``{"id": ..., "shed": true, "reason":
 dies on bad input — the same posture the worker pool takes toward bad
 jobs.
 
-All three front-ends put every request through the same
-:class:`~repro.svc.gate.AdmissionGate`:
+Both front-ends parse with :func:`triage` and put every job request
+through the same :class:`~repro.svc.gate.AdmissionGate` with
+:func:`admit`:
 
 * :func:`serve_lines` — the ``--stdin-jsonl`` loop: synchronous, one
   request at a time, so its queue never builds, but deadline clamping,
   tenant quotas, and the ``health`` kind behave identically to the
-  socket path.  Stdin EOF is the drain signal.
+  HTTP path.  Stdin EOF is the drain signal.
 
-* :class:`SocketFrontEnd` — ``--listen HOST:PORT``: one reader thread
-  per connection feeding a bounded pending queue, one dispatcher
-  thread owning the (single-threaded) supervisor pool.  Admission and
-  shedding happen on the connection thread — a shed request is
-  answered in microseconds however deep the backlog — and responses
-  stream back as each job decides.  SIGTERM initiates graceful drain:
-  stop admitting, finish what was admitted (up to the gate's drain
-  timeout), close the pool, exit 0.
-
-* :class:`~repro.svc.http.HttpFrontEnd` — ``--http HOST:PORT``: the
-  socket front-end's serving core behind an HTTP/1.1 surface.
+* :class:`~repro.svc.http.HttpFrontEnd` — ``--http HOST:PORT``: handler
+  threads feeding a bounded pending queue, one dispatcher thread owning
+  the pool, ``/metrics`` and ``/healthz``, and graceful drain on
+  SIGTERM.
 
 The service — pool and warm workers — persists across requests.  No
 request can shut out another: a job's cost is bounded by the gate's
@@ -51,24 +45,21 @@ deadline ceiling plus the kill grace, and each tenant by its quota.
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import json
 import os
-import queue
 import re
 import secrets
-import socket
 import sys
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Any, Callable, Iterator, Optional
+from typing import IO, Any, Iterator, Optional
 
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
-from .gate import AdmissionGate, GateConfig, SHED_DRAINING, Shed, Ticket
+from .gate import AdmissionGate, GateConfig, Shed, Ticket
 from .job import KINDS, BudgetSpec, JobSpec
 from .service import AnalysisService, ServiceConfig
 from .telemetry import stats_line, stats_summary
@@ -121,11 +112,6 @@ class RequestLimits:
 
     root: Optional[str] = None
     max_source_bytes: int = 1 << 20
-
-    @classmethod
-    def local(cls) -> "RequestLimits":
-        """The stdin-loop default: files confined to the cwd."""
-        return cls(root=os.getcwd())
 
 
 @dataclass
@@ -315,7 +301,7 @@ def serve_lines(
     """Serve until the input ends; returns the number of jobs served.
 
     Every request passes through an :class:`AdmissionGate` (quota and
-    deadline semantics identical to the socket front-end; the queue
+    deadline semantics identical to the HTTP front-end; the queue
     bound is moot because this loop is synchronous).  ``stop`` — when
     given — drains the loop from outside (the CLI sets it on SIGTERM):
     the current job finishes, no further line is admitted.
@@ -353,20 +339,14 @@ def serve_lines(
                 if not _emit(out, request):
                     break
                 continue
+            ticket = admit(request, gate)
+            if not isinstance(ticket, Ticket):
+                if not _emit(out, ticket):
+                    break
+                continue
             with obs_tracer.trace_context(request.trace_id):
-                with obs_tracer.span(
-                    "svc.admission",
-                    id=request.client_id,
-                    kind=request.spec.kind,
-                    tenant=request.tenant,
-                ):
-                    decision = gate.admit(request.spec, request.tenant)
-                if isinstance(decision, Shed):
-                    if not _emit(out, decision.response(request.client_id)):
-                        break
-                    continue
                 with obs_tracer.span("svc.dispatch", id=request.client_id):
-                    released = gate.release(decision)
+                    released = gate.release(ticket)
                 if isinstance(released, Shed):
                     if not _emit(out, released.response(request.client_id)):
                         break
@@ -379,7 +359,7 @@ def serve_lines(
             if not _emit(out, doc):
                 break
             served += 1
-            mark = _rolling_stats(gate, stats_interval, err, mark)
+            mark = rolling_stats(gate, stats_interval, err, mark)
         if stats:
             err.write(stats_summary(gate) + "\n")
             err.flush()
@@ -459,6 +439,25 @@ def triage(
     return request
 
 
+def admit(request: Request, gate: AdmissionGate) -> Ticket | dict[str, Any]:
+    """Put one job request through the gate under its trace id.
+
+    The one admission step of every serving loop: returns the admitted
+    :class:`~repro.svc.gate.Ticket`, or the shed reply document.
+    """
+    with obs_tracer.trace_context(request.trace_id):
+        with obs_tracer.span(
+            "svc.admission",
+            id=request.client_id,
+            kind=request.spec.kind,
+            tenant=request.tenant,
+        ):
+            decision = gate.admit(request.spec, request.tenant)
+    if isinstance(decision, Shed):
+        return decision.response(request.client_id)
+    return decision
+
+
 def health_doc(
     gate: AdmissionGate, svc: Optional[AnalysisService], workers: int
 ) -> dict[str, Any]:
@@ -479,7 +478,7 @@ def stats_response(request: Request, gate: AdmissionGate) -> dict[str, Any]:
     }
 
 
-def _rolling_stats(
+def rolling_stats(
     gate: AdmissionGate,
     interval: float,
     err: IO[str],
@@ -511,422 +510,3 @@ def _emit(out: IO[str], doc: dict[str, Any]) -> bool:
             _OBS_CLIENT_GONE.inc()
             return False
         raise
-
-
-# -- the threaded front-end core ---------------------------------------------
-
-
-class FrontEndBase:
-    """The transport-agnostic serving core behind the socket and HTTP
-    front-ends: one :class:`AdmissionGate`, one bounded pending queue,
-    one dispatcher thread owning the (single-threaded)
-    :class:`AnalysisService`.
-
-    A transport's job is only to turn its inbound payloads into calls
-    to :meth:`handle_line` with a ``reply`` callback, and to shut its
-    listener in :meth:`_shutdown_transport` — admission, quotas,
-    deadline propagation, trace-id handling, live stats, and drain
-    semantics live here once and cannot drift between transports.
-
-    * **Caller threads** (connection readers, HTTP handler threads) run
-      parse + gate inline — health/stats probes, parse errors, and shed
-      decisions are answered right there, without the dispatcher, which
-      is what keeps refusal latency flat under any backlog; admitted
-      tickets go onto the pending queue (bounded by the gate, so the
-      queue object itself never grows past ``max_queue``).
-    * The **dispatcher thread** pulls micro-batches of up to ``jobs``
-      tickets, re-checks each ticket's remaining deadline (queue time
-      burned the budget; an expired ticket sheds without dispatch), and
-      streams each result to its ``reply`` as the pool finalizes it.
-
-    Responses carry the client's ``id`` and the request's ``trace_id``;
-    internally every dispatched job gets a unique sequence id so
-    clients reusing ids (or two clients picking the same id) cannot
-    collide inside a pool batch.
-
-    Drain (:meth:`initiate_drain`, wired to SIGTERM by the CLI): the
-    transport closes, the gate sheds new requests with ``reason:
-    "draining"``, the dispatcher finishes the queue up to
-    ``drain_timeout``, any leftovers are shed, the pool closes, and
-    :meth:`wait` returns.
-    """
-
-    def __init__(
-        self,
-        config: Optional[ServiceConfig] = None,
-        gate_config: Optional[GateConfig] = None,
-        limits: Optional[RequestLimits] = None,
-        stats_interval: float = 0.0,
-        err: Optional[IO[str]] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.config = config or ServiceConfig()
-        self.gate = AdmissionGate(
-            gate_config or GateConfig(workers=self.config.jobs), clock=clock
-        )
-        self.limits = limits if limits is not None else RequestLimits()
-        self.clock = clock
-        self.stats_interval = stats_interval
-        self.err = err if err is not None else sys.stderr
-        self._svc: Optional[AnalysisService] = None
-        self._stats_mark = (self.gate.started, 0)
-        self._queue: "queue.Queue[Ticket]" = queue.Queue()
-        self._draining = threading.Event()
-        self._done = threading.Event()
-        self._seq = 0
-        self._seq_lock = threading.Lock()
-        self._threads: list[threading.Thread] = []
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "FrontEndBase":
-        t = threading.Thread(
-            target=self._dispatch_loop, name="serve-dispatch", daemon=True
-        )
-        t.start()
-        self._threads.append(t)
-        return self
-
-    def _shutdown_transport(self) -> None:
-        """Transport hook: stop accepting new payloads (idempotent)."""
-
-    def initiate_drain(self) -> None:
-        """Stop admitting; finish admitted work; then shut down."""
-        if self._draining.is_set():
-            return
-        self.gate.start_drain()
-        self._draining.set()
-        self._shutdown_transport()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until drain completes; True when fully shut down."""
-        return self._done.wait(timeout)
-
-    def close(self) -> None:
-        """Hard stop: drain and wait for the dispatcher to finish."""
-        self.initiate_drain()
-        self._done.wait(self.gate.config.drain_timeout + 5.0)
-
-    def __enter__(self) -> "FrontEndBase":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- operator views ----------------------------------------------------
-
-    @property
-    def served(self) -> int:
-        """Jobs answered so far (the gate's ledger)."""
-        return self.gate.served
-
-    def health_doc(self) -> dict[str, Any]:
-        """The ``health`` ledger (gate + worker lifecycle)."""
-        return health_doc(self.gate, self._svc, self.config.jobs)
-
-    def metrics_text(self) -> str:
-        """The Prometheus text exposition of this front-end's state.
-
-        The ``svc_gate_*`` families and the window gauges both come from
-        the gate's ledger (valid with observability off, and exactly
-        consistent with the wire-level served/shed partition); registry
-        metrics ride along when obs recording is on.
-        """
-        from ..obs import config as obs_config
-        from ..obs.live import render_prometheus
-
-        return render_prometheus(
-            gate=self.gate,
-            registry=obs_metrics.REGISTRY if obs_config.ENABLED else None,
-            pool=self._svc.pool if self._svc is not None else None,
-        )
-
-    # -- request handling (caller threads) ---------------------------------
-
-    def handle_line(
-        self,
-        line: str,
-        default_id: str,
-        reply: Callable[[dict[str, Any]], None],
-    ) -> None:
-        """Parse one request payload and answer or enqueue it."""
-        request = triage(
-            line, default_id, self.limits, self.gate, self._svc,
-            self.config.jobs,
-        )
-        if not isinstance(request, Request):
-            reply(request)
-            return
-        with obs_tracer.trace_context(request.trace_id):
-            with obs_tracer.span(
-                "svc.admission",
-                id=request.client_id,
-                kind=request.spec.kind,
-                tenant=request.tenant,
-            ):
-                decision = self.gate.admit(request.spec, request.tenant)
-        if isinstance(decision, Shed):
-            reply(decision.response(request.client_id))
-            return
-        decision.reply = reply
-        self._queue.put(decision)
-
-    # -- the dispatcher ----------------------------------------------------
-
-    def _next_internal_id(self) -> str:
-        with self._seq_lock:
-            self._seq += 1
-            return f"g{self._seq}"
-
-    def _gather(self, max_batch: int) -> list[Ticket]:
-        """Up to ``max_batch`` tickets; blocks briefly for the first."""
-        batch: list[Ticket] = []
-        try:
-            batch.append(self._queue.get(timeout=0.05))
-        except queue.Empty:
-            return batch
-        while len(batch) < max_batch:
-            try:
-                batch.append(self._queue.get_nowait())
-            except queue.Empty:
-                break
-        return batch
-
-    def _dispatch_loop(self) -> None:
-        drain_deadline: Optional[float] = None
-        try:
-            with AnalysisService(self.config) as svc:
-                self._svc = svc
-                while True:
-                    if self._draining.is_set():
-                        if drain_deadline is None:
-                            drain_deadline = (
-                                self.clock() + self.gate.config.drain_timeout
-                            )
-                        if self.clock() >= drain_deadline:
-                            break
-                        if self._queue.empty() and self.gate.inflight == 0:
-                            break
-                    batch = self._gather(max(1, self.config.jobs))
-                    if not batch:
-                        continue
-                    self._dispatch_batch(svc, batch)
-        finally:
-            # Anything still queued when the drain deadline hit gets a
-            # well-formed shed response — never silence.
-            while True:
-                try:
-                    ticket = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                shed = self.gate.drain_shed(ticket)
-                if ticket.reply is not None:
-                    ticket.reply(shed.response(ticket.client_id))
-            self._done.set()
-
-    def _dispatch_batch(
-        self, svc: AnalysisService, batch: list[Ticket]
-    ) -> None:
-        specs: list[JobSpec] = []
-        tickets: dict[str, Ticket] = {}
-        for ticket in batch:
-            with obs_tracer.trace_context(ticket.spec.trace_id):
-                with obs_tracer.span(
-                    "svc.dispatch",
-                    id=ticket.client_id,
-                    kind=ticket.spec.kind,
-                    tenant=ticket.tenant,
-                ):
-                    released = self.gate.release(ticket)
-            if isinstance(released, Shed):
-                if ticket.reply is not None:
-                    ticket.reply(released.response(ticket.client_id))
-                continue
-            internal = self._next_internal_id()
-            specs.append(dataclasses.replace(released, job_id=internal))
-            tickets[internal] = ticket
-        if not specs:
-            return
-        started = self.clock()
-
-        def deliver(result) -> None:
-            ticket = tickets.get(result.job_id)
-            if ticket is None:
-                return
-            doc = result.to_dict()
-            doc["job_id"] = ticket.client_id
-            doc["id"] = ticket.client_id
-            # Fabricated results (crash past retries, kill timeout)
-            # never saw the worker, so the spec's id fills the gap.
-            doc.setdefault("trace_id", ticket.spec.trace_id)
-            if ticket.reply is not None:
-                ticket.reply(doc)
-            self.gate.note_served(
-                result, ticket.tenant, elapsed=self.clock() - started
-            )
-
-        svc.run_jobs(specs, on_result=deliver)
-        self._stats_mark = _rolling_stats(
-            self.gate, self.stats_interval, self.err, self._stats_mark
-        )
-
-
-# -- the socket front-end ----------------------------------------------------
-
-
-class SocketFrontEnd(FrontEndBase):
-    """``fast serve --listen``: a threaded JSONL-over-TCP endpoint.
-
-    The serving core (gate, dispatcher, drain) is
-    :class:`FrontEndBase`; this class adds the TCP transport — an
-    **accept thread** handing each connection to a **reader thread**
-    that feeds :meth:`handle_line` with a per-connection, write-locked
-    ``reply``.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        config: Optional[ServiceConfig] = None,
-        gate_config: Optional[GateConfig] = None,
-        limits: Optional[RequestLimits] = None,
-        stats_interval: float = 0.0,
-        err: Optional[IO[str]] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        super().__init__(
-            config, gate_config, limits, stats_interval, err, clock
-        )
-        self._listener = socket.create_server(
-            (host, port), reuse_port=False
-        )
-        self.host, self.port = self._listener.getsockname()[:2]
-        self._conns: set[socket.socket] = set()
-        self._conns_lock = threading.Lock()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "SocketFrontEnd":
-        super().start()
-        t = threading.Thread(
-            target=self._accept_loop, name="serve-accept", daemon=True
-        )
-        t.start()
-        self._threads.append(t)
-        return self
-
-    def _shutdown_transport(self) -> None:
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
-    def close(self) -> None:
-        """Hard stop: drain, wait briefly, close every connection."""
-        super().close()
-        with self._conns_lock:
-            conns = list(self._conns)
-            self._conns.clear()
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    # -- accept + connection readers ---------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._draining.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                break  # listener closed: drain started
-            with self._conns_lock:
-                self._conns.add(conn)
-            t = threading.Thread(
-                target=self._read_loop, args=(conn,), daemon=True
-            )
-            t.start()
-
-    def _read_loop(self, conn: socket.socket) -> None:
-        write_lock = threading.Lock()
-        gone = threading.Event()
-
-        def reply(doc: dict[str, Any]) -> None:
-            if gone.is_set():
-                return
-            data = (json.dumps(doc) + "\n").encode("utf-8")
-            with write_lock:
-                try:
-                    conn.sendall(data)
-                except OSError:
-                    gone.set()
-                    _OBS_CLIENT_GONE.inc()
-
-        reader = conn.makefile("r", encoding="utf-8", errors="replace")
-        index = 0
-        try:
-            for line in reader:
-                index += 1
-                line = line.strip()
-                if not line:
-                    continue
-                self.handle_line(line, f"conn-{index}", reply)
-        except (OSError, ValueError):
-            pass  # connection torn down mid-read
-        finally:
-            try:
-                reader.close()
-            except OSError:
-                pass
-            # The socket itself stays open until drain/close: in-flight
-            # jobs admitted from this connection may still reply on the
-            # write half after the client half-closes its read side.
-
-
-def run_until_drained(
-    front: FrontEndBase,
-    *,
-    stats: bool = False,
-    ready: Optional[Callable[[Any], None]] = None,
-) -> int:
-    """Start a front-end, serve until drained, close; returns jobs served.
-
-    ``ready`` is called with the live front-end once it is listening
-    (the CLI uses it to print the bound address and install SIGTERM);
-    with ``stats`` the closing ``--stats`` table goes to the
-    front-end's ``err`` stream.
-    """
-    front.start()
-    if ready is not None:
-        ready(front)
-    try:
-        while not front.wait(timeout=0.2):
-            pass
-    finally:
-        front.close()
-    if stats:
-        front.err.write(stats_summary(front.gate) + "\n")
-        front.err.flush()
-    return front.served
-
-
-def serve_socket(
-    host: str,
-    port: int,
-    config: Optional[ServiceConfig] = None,
-    *,
-    gate_config: Optional[GateConfig] = None,
-    limits: Optional[RequestLimits] = None,
-    stats: bool = False,
-    stats_interval: float = 0.0,
-    err: Optional[IO[str]] = None,
-    ready: Optional[Callable[["SocketFrontEnd"], None]] = None,
-) -> int:
-    """Run a :class:`SocketFrontEnd` until drained; returns jobs served."""
-    front = SocketFrontEnd(
-        host, port, config, gate_config, limits,
-        stats_interval=stats_interval, err=err,
-    )
-    return run_until_drained(front, stats=stats, ready=ready)

@@ -84,6 +84,9 @@ class TestPolicyMechanics:
     def test_policy_from_spec(self):
         p = policy_from_spec("seed=7, latency=0.0002, flush_rate=0.02")
         assert (p.seed, p.latency, p.flush_rate) == (7, 0.0002, 0.02)
+        # One REPRO_CHAOS string carries solver and worker faults alike.
+        p = policy_from_spec("seed=9,flush_rate=0.02,worker_kill_rate=0.1")
+        assert p.flush_rate == 0.02
         with pytest.raises(ValueError):
             policy_from_spec("bogus_knob=1")
 

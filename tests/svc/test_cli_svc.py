@@ -173,16 +173,16 @@ class TestServeCommand:
         assert "served 1 jobs" in captured.err
 
     def test_listen_wants_host_port(self, capsys):
-        assert main(["serve", "--listen", "nonsense"]) == EXIT_ERROR
+        assert main(["serve", "--http", "nonsense"]) == EXIT_ERROR
         assert "HOST:PORT" in capsys.readouterr().err
 
     def test_listen_serves_and_drains_on_sigterm(self, tmp_path):
-        """The full deployment story: spawn the CLI, serve over TCP,
+        """The full deployment story: spawn the CLI, serve over HTTP,
         SIGTERM, graceful drain, exit 0."""
+        import http.client
         import os
         import re
         import signal
-        import socket
         import subprocess
         import sys as sys_mod
 
@@ -198,7 +198,7 @@ class TestServeCommand:
                 "-m",
                 "repro.fast.cli",
                 "serve",
-                "--listen",
+                "--http",
                 "127.0.0.1:0",
                 "--jobs",
                 "1",
@@ -211,21 +211,25 @@ class TestServeCommand:
         )
         try:
             banner = proc.stderr.readline()
-            match = re.search(r"listening on ([\d.]+):(\d+)", banner)
+            match = re.search(r"http listening on ([\d.]+):(\d+)", banner)
             assert match, f"no listen banner: {banner!r}"
             host, port = match.group(1), int(match.group(2))
-            with socket.create_connection((host, port), timeout=30) as conn:
-                wire = conn.makefile("rw", encoding="utf-8", newline="\n")
-                wire.write(
-                    json.dumps(
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                conn.request(
+                    "POST",
+                    "/v1/analyze",
+                    body=json.dumps(
                         {"id": "r1", "kind": "run", "source": PASSING}
-                    )
-                    + "\n"
+                    ),
                 )
-                wire.flush()
-                reply = json.loads(wire.readline())
-                assert reply["id"] == "r1"
-                assert reply["outcome"] == "PROVED"
+                resp = conn.getresponse()
+                reply = json.loads(resp.read())
+            finally:
+                conn.close()
+            assert resp.status == 200
+            assert reply["id"] == "r1"
+            assert reply["outcome"] == "PROVED"
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == EXIT_OK
             assert "drained; served 1 jobs" in proc.stderr.read()
@@ -233,6 +237,7 @@ class TestServeCommand:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stderr.close()
 
     def test_stats_flag_prints_summary(self, monkeypatch, capsys):
         request = json.dumps(

@@ -16,28 +16,25 @@ underneath — is:
 
 Traffic shape comes from :class:`OverloadChaosPolicy`, a pure function
 of ``(seed, index)``, so each parametrized seed replays the same
-bursts and stalls on every run.
+bursts and stalls on every run.  Each client holds one keep-alive
+connection to an :class:`~repro.svc.http.HttpFrontEnd`; a burst sends
+``burst_size`` extra POSTs at once on fresh connections, and a stall
+pauses between a POST's headers and its body.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import socket
 import threading
 import time
 
 import pytest
 
-from repro.guard.chaos import (
-    OverloadChaosPolicy,
-    WorkerChaosPolicy,
-    overload_policy_from_spec,
-    policy_from_spec,
-)
-from repro.svc import GateConfig, ServiceConfig
+from repro.guard.chaos import OverloadChaosPolicy, WorkerChaosPolicy
+from repro.svc import GateConfig, HttpFrontEnd, ServiceConfig
 from repro.svc.gate import SHED_REASONS
 from repro.svc.job import PROVED, UNKNOWN
-from repro.svc.serve import SocketFrontEnd
 
 PASSING = """\
 type BT[v : Int]{L(0), N(2)}
@@ -52,7 +49,6 @@ class TestOverloadPolicy:
         forward = [p.decide(i) for i in range(50)]
         backward = [p.decide(i) for i in reversed(range(50))]
         assert forward == list(reversed(backward))
-        assert forward == [a for _, a in p.schedule(50)]
         # The same seed on a fresh policy replays identically.
         q = OverloadChaosPolicy(seed=5, burst_rate=0.3, stall_rate=0.2)
         assert [q.decide(i) for i in range(50)] == forward
@@ -66,105 +62,80 @@ class TestOverloadPolicy:
 
     def test_inert_policy_never_fires(self):
         p = OverloadChaosPolicy(seed=1)
-        assert not p.active
-        assert all(action is None for _, action in p.schedule(100))
-        assert p.total_requests(100) == 100
-
-    def test_total_requests_counts_bursts(self):
-        p = OverloadChaosPolicy(seed=3, burst_rate=1.0, burst_size=4)
-        assert p.total_requests(5) == 5 + 5 * 4
-
-    def test_spec_round_trip(self):
-        p = overload_policy_from_spec(
-            "seed=9,overload_burst_rate=0.25,overload_burst_size=3,"
-            "overload_stall_rate=0.1,overload_stall_seconds=0.02"
-        )
-        assert p == OverloadChaosPolicy(
-            seed=9,
-            burst_rate=0.25,
-            burst_size=3,
-            stall_rate=0.1,
-            stall_seconds=0.02,
-        )
-
-    def test_spec_without_overload_keys_is_none(self):
-        assert overload_policy_from_spec("seed=9,flush_rate=0.02") is None
-        assert overload_policy_from_spec("") is None
-
-    def test_solver_parser_ignores_overload_keys(self):
-        # One REPRO_CHAOS string can carry all three fault families.
-        policy = policy_from_spec(
-            "seed=9,flush_rate=0.02,worker_kill_rate=0.1,"
-            "overload_burst_rate=0.25"
-        )
-        assert policy.flush_rate == 0.02
+        assert all(p.decide(i) is None for i in range(100))
 
 
 class _Client:
-    """One overload client: sends per the schedule, collects replies."""
+    """One overload client on a keep-alive connection: sends per the
+    schedule, collects replies."""
 
     def __init__(self, host, port, requests, policy):
         self.addr = (host, port)
         self.requests = requests  # [(index, request_id)]
         self.policy = policy
-        self.replies: dict[str, dict] = {}
+        self.replies: dict[str, tuple[int, dict]] = {}
         self.errors: list[BaseException] = []
+        self._lock = threading.Lock()
 
     def run(self):
         try:
-            with socket.create_connection(self.addr, timeout=60) as conn:
-                wire = conn.makefile("rw", encoding="utf-8", newline="\n")
-                expected = 0
+            conn = http.client.HTTPConnection(*self.addr, timeout=60)
+            try:
                 for index, request_id in self.requests:
                     action = self.policy.decide(index)
-                    expected += self._send(wire, request_id, action)
-                for _ in range(expected):
-                    line = wire.readline()
-                    assert line, "connection closed before all replies"
-                    doc = json.loads(line)
-                    rid = doc["id"]
-                    assert rid not in self.replies, f"duplicate reply {rid}"
-                    self.replies[rid] = doc
+                    if action == "burst":
+                        self._burst(conn, request_id)
+                    else:
+                        self._post(conn, request_id, stall=action == "stall")
+            finally:
+                conn.close()
         except BaseException as exc:  # surfaced by the test thread-safely
             self.errors.append(exc)
 
-    def _send(self, wire, request_id, action) -> int:
-        """Send one scheduled request; returns how many replies are due."""
-        line = (
-            json.dumps(
-                {"id": request_id, "kind": "run", "source": PASSING}
-            )
-            + "\n"
-        )
-        if action == "stall":
-            # A slow client: half the bytes, a pause, then the rest.
-            mid = len(line) // 2
-            wire.write(line[:mid])
-            wire.flush()
+    def _post(self, conn, request_id, stall=False):
+        body = json.dumps(
+            {"id": request_id, "kind": "run", "source": PASSING}
+        ).encode("utf-8")
+        conn.putrequest("POST", "/v1/analyze")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", str(len(body)))
+        conn.endheaders()
+        if stall:
+            # A slow client: the headers, a pause, then the body.
             time.sleep(self.policy.stall_seconds)
-            wire.write(line[mid:])
-            wire.flush()
-            return 1
-        if action == "burst":
-            # A flood: the request plus burst_size extras, back to back.
-            burst = [line]
-            for j in range(self.policy.burst_size):
-                burst.append(
-                    json.dumps(
-                        {
-                            "id": f"{request_id}-b{j}",
-                            "kind": "run",
-                            "source": PASSING,
-                        }
-                    )
-                    + "\n"
-                )
-            wire.write("".join(burst))
-            wire.flush()
-            return len(burst)
-        wire.write(line)
-        wire.flush()
-        return 1
+        conn.send(body)
+        resp = conn.getresponse()
+        doc = json.loads(resp.read())
+        with self._lock:
+            assert doc["id"] not in self.replies, f"duplicate reply {doc}"
+            self.replies[doc["id"]] = (resp.status, doc)
+
+    def _burst(self, conn, request_id):
+        """A flood: the request plus burst_size extras, all at once,
+        the extras each on a fresh connection."""
+        errors = []
+
+        def extra(j):
+            fresh = http.client.HTTPConnection(*self.addr, timeout=60)
+            try:
+                self._post(fresh, f"{request_id}-b{j}")
+            except BaseException as exc:
+                errors.append(exc)
+            finally:
+                fresh.close()
+
+        threads = [
+            threading.Thread(target=extra, args=(j,))
+            for j in range(self.policy.burst_size)
+        ]
+        for t in threads:
+            t.start()
+        self._post(conn, request_id)
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive(), "burst request unanswered"
+        if errors:
+            raise errors[0]
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -176,7 +147,7 @@ def test_overload_chaos_partition_and_verdict_safety(seed):
         stall_rate=0.2,
         stall_seconds=0.01,
     )
-    front = SocketFrontEnd(
+    front = HttpFrontEnd(
         config=ServiceConfig(
             jobs=2,
             retries=2,
@@ -212,16 +183,18 @@ def test_overload_chaos_partition_and_verdict_safety(seed):
 
     served = shed = 0
     for client in clients:
-        for rid, doc in client.replies.items():
+        for rid, (status, doc) in client.replies.items():
             if doc.get("shed"):
                 # Invariant 2: sheds are well-formed and honest.
                 shed += 1
+                assert status in (429, 503), (status, doc)
                 assert doc["reason"] in SHED_REASONS
                 assert doc["retry_after"] >= 0
                 assert "outcome" not in doc
             else:
                 # Invariant 3: served verdicts are never corrupted.
                 served += 1
+                assert status == 200, (status, doc)
                 assert doc["outcome"] in (PROVED, UNKNOWN), doc
                 assert "error" not in doc
 

@@ -5,10 +5,19 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import pathlib
+import re
+import signal
+import statistics
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
+import repro
 from repro.guard.chaos import WorkerChaosPolicy
 from repro import obs
 from repro.obs import export
@@ -33,18 +42,23 @@ def _request(front, method, path, body=None, timeout=60.0):
     """One HTTP request; returns (status, parsed-or-raw body, headers)."""
     conn = http.client.HTTPConnection(front.host, front.port, timeout=timeout)
     try:
-        payload = json.dumps(body) if isinstance(body, dict) else body
-        conn.request(method, path, body=payload)
-        resp = conn.getresponse()
-        raw = resp.read().decode("utf-8")
-        headers = dict(resp.getheaders())
-        try:
-            doc = json.loads(raw)
-        except ValueError:
-            doc = raw
-        return resp.status, doc, headers
+        return _exchange(conn, method, path, body)
     finally:
         conn.close()
+
+
+def _exchange(conn, method, path, body=None):
+    """One request on an open connection (kept alive for the next)."""
+    payload = json.dumps(body) if isinstance(body, dict) else body
+    conn.request(method, path, body=payload)
+    resp = conn.getresponse()
+    raw = resp.read().decode("utf-8")
+    headers = dict(resp.getheaders())
+    try:
+        doc = json.loads(raw)
+    except ValueError:
+        doc = raw
+    return resp.status, doc, headers
 
 
 @pytest.fixture()
@@ -195,6 +209,147 @@ class TestEndpoints:
             assert int(headers["Retry-After"]) >= 1
         finally:
             fe.close()
+
+
+class TestKeepAlive:
+    """Several requests on one connection, the way a client pool or a
+    load balancer talks to the server."""
+
+    def test_health_error_job_then_draining_shed(self):
+        front = HttpFrontEnd(
+            config=ServiceConfig(jobs=1),
+            gate_config=GateConfig(workers=1, drain_timeout=10.0),
+        )
+        with front:
+            conn = http.client.HTTPConnection(
+                front.host, front.port, timeout=30
+            )
+            try:
+                status, health, _ = _exchange(
+                    conn, "POST", "/v1/analyze", {"id": "h", "kind": "health"}
+                )
+                assert status == 200
+                assert health["id"] == "h" and health["ready"] is True
+                status, result, _ = _exchange(
+                    conn, "POST", "/v1/analyze",
+                    {"id": "job", "kind": "run", "source": PASSING},
+                )
+                assert status == 200
+                assert result["id"] == "job"
+                assert result["outcome"] == PROVED
+                status, bad, _ = _exchange(
+                    conn, "POST", "/v1/analyze", {"id": "bad", "kind": "run"}
+                )
+                assert status == 400
+                assert bad["id"] == "bad"
+                assert "'source' or 'file'" in bad["error"]
+                front.initiate_drain()
+                # The listener is closed; the open connection still gets
+                # an answer, and it is the draining shed.
+                status, shed, headers = _exchange(
+                    conn, "POST", "/v1/analyze",
+                    {"id": "late", "kind": "run", "source": PASSING},
+                )
+                assert status == 503
+                assert shed["shed"] is True
+                assert shed["reason"] == "draining"
+                assert int(headers["Retry-After"]) >= 1
+            finally:
+                conn.close()
+            assert front.wait(20.0)
+
+    def test_file_requests_disabled_without_root(self, front, tmp_path):
+        (tmp_path / "p.fast").write_text(PASSING)
+        status, reply, _ = _request(
+            front, "POST", "/v1/analyze", {"id": "f", "file": "p.fast"}
+        )
+        assert status == 400
+        assert reply["id"] == "f"
+        assert "disabled" in reply["error"]
+
+    def test_keep_alive_responses_do_not_stall(self, front):
+        # A response is a header write and a body write; with Nagle's
+        # algorithm on, every keep-alive response after the first waits
+        # ~40 ms for the client's delayed ACK.
+        conn = http.client.HTTPConnection(front.host, front.port, timeout=30)
+        try:
+            elapsed = []
+            for _ in range(20):
+                t0 = time.perf_counter()
+                status, _, _ = _exchange(conn, "GET", "/healthz")
+                elapsed.append(time.perf_counter() - t0)
+                assert status == 200
+        finally:
+            conn.close()
+        assert statistics.median(elapsed) < 0.020, elapsed
+
+
+def _small_fd_limit():
+    import resource
+
+    _soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (min(128, hard), hard))
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux", reason="RLIMIT_NOFILE and /proc fd count"
+)
+def test_connections_are_closed_under_a_small_fd_limit():
+    """Finished connections give their fds back: a ``fast serve
+    --http`` process limited to 128 fds answers 300 one-request
+    connections made one after another."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p
+        for p in (
+            str(pathlib.Path(repro.__file__).resolve().parents[1]),
+            env.get("PYTHONPATH"),
+        )
+        if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.fast.cli", "serve",
+         "--http", "127.0.0.1:0", "--jobs", "1"],
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        preexec_fn=_small_fd_limit,
+    )
+    try:
+        banner = proc.stderr.readline()
+        match = re.search(r"http listening on [\d.]+:(\d+)", banner)
+        assert match, f"no listen banner: {banner!r}"
+        port = int(match.group(1))
+        for i in range(300):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                if i % 10 == 0:
+                    status, doc, _ = _exchange(
+                        conn, "POST", "/v1/analyze",
+                        {"id": f"r{i}", "kind": "run", "source": PASSING},
+                    )
+                    assert doc["outcome"] == PROVED, doc
+                else:
+                    status, doc, _ = _exchange(conn, "GET", "/healthz")
+                    assert doc["ready"] is True
+                assert status == 200, (i, status, doc)
+            finally:
+                conn.close()
+        # Handler threads close their sockets once the client leaves.
+        deadline = time.monotonic() + 10.0
+        while True:
+            open_fds = len(os.listdir(f"/proc/{proc.pid}/fd"))
+            if open_fds < 32 or time.monotonic() > deadline:
+                break
+            time.sleep(0.1)
+        assert open_fds < 32, open_fds
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
 
 
 class TestOverloadCoherence:

@@ -222,69 +222,6 @@ class TestParseLine:
         assert info.value.client_id == "req-9"
 
 
-class TestSocketFrontEnd:
-    """The TCP front-end, driven by a real client socket."""
-
-    def _connect(self, front):
-        import socket as socket_mod
-
-        conn = socket_mod.create_connection(
-            (front.host, front.port), timeout=30
-        )
-        return conn, conn.makefile("rw", encoding="utf-8", newline="\n")
-
-    def _ask(self, wire, doc):
-        wire.write(json.dumps(doc) + "\n")
-        wire.flush()
-        return json.loads(wire.readline())
-
-    def test_serve_health_error_and_drain(self):
-        from repro.svc import GateConfig
-        from repro.svc.serve import SocketFrontEnd
-
-        front = SocketFrontEnd(
-            config=ServiceConfig(jobs=1),
-            gate_config=GateConfig(workers=1, drain_timeout=10.0),
-        )
-        with front:
-            conn, wire = self._connect(front)
-            try:
-                health = self._ask(wire, {"id": "h", "kind": "health"})
-                assert health["id"] == "h" and health["ready"] is True
-                result = self._ask(
-                    wire, {"id": "job", "kind": "run", "source": PASSING}
-                )
-                assert result["id"] == "job"
-                assert result["outcome"] == "PROVED"
-                bad = self._ask(wire, {"id": "bad", "kind": "run"})
-                assert bad["id"] == "bad"
-                assert "'source' or 'file'" in bad["error"]
-                front.initiate_drain()
-                shed = self._ask(
-                    wire, {"id": "late", "kind": "run", "source": PASSING}
-                )
-                assert shed["shed"] is True
-                assert shed["reason"] == "draining"
-            finally:
-                conn.close()
-            assert front.wait(20.0)
-
-    def test_file_requests_disabled_without_root(self, tmp_path):
-        from repro.svc.serve import SocketFrontEnd
-
-        (tmp_path / "p.fast").write_text(PASSING)
-        front = SocketFrontEnd(config=ServiceConfig(jobs=1))
-        with front:
-            conn, wire = self._connect(front)
-            try:
-                reply = self._ask(wire, {"id": "f", "file": "p.fast"})
-                assert "disabled" in reply["error"]
-            finally:
-                conn.close()
-            front.initiate_drain()
-            assert front.wait(20.0)
-
-
 class _BrokenPipe(io.StringIO):
     """An output stream whose client hangs up after N writes."""
 
@@ -480,16 +417,15 @@ class TestDrainShedLedger:
 
     def test_drain_sheds_reach_every_stats_view(self):
         from tests.exposition import parse_exposition
-        from repro.svc import GateConfig
-        from repro.svc.serve import FrontEndBase, run_until_drained
+        from repro.svc import GateConfig, HttpFrontEnd
+        from repro.svc.telemetry import stats_summary
 
-        err = io.StringIO()
-        front = FrontEndBase(
+        front = HttpFrontEnd(
+            port=0,
             config=ServiceConfig(jobs=1),
             gate_config=GateConfig(
                 drain_timeout=0.0, max_queue=16, workers=1
             ),
-            err=err,
         )
         replies = []
         for i in range(6):
@@ -502,7 +438,9 @@ class TestDrainShedLedger:
         # Drain before the dispatcher starts: with a zero drain timeout
         # it sheds the whole queue without dispatching anything.
         front.initiate_drain()
-        assert run_until_drained(front, stats=True) == 0
+        front.start()
+        assert front.wait(30.0)
+        assert front.served == 0
 
         assert len(replies) == 6
         assert all(r["shed"] and r["reason"] == "draining" for r in replies)
@@ -517,4 +455,4 @@ class TestDrainShedLedger:
         fams = parse_exposition(front.metrics_text())
         assert fams["svc_window_shed"][(("window", "5m"),)] == 6.0
 
-        assert "shed: 6 (draining=6)" in err.getvalue()
+        assert "shed: 6 (draining=6)" in stats_summary(front.gate)

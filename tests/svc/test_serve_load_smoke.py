@@ -1,11 +1,10 @@
-"""Overload smoke for both network front-ends, through the real CLI.
+"""Overload smoke for the network front-end, through the real CLI.
 
-``fast serve`` with a deliberately tiny queue takes a burst of
+``fast serve --http`` with a deliberately tiny queue takes a burst of
 concurrent requests.  It must answer every one of them (served and
-shed partition the offered set exactly), report health counters that
-agree with the wire, and drain gracefully to exit 0 on SIGTERM.  One
-test drives the socket JSONL front-end (``--listen``), the other the
-HTTP one (``--http``), whose ``/metrics`` exposition is parsed strictly.
+shed partition the offered set exactly), report ``/metrics`` and
+``/healthz`` counters that agree with the wire (the exposition is
+parsed strictly), and drain gracefully to exit 0 on SIGTERM.
 
 Marked ``slow``: it runs only under ``pytest --run-slow``.  The CI
 serve-load-smoke job runs it.
@@ -17,7 +16,6 @@ import os
 import pathlib
 import re
 import signal
-import socket
 import subprocess
 import sys
 import threading
@@ -38,8 +36,9 @@ PROGRAM = (
 SHED_REASONS = ("queue-full", "quota", "deadline", "draining")
 
 
-def _start_server(front_end, max_queue, banner_pattern, **env_overrides):
-    """Start ``fast serve`` on an ephemeral port; return (proc, host, port)."""
+def _start_server(max_queue, **env_overrides):
+    """Start ``fast serve --http`` on an ephemeral port; return
+    (proc, host, port)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p
@@ -52,7 +51,7 @@ def _start_server(front_end, max_queue, banner_pattern, **env_overrides):
     env.update(env_overrides)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.fast.cli", "serve",
-         front_end, "127.0.0.1:0",
+         "--http", "127.0.0.1:0",
          "--jobs", "2", "--max-queue", str(max_queue),
          "--max-deadline", "30", "--drain-timeout", "30"],
         stderr=subprocess.PIPE,
@@ -60,7 +59,7 @@ def _start_server(front_end, max_queue, banner_pattern, **env_overrides):
         env=env,
     )
     banner = proc.stderr.readline()
-    m = re.search(banner_pattern, banner)
+    m = re.search(r"http listening on ([\d.]+):(\d+)", banner)
     if not m:
         proc.kill()
         proc.wait()
@@ -98,77 +97,11 @@ def _drain(proc):
 
 
 @pytest.mark.slow
-def test_socket_front_end_sheds_exactly_and_drains():
-    proc, host, port = _start_server(
-        "--listen", 8, r"listening on ([\d.]+):(\d+)"
-    )
-    try:
-        n_clients, per_client = 4, 50
-        replies = {}
-
-        def client(c):
-            with socket.create_connection((host, port), timeout=120) as conn:
-                wire = conn.makefile("rw", encoding="utf-8", newline="\n")
-                ids = [f"c{c}-r{i}" for i in range(per_client)]
-                for rid in ids:
-                    wire.write(json.dumps(
-                        {"id": rid, "kind": "run", "source": PROGRAM}
-                    ) + "\n")
-                wire.flush()
-                for _ in ids:
-                    line = wire.readline()
-                    assert line, "connection closed early"
-                    doc = json.loads(line)
-                    replies[doc["id"]] = doc
-
-        _run_clients(client, n_clients)
-
-        offered = n_clients * per_client
-        served = sum(1 for d in replies.values() if "outcome" in d)
-        shed = sum(1 for d in replies.values() if d.get("shed"))
-        # Every request answered exactly once; the split is exact.
-        assert len(replies) == offered, (len(replies), offered)
-        assert served + shed == offered, (served, shed, offered)
-        assert served >= 8, f"gate starved the pool: {served}"
-        assert shed > 0, "tiny queue at 2x+ overload must shed"
-        for d in replies.values():
-            if "outcome" in d:
-                assert d["outcome"] == "PROVED", d
-            else:
-                assert d["reason"] in SHED_REASONS, d
-                assert d["retry_after"] >= 0, d
-
-        # Health agrees with the wire-level ledger.  (The served counter
-        # is bumped just after the reply hits the wire, so give the
-        # dispatcher a beat to finish its bookkeeping.)
-        time.sleep(1.0)
-        with socket.create_connection((host, port), timeout=60) as conn:
-            wire = conn.makefile("rw", encoding="utf-8", newline="\n")
-            wire.write(json.dumps({"id": "h", "kind": "health"}) + "\n")
-            wire.flush()
-            health = json.loads(wire.readline())
-        assert health["ready"] is True
-        assert health["queue_depth"] == 0
-        c = health["counters"]
-        assert c["served"] == served, (c, served)
-        assert c["admitted"] == served + c["shed"]["deadline"], c
-        assert c["shed_total"] == shed, (c, shed)
-
-        _drain(proc)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-
-
-@pytest.mark.slow
 def test_http_front_end_sheds_exactly_and_drains():
     # Cache off: HTTP clients are request/reply (no pipelining), so
     # overload needs honest multi-ms jobs plus enough concurrent
     # clients to outrun queue + workers.
-    proc, host, port = _start_server(
-        "--http", 4, r"http listening on ([\d.]+):(\d+)", REPRO_CACHE="off"
-    )
+    proc, host, port = _start_server(4, REPRO_CACHE="off")
     try:
         n_clients, per_client = 24, 8
         results = []
