@@ -51,13 +51,15 @@ class Element:
                 yield from c.iter_elements()
 
     def serialize(self) -> str:
+        return serialize([self])
+
+    def _open_tag(self) -> str:
         attrs = "".join(
             f' {k}="{_escape_attr(v)}"' if v else f" {k}" for k, v in self.attrs
         )
         if self.tag in VOID_ELEMENTS:
             return f"<{self.tag}{attrs} />"
-        inner = "".join(c.serialize() for c in self.children)
-        return f"<{self.tag}{attrs}>{inner}</{self.tag}>"
+        return f"<{self.tag}{attrs}>"
 
 
 Node = Union[Element, Text]
@@ -73,8 +75,26 @@ def _escape_attr(value: str) -> str:
 
 
 def serialize(nodes: list[Node]) -> str:
-    """Serialize a forest back to HTML text."""
-    return "".join(n.serialize() for n in nodes)
+    """Serialize a forest back to HTML text.
+
+    Iterative, so a page nested thousands of elements deep serializes:
+    the stack holds nodes still to write and the closing tags between
+    them.
+    """
+    parts: list[str] = []
+    stack: list[Node | str] = list(reversed(nodes))
+    while stack:
+        n = stack.pop()
+        if isinstance(n, str):
+            parts.append(n)
+        elif isinstance(n, Text):
+            parts.append(n.serialize())
+        else:
+            parts.append(n._open_tag())
+            if n.tag not in VOID_ELEMENTS:
+                stack.append(f"</{n.tag}>")
+                stack.extend(reversed(n.children))
+    return "".join(parts)
 
 
 def count_nodes(nodes: list[Node]) -> int:

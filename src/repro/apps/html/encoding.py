@@ -34,9 +34,20 @@ TEXT_ATTR = "text"
 
 def encode_string(text: str) -> Tree:
     """A string as a chain of single-character ``val`` nodes."""
+    return _encode_chars(text, {})
+
+
+def _encode_chars(text: str, char_attrs: dict[str, tuple[str]]) -> Tree:
+    """:func:`encode_string`, with every node of one character sharing
+    one attribute tuple from ``char_attrs``: a page has a few dozen
+    distinct characters and thousands of nodes, and each tuple saved is
+    an object less for the garbage collector to count."""
     out = NIL
     for ch in reversed(text):
-        out = Tree("val", (ch,), (out,))
+        attrs = char_attrs.get(ch)
+        if attrs is None:
+            attrs = char_attrs[ch] = (ch,)
+        out = Tree("val", attrs, (out,))
     return out
 
 
@@ -49,49 +60,73 @@ def decode_string(tree: Tree) -> str:
 
 
 def encode_forest(nodes: list[Node]) -> Tree:
-    """Encode a DOM forest into one ``HtmlE`` tree (sibling-chained)."""
-    result = NIL
-    for n in reversed(nodes):
-        if isinstance(n, Text):
-            continue  # text is attached to the parent's attribute list
-        result = Tree(
-            "node",
-            (n.tag,),
-            (_encode_attrs(n), encode_forest(n.children), result),
-        )
-    return result
+    """Encode a DOM forest into one ``HtmlE`` tree (sibling-chained).
+
+    Iterative, so a page nested thousands of elements deep encodes.  A
+    sibling list is encoded from its last element back to its first;
+    ``encoded`` is the chain of the elements after ``i``.  Descending
+    into an element's children saves that state on ``saved``.
+    """
+    char_attrs: dict[str, tuple[str]] = {}
+    saved: list[tuple[list[Node], int, Tree]] = []
+    siblings, i, encoded = nodes, len(nodes), NIL
+    while True:
+        i -= 1
+        if i >= 0:
+            n = siblings[i]
+            if isinstance(n, Text):
+                continue  # text is attached to the parent's attribute list
+            if n.children:
+                saved.append((siblings, i, encoded))
+                siblings, i, encoded = n.children, len(n.children), NIL
+                continue
+            attrs = _encode_attrs(n, char_attrs)
+            encoded = Tree("node", (n.tag,), (attrs, NIL, encoded))
+            continue
+        if not saved:
+            return encoded
+        children = encoded
+        siblings, i, encoded = saved.pop()
+        n = siblings[i]
+        attrs = _encode_attrs(n, char_attrs)
+        encoded = Tree("node", (n.tag,), (attrs, children, encoded))
 
 
-def _encode_attrs(element: Element) -> Tree:
+def _encode_attrs(element: Element, char_attrs: dict[str, tuple[str]]) -> Tree:
     entries: list[tuple[str, str]] = list(element.attrs)
     for child in element.children:
         if isinstance(child, Text):
             entries.append((TEXT_ATTR, child.data))
     result = NIL
     for name, value in reversed(entries):
-        result = Tree("attr", (name,), (encode_string(value), result))
+        result = Tree("attr", (name,), (_encode_chars(value, char_attrs), result))
     return result
 
 
 def decode_forest(tree: Tree) -> list[Node]:
-    """Inverse of :func:`encode_forest`."""
+    """Inverse of :func:`encode_forest` (iterative, like it)."""
     out: list[Node] = []
-    while tree.ctor == "node":
-        attrs_tree, first_child, next_sibling = tree.children
-        attrs: list[tuple[str, str]] = []
-        texts: list[str] = []
-        while attrs_tree.ctor == "attr":
-            name = str(attrs_tree.attrs[0])
-            value_tree, attrs_tree = attrs_tree.children
-            value = decode_string(value_tree)
-            if name == TEXT_ATTR:
-                texts.append(value)
-            else:
-                attrs.append((name, value))
-        children: list[Node] = [Text(t) for t in texts]
-        children.extend(decode_forest(first_child))
-        out.append(Element(str(tree.attrs[0]), attrs, children))
-        tree = next_sibling
+    # (sibling chain still to decode, list its elements go to)
+    work: list[tuple[Tree, list[Node]]] = [(tree, out)]
+    while work:
+        tree, dest = work.pop()
+        while tree.ctor == "node":
+            attrs_tree, first_child, next_sibling = tree.children
+            attrs: list[tuple[str, str]] = []
+            texts: list[str] = []
+            while attrs_tree.ctor == "attr":
+                name = str(attrs_tree.attrs[0])
+                value_tree, attrs_tree = attrs_tree.children
+                value = decode_string(value_tree)
+                if name == TEXT_ATTR:
+                    texts.append(value)
+                else:
+                    attrs.append((name, value))
+            children: list[Node] = [Text(t) for t in texts]
+            if first_child.ctor == "node":
+                work.append((first_child, children))
+            dest.append(Element(str(tree.attrs[0]), attrs, children))
+            tree = next_sibling
     return out
 
 

@@ -2,13 +2,14 @@
 
 Two layers sit between the Fast front end and the STTR interpreter:
 
-* :mod:`repro.exec.compiled` — closure lowering.  An
+* :mod:`repro.exec.compiled` — generated code.  An
   :class:`~repro.transducers.sttr.STTR` is compiled once into a
   :class:`~repro.exec.compiled.CompiledSTTR`: per-(state, symbol)
   dispatch tables indexed by minterm id (the sign vector of the
   symbol's distinct guards), so each node evaluates every distinct
-  guard at most once, and rule bodies lowered to pre-resolved
-  output-assembly closures.  ``Transducer.apply`` routes through the
+  guard at most once, and, on its first run, Python source for a walk
+  specialized to the STTR, with every rule's output assembled inline.
+  ``Transducer.apply`` routes through the
   compiled form; the interpreter in :mod:`repro.transducers.run` stays
   the reference oracle (property-tested equivalent).
 

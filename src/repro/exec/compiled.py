@@ -1,8 +1,8 @@
-"""Closure lowering: STTR -> dispatch tables + output closures.
+"""Generated code: STTR -> dispatch tables + one generated Python walk.
 
 The interpreter (:mod:`repro.transducers.run`) re-walks rule lists and
-re-evaluates each rule's guard at every (state, node) task.  Lowering
-factors that work out of the hot loop:
+re-evaluates each rule's guard at every (state, node) task.  The
+compiled tier factors that work out of the hot loop:
 
 * **Guards are deduplicated per symbol.**  All rules for a constructor
   share one ordered tuple of *distinct* guard terms (hash-consing makes
@@ -21,29 +21,36 @@ factors that work out of the hot loop:
   satisfiability proof — no solver involved); :meth:`CompiledSTTR.
   precompute` eagerly enumerates the satisfiable vectors with
   :func:`repro.smt.minterms.minterms` when a solver is at hand.  A run
-  memoizes each pair's dispatched rules on ``(state, symbol,
-  attributes)``, so a pair whose rules carry no lookahead costs one
-  lookup; ``exec.dispatch`` still counts every pair.
+  memoizes each pair's dispatched rules per ``(state, symbol)`` on the
+  attribute tuple, so a pair whose rules carry no lookahead costs one
+  lookup; ``exec.dispatch`` counts every pair.
 
-* **Output assembly is a closure, lowered twice.**  Each rule body
-  becomes a nest of closures mirroring ``run._eval_output`` (cross
-  products via the shared ``run._cross``), and a second nest that
-  returns one tree or None.  A run capped at one output per task
-  (``limit=1``, i.e. ``apply_one``) holds at most one tree per child
-  result, so its cross products have at most one element and the
-  second lowering builds it with no lists.  Output attributes are
-  lowered with the body (:func:`_lower_attrs`): copies and constants
-  read the node's ``attrs`` directly, so only an output computing a
-  new value builds an attribute environment.
+* **The walk is generated source.**  Like Fast's C# backend (paper
+  Section 2), each STTR gets its own code: :func:`_generate` writes
+  two Python functions, ``walk_one`` for runs capped at one output per
+  pair (``limit=1``, i.e. ``apply_one``) and ``walk_all`` for the rest.
+  Each is one explicit-stack post-order loop (``val`` chains of the
+  HTML encoding are thousands deep) with one branch per state, the
+  constructor dispatch inlined under it, and every rule's output
+  assembled inline: output nodes are ``Tree(...)`` calls on the
+  results of the pairs the rule reads, copied attributes are reads of
+  ``node.attrs``, constant attribute tuples are built once, and only
+  an attribute computing a new value builds an attribute environment.
+  Results are kept per state, keyed by node identity, and a rule whose
+  output reads no child is emitted on the way down.  The source is
+  written and compiled on the first run and kept on the
+  :class:`CompiledSTTR`; analyses that never run a transducer never
+  pay for it.
 
-:func:`run_compiled_checked` is one explicit-stack post-order walk
-over ``(state, node)`` pairs: a pair is dispatched on the way down and
-emits on the way up, after every pair it reads.  Lookahead is read
-from an :class:`~repro.automata.semantics.AcceptanceTable` only at the
-children a rule constrains; the table walks only the positions its
-automaton constrains and fills any other node on demand.  The walk
-replicates the interpreter's observable semantics *exactly* — output
-order, ``limit``/probe truncation and taint propagation, one
+**No program text enters the source.**  ``fast serve`` compiles
+untrusted programs, so constructor names, states, attribute constants,
+lookahead sets and guard terms are bound as values in the namespace the
+source is executed in, under names the generator makes up (``K0``,
+``S1``, ``A2`` ...); the source itself holds only those names, small
+integers and the generator's own code.
+
+The walk replicates the interpreter's observable semantics *exactly* —
+output order, ``limit``/probe truncation and taint propagation, one
 ``transducer.task`` budget tick per reachable pair, the provenance
 note — for every STTR, deterministic or not, and is property-tested
 equivalent (``tests/exec/test_compiled_equivalence``).
@@ -51,7 +58,6 @@ equivalent (``tests/exec/test_compiled_equivalence``).
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Callable, Optional
 
 from ..automata.semantics import acceptance_table
@@ -74,124 +80,20 @@ _OBS_DISPATCH = obs_metrics.counter("exec.dispatch")
 _OBS_DISPATCH_MEMO = obs_metrics.counter("exec.dispatch.table_fills")
 _OBS_CLASSIFY = obs_metrics.counter("exec.classify")
 
-#: ``emit(node, results, probe) -> (outputs, hit-the-probe-cap?)``
-Emit = Callable[[Tree, dict, Optional[int]], tuple[list[Tree], bool]]
-#: ``emit_one(node, results) -> the one output, or None``
-EmitOne = Callable[[Tree, dict], Optional[Tree]]
-#: ``attrs_of(node) -> the output node's attribute tuple``
-AttrsOf = Callable[[Tree], tuple]
-
-_own_attrs: AttrsOf = attrgetter("attrs")
-
-
-def _lower_attrs(exprs: tuple[Term, ...], input_type: TreeType) -> AttrsOf:
-    """An output node's attribute expressions -> ``attrs_of(node)``.
-
-    The identity field list is ``node.attrs`` itself; a field variable
-    reads ``node.attrs`` by index and a constant is its value.  Only
-    other expressions are evaluated, against an attribute env built
-    when they are.  Every branch yields the values evaluation would,
-    the very objects (a copied ``1`` stays an ``int``), for trees that
-    carry one value per field of the input type.
-    """
-    fields = input_type.attr_vars()
-    if exprs == fields:
-        return _own_attrs
-    slot_of = {v: i for i, v in enumerate(fields)}
-    if all(isinstance(e, Const) or e in slot_of for e in exprs):
-        parts = tuple(
-            (None, e.value) if isinstance(e, Const) else (slot_of[e], None)
-            for e in exprs
-        )
-
-        def copy_attrs(node):
-            attrs = node.attrs
-            return tuple([v if i is None else attrs[i] for i, v in parts])
-
-        return copy_attrs
-    attr_env = input_type.attr_env
-    evals = tuple(e.evaluate for e in exprs)
-
-    def eval_attrs(node):
-        env = attr_env(node.attrs)
-        return tuple([ev(env) for ev in evals])
-
-    return eval_attrs
-
-
-def _lower_output(term: OutputTerm, input_type: TreeType) -> Emit:
-    """One output term -> a pre-resolved assembly closure.
-
-    Mirrors ``run._eval_output`` case by case; the ``isinstance``
-    dispatch happens here, once, instead of on every task.
-    """
-    if isinstance(term, OutApply):
-        state, index = term.state, term.index
-
-        def emit_apply(node, results, probe):
-            return results[(state, id(node.children[index]))], False
-
-        return emit_apply
-    if isinstance(term, OutNode):
-        ctor = term.ctor
-        attrs_of = _lower_attrs(term.attr_exprs, input_type)
-        kids = tuple(_lower_output(c, input_type) for c in term.children)
-
-        def emit_node(node, results, probe):
-            attrs = attrs_of(node)
-            kid_lists: list[list[Tree]] = []
-            capped = False
-            for kid in kids:
-                outs, kid_capped = kid(node, results, probe)
-                capped = capped or kid_capped
-                kid_lists.append(outs)
-            out: list[Tree] = []
-            cross_capped = _cross(kid_lists, 0, [], attrs, ctor, out, probe)
-            return out, capped or cross_capped
-
-        return emit_node
-    raise TransductionError(f"cannot lower extended term {term!r}")
-
-
-def _lower_output_one(term: OutputTerm, input_type: TreeType) -> EmitOne:
-    """One output term -> a closure building its single output.
-
-    The ``limit=1`` twin of :func:`_lower_output`: every child result
-    is one tree or None, so the cross product is that one tree or
-    empty (None).  Attributes and children are evaluated in the same
-    order, and all of them, as the list closure does.
-    """
-    if isinstance(term, OutApply):
-        state, index = term.state, term.index
-
-        def emit_apply(node, results):
-            return results[(state, id(node.children[index]))]
-
-        return emit_apply
-    if isinstance(term, OutNode):
-        ctor = term.ctor
-        attrs_of = _lower_attrs(term.attr_exprs, input_type)
-        kids = tuple(_lower_output_one(c, input_type) for c in term.children)
-
-        def emit_node(node, results):
-            attrs = attrs_of(node)
-            children = tuple([kid(node, results) for kid in kids])
-            for child in children:
-                if child is None:
-                    return None
-            return Tree(ctor, attrs, children)
-
-        return emit_node
-    raise TransductionError(f"cannot lower extended term {term!r}")
+#: ``walk(tree, root state index, states, limit, lookahead table,
+#: budgets active?, counting?) -> (root result, root tainted?, tasks)``
+Walk = Callable[..., tuple[object, bool, int]]
 
 
 class CompiledRule:
-    """One lowered rule: guard slot + lookahead + targets + emitters."""
+    """One rule's dispatch data: guard slot, lookahead and targets."""
 
-    __slots__ = ("rule", "guard_slot", "lookahead", "targets", "emit", "emit_one")
+    __slots__ = ("rule", "index", "guard_slot", "lookahead", "targets")
 
-    def __init__(self, rule: STTRRule, guard_slot: int, input_type: TreeType) -> None:
+    def __init__(self, rule: STTRRule, index: int, guard_slot: int) -> None:
         self.rule = rule
+        #: Position in ``STTR.rules``; the generated walk names rules by it.
+        self.index = index
         #: Index of this rule's guard in the symbol's distinct-guard tuple.
         self.guard_slot = guard_slot
         #: ``(child index, states)`` for each constrained child; an empty
@@ -205,12 +107,10 @@ class CompiledRule:
             for t in rule.output.iter_terms()
             if isinstance(t, OutApply)
         )
-        self.emit = _lower_output(rule.output, input_type)
-        self.emit_one = _lower_output_one(rule.output, input_type)
 
 
 class CompiledSTTR:
-    """An STTR lowered to dispatch tables and output closures."""
+    """An STTR lowered to dispatch tables and a generated walk."""
 
     def __init__(self, sttr: STTR) -> None:
         self.sttr = sttr
@@ -224,20 +124,34 @@ class CompiledSTTR:
         self.ctor_guards: dict[str, tuple[Term, ...]] = {
             ctor: tuple(slots) for ctor, slots in guard_slots.items()
         }
-        # Lowered rules grouped like STTR._index, preserving rule order
-        # (output ordering of nondeterministic rules depends on it).
-        self.rules_by_key: dict[tuple[State, str], tuple[CompiledRule, ...]] = {}
+        self.rules = tuple(
+            CompiledRule(r, i, guard_slots[r.ctor][r.guard])
+            for i, r in enumerate(sttr.rules)
+        )
+        # Rules grouped like STTR._index, preserving rule order (output
+        # ordering of nondeterministic rules depends on it).
         grouped: dict[tuple[State, str], list[CompiledRule]] = {}
-        for r in sttr.rules:
-            grouped.setdefault((r.state, r.ctor), []).append(
-                CompiledRule(r, guard_slots[r.ctor][r.guard], sttr.input_type)
-            )
-        self.rules_by_key = {k: tuple(v) for k, v in grouped.items()}
+        for cr in self.rules:
+            grouped.setdefault((cr.rule.state, cr.rule.ctor), []).append(cr)
+        self.rules_by_key: dict[tuple[State, str], tuple[CompiledRule, ...]] = {
+            k: tuple(v) for k, v in grouped.items()
+        }
+        # Every state a run can be in: the initial one, then rule states
+        # and target states in rule order.  The walk numbers them so.
+        index: dict[State, int] = {sttr.initial: 0}
+        for cr in self.rules:
+            for s in (cr.rule.state, *(s for s, _ in cr.targets)):
+                index.setdefault(s, len(index))
+        self.state_index = index
+        self.states: tuple[State, ...] = tuple(index)
         # (state, ctor, sign vector) -> applicable rules; filled lazily
         # from observed vectors, eagerly by precompute().
         self._table: dict[
             tuple[State, str, tuple[bool, ...]], tuple[CompiledRule, ...]
         ] = {}
+        #: The generated walk's source, once the first run wrote it.
+        self.source: Optional[str] = None
+        self._walks: Optional[tuple[Walk, Walk]] = None
         _OBS_COMPILES.inc()
 
     # -- dispatch ----------------------------------------------------------
@@ -261,8 +175,6 @@ class CompiledSTTR:
             self._table[key] = rules
             if obs_config.ENABLED:
                 _OBS_DISPATCH_MEMO.inc()
-        if obs_config.ENABLED:
-            _OBS_DISPATCH.inc()
         return rules
 
     def precompute(self, solver: Solver) -> int:
@@ -286,6 +198,50 @@ class CompiledSTTR:
     def table_size(self) -> int:
         return len(self._table)
 
+    # -- the generated walk ------------------------------------------------
+
+    def walks(self) -> tuple[Walk, Walk]:
+        """``(walk_one, walk_all)``, generated and compiled on first use."""
+        if self._walks is None:
+            source, namespace = _generate(self)
+            exec(compile(source, f"<compiled {self.sttr.name}>", "exec"), namespace)
+            self.source = source
+            self._walks = (namespace["walk_one"], namespace["walk_all"])
+        return self._walks
+
+    def _rule_ids(
+        self, state: State, node: Tree, signs_of: dict, counting: bool
+    ) -> tuple[int, ...]:
+        """The rules ``state`` may apply at ``node``, by index: the walk's
+        slow path when its per-run memo misses.
+
+        A sign vector depends only on the node's symbol and attribute
+        tuple, so ``signs_of`` (one per run) makes each distinct pair
+        evaluate each distinct guard at most once, however many nodes
+        carry it and however many states visit them.  Only truth values
+        and rules are memoized, never attribute values: outputs copy
+        values out of each node itself, and a value-keyed memo would let
+        ``1`` stand in for ``True``.
+        """
+        key = (node.ctor, node.attrs)
+        signs = signs_of.get(key)
+        if signs is None:
+            signs = self.classify(node, self.sttr.input_type.attr_env(node.attrs))
+            signs_of[key] = signs
+            if counting:
+                _OBS_CLASSIFY.inc()
+        return tuple(cr.index for cr in self.dispatch(state, node.ctor, signs))
+
+    def _reads_tainted(self, rule_ids, node: Tree, tainted: set) -> bool:
+        """Does any of the rules read a pair whose result was cut?"""
+        kids = node.children
+        index = self.state_index
+        return any(
+            (index[s], id(kids[i])) in tainted
+            for r in rule_ids
+            for s, i in self.rules[r].targets
+        )
+
 
 def run_compiled_checked(
     compiled: CompiledSTTR,
@@ -302,119 +258,400 @@ def run_compiled_checked(
     sttr = compiled.sttr
     root_state = sttr.initial if state is None else state
     la = acceptance_table(sttr.lookahead_sta, tree)
-    attr_env = sttr.input_type.attr_env
-    budgets = _active_budgets()
+    walk_one, walk_all = compiled.walks()
+    states = compiled.states
+    q = compiled.state_index.get(root_state)
+    if q is None:
+        # A state no rule mentions: the walk's fallback branch runs it.
+        q = len(states)
+        states = states + (root_state,)
+    budgets = bool(_active_budgets())
     counting = obs_config.ENABLED
-
-    # A sign vector depends only on the node's symbol and attribute
-    # tuple, so each distinct (symbol, attribute tuple) evaluates each
-    # distinct guard at most once, however many nodes carry it and
-    # however many states visit them.  The rules a state dispatches to
-    # depend on the same key plus the state, so a pair costs one lookup
-    # in ``rules_of``: ``(rules, any of them has lookahead?)``.  Only
-    # truth values and rules are memoized, never attribute values:
-    # output expressions copy values out of each node itself, and a
-    # value-keyed memo would let ``1`` stand in for ``True``.
-    signs_of: dict[tuple, tuple[bool, ...]] = {}
-    rules_of: dict[tuple, tuple[tuple[CompiledRule, ...], bool]] = {}
-
-    # One post-order walk over (state, node) pairs.  A pair is pushed
-    # with ``applicable=None``; popped so, it is dispatched and pushed
-    # back with its applicable rules above the pairs its rules read.
-    # Popped the second time, every pair it reads has a result, and it
-    # emits its own.  Targets are strict subtrees, so a pair already
-    # entered is finished whenever it is reached again.
-    single = limit == 1
-    probe = None if limit is None else limit + 1
-    results: dict[tuple[State, int], object] = {}
-    tainted: set[tuple[State, int]] = set()
-    entered: set[tuple[State, int]] = set()
-    stack: list[tuple[State, Tree, Optional[tuple[CompiledRule, ...]]]] = [
-        (root_state, tree, None)
-    ]
-    while stack:
-        q, t, applicable = stack.pop()
-        key = (q, id(t))
-        if applicable is None:
-            if key in entered:
-                continue
-            entered.add(key)
-            kids = t.children
-            rules_key = (q, t.ctor, t.attrs)
-            dispatched = rules_of.get(rules_key)
-            if dispatched is None:
-                sign_key = (t.ctor, t.attrs)
-                signs = signs_of.get(sign_key)
-                if signs is None:
-                    signs = compiled.classify(t, attr_env(t.attrs))
-                    signs_of[sign_key] = signs
-                    if counting:
-                        _OBS_CLASSIFY.inc()
-                rules = compiled.dispatch(q, t.ctor, signs)
-                dispatched = (rules, any(cr.lookahead for cr in rules))
-                rules_of[rules_key] = dispatched
-            elif counting:
-                _OBS_DISPATCH.inc()
-            applicable, constrained = dispatched
-            if constrained:
-                applicable = tuple(
-                    cr
-                    for cr in applicable
-                    if all(l <= la(kids[i]) for i, l in cr.lookahead)
-                )
-            stack.append((q, t, applicable))
-            for cr in applicable:
-                for target_state, index in cr.targets:
-                    stack.append((target_state, kids[index], None))
-            continue
-        if budgets:
-            _tick(kind="transducer.task")
-        cut = False
-        if single:
-            # At most one output per pair: the first applicable rule's,
-            # cut when a later rule yields a different tree.
-            kept = None
-            for cr in applicable:
-                out = cr.emit_one(t, results)
-                if out is None or out is kept:
-                    continue
-                if kept is None:
-                    kept = out
-                elif out != kept:
-                    cut = True
-                    break
-        else:
-            outputs: dict[Tree, None] = {}
-            for cr in applicable:
-                produced, capped = cr.emit(t, results, probe)
-                cut = cut or capped
-                for out in produced:
-                    outputs.setdefault(out)
-                if limit is not None and len(outputs) > limit:
-                    cut = True
-                    break
-            kept = list(outputs)
-            if limit is not None and len(kept) > limit:
-                cut = True
-                kept = kept[:limit]
-        if cut or (
-            tainted
-            and any(
-                (target_state, id(t.children[index])) in tainted
-                for cr in applicable
-                for target_state, index in cr.targets
-            )
-        ):
-            tainted.add(key)
-        results[key] = kept
-    root_key = (root_state, id(tree))
-    root = results[root_key]
-    if single:
+    if limit == 1:
+        root, truncated, tasks = walk_one(tree, q, states, limit, la, budgets, counting)
         root = [] if root is None else [root]
+    else:
+        root, truncated, tasks = walk_all(tree, q, states, limit, la, budgets, counting)
     if prov.is_active():
         prov.note(
             "run",
-            f"ran {sttr.name} from state {root_state}: {len(results)} tasks, "
+            f"ran {sttr.name} from state {root_state}: {tasks} tasks, "
             f"{len(root)} output(s)",
         )
-    return root, root_key in tainted
+    return root, truncated
+
+
+# -- source generation -------------------------------------------------------
+
+
+class _Namespace:
+    """The values generated source refers to, under generated names."""
+
+    def __init__(self) -> None:
+        self.values: dict[str, object] = {}
+        self._names: dict[tuple[str, object], str] = {}
+
+    def bind(self, prefix: str, value: object, key: object = None) -> str:
+        """A name for ``value``; values bound under one ``key`` (default:
+        the value) share it."""
+        slot = (prefix, value if key is None else key)
+        name = self._names.get(slot)
+        if name is None:
+            name = f"{prefix}{len(self._names)}"
+            self._names[slot] = name
+            self.values[name] = value
+        return name
+
+
+def _attrs_source(
+    exprs: tuple[Term, ...], input_type: TreeType, ns: _Namespace
+) -> tuple[str, Optional[str]]:
+    """An output node's attribute expressions -> ``(source, reads)``.
+
+    The identity field list is ``t.attrs`` itself, and an all-constant
+    list is a tuple built once; both read nothing (``reads`` is None)
+    and cannot fail.  Otherwise a field variable reads ``a`` (the
+    node's ``attrs``) by index and a constant is its value (``reads``
+    is ``"a"``), or, when some expression computes a new value, every
+    expression is evaluated against the attribute env ``env``
+    (``reads`` is ``"env"``).  Every form yields the values evaluation
+    would, the very objects (a copied ``1`` stays an ``int``), for trees
+    that carry one value per field of the input type.
+    """
+    fields = input_type.attr_vars()
+    if exprs == fields:
+        return "t.attrs", None
+    if all(isinstance(e, Const) for e in exprs):
+        return ns.bind("A", tuple(e.value for e in exprs), ("A", exprs)), None
+    slot_of = {v: i for i, v in enumerate(fields)}
+    if all(isinstance(e, Const) or e in slot_of for e in exprs):
+        parts = [
+            ns.bind("C", e.value, e) if isinstance(e, Const) else f"a[{slot_of[e]}]"
+            for e in exprs
+        ]
+        return "(" + "".join(p + ", " for p in parts) + ")", "a"
+    parts = [ns.bind("E", e.evaluate, e) + "(env)" for e in exprs]
+    return "(" + "".join(p + ", " for p in parts) + ")", "env"
+
+
+class _RuleCode:
+    """The statements that compute one rule's output inside the walk.
+
+    Attribute tuples that can fail are computed first, in pre-order
+    (the order evaluation meets them), then the results of the pairs
+    the rule reads; the output is assembled from those.
+    """
+
+    def __init__(
+        self, compiled: CompiledSTTR, cr: CompiledRule, ns: _Namespace, single: bool
+    ) -> None:
+        self.ns = ns
+        self.input_type = compiled.sttr.input_type
+        self.state_index = compiled.state_index
+        self.single = single
+        self.reads: set[str] = set()
+        self.attr_lines: list[str] = []
+        self.read_lines: list[str] = []
+        self.cross_lines: list[str] = []
+        self.capped: list[str] = []
+        self.expr = self._term(cr.rule.output)
+
+    def _term(self, term: OutputTerm) -> str:
+        if isinstance(term, OutApply):
+            var = f"v{len(self.read_lines)}"
+            results = f"R{self.state_index[term.state]}"
+            self.read_lines.append(f"{var} = {results}[id(k[{term.index}])]")
+            return var
+        if isinstance(term, OutNode):
+            attrs, reads = _attrs_source(term.attr_exprs, self.input_type, self.ns)
+            if reads is not None:
+                self.reads.add(reads)
+                var = f"x{len(self.attr_lines)}"
+                self.attr_lines.append(f"{var} = {attrs}")
+                attrs = var
+            ctor = self.ns.bind("K", term.ctor)
+            kids = [self._term(c) for c in term.children]
+            if self.single:
+                return f"Tree({ctor}, {attrs}, ({''.join(k + ', ' for k in kids)}))"
+            n = len(self.capped)
+            self.cross_lines += [
+                f"l{n} = []",
+                f"c{n} = CROSS([{', '.join(kids)}], 0, [], {attrs}, {ctor}, l{n}, probe)",
+            ]
+            self.capped.append(f"c{n}")
+            return f"l{n}"
+        raise TransductionError(f"cannot lower extended term {term!r}")
+
+    def lines(self) -> list[str]:
+        """Statements leaving the rule's output in ``out`` (one tree or
+        None) or, in list mode, its outputs in ``produced`` and whether
+        a cross product hit the probe cap in ``capped``."""
+        body = []
+        if "env" in self.reads:
+            body.append("env = ENV(t.attrs)")
+        if "a" in self.reads:
+            body.append("a = t.attrs")
+        body += self.attr_lines + self.read_lines
+        if not self.single:
+            capped = " or ".join(self.capped) if self.capped else "False"
+            return body + self.cross_lines + [
+                f"produced = {self.expr}",
+                f"capped = {capped}",
+            ]
+        if not self.read_lines or self.expr == "v0":
+            # Nothing read, or the output is the one result read.
+            return body + [f"out = {self.expr}"]
+        missing = " or ".join(f"v{n} is None" for n in range(len(self.read_lines)))
+        return body + [
+            f"if {missing}:",
+            "    out = None",
+            "else:",
+            f"    out = {self.expr}",
+        ]
+
+
+def _indent(lines: list[str], depth: int = 1) -> list[str]:
+    pad = "    " * depth
+    return [pad + line for line in lines]
+
+
+def _by_rule(
+    rules: tuple[CompiledRule, ...],
+    code: Callable[[CompiledRule], list[str]],
+    group: tuple[CompiledRule, ...],
+) -> list[str]:
+    """The body of ``for r in app:`` running each of ``rules``'
+    statements, where ``app`` holds rules of ``group``."""
+    if len(group) == 1:
+        return code(group[0])
+    out: list[str] = []
+    for n, cr in enumerate(rules):
+        out.append(f"{'elif' if n else 'if'} r == {cr.index}:")
+        out += _indent(code(cr))
+    return out
+
+
+def _emit_lines(
+    compiled: CompiledSTTR,
+    rules: tuple[CompiledRule, ...],
+    q: Optional[int],
+    ns: _Namespace,
+    single: bool,
+) -> list[str]:
+    """Statements that tick, emit the result of pair ``(q, t)`` from the
+    rules in ``app`` (a subset of ``rules``) and record it.  ``q`` is
+    None in the fallback branch, where the state index is a variable."""
+    codes = {cr.index: _RuleCode(compiled, cr, ns, single).lines() for cr in rules}
+    lines = ["if budgets:", '    TICK(kind="transducer.task")', "cut = False"]
+    if single and len(rules) == 1:
+        # One rule, so at most one output: nothing to compare or cut.
+        lines += ["kept = None", "if app:", "    k = t.children"]
+        lines += _indent(codes[rules[0].index] + ["kept = out"])
+    elif single:
+        lines.append("kept = None")
+        if rules:
+            lines += ["k = t.children", "for r in app:"]
+            lines += _indent(_by_rule(rules, lambda cr: codes[cr.index], rules))
+            lines += _indent(
+                [
+                    "if out is None or out is kept:",
+                    "    continue",
+                    "if kept is None:",
+                    "    kept = out",
+                    "elif out != kept:",
+                    "    cut = True",
+                    "    break",
+                ]
+            )
+    else:
+        lines.append("outputs = {}")
+        if rules:
+            lines += ["k = t.children", "for r in app:"]
+            lines += _indent(_by_rule(rules, lambda cr: codes[cr.index], rules))
+            lines += _indent(
+                [
+                    "if capped:",
+                    "    cut = True",
+                    "for o in produced:",
+                    "    outputs.setdefault(o)",
+                    "if limited and len(outputs) > limit:",
+                    "    cut = True",
+                    "    break",
+                ]
+            )
+        lines += [
+            "kept = list(outputs)",
+            "if limited and len(kept) > limit:",
+            "    cut = True",
+            "    kept = kept[:limit]",
+        ]
+    state, results = ("q", "R[q]") if q is None else (str(q), f"R{q}")
+    return lines + [
+        "i = id(t)",
+        "if cut or (tainted and READS_TAINTED(app, t, tainted)):",
+        f"    tainted.add(({state}, i))",
+        f"{results}[i] = kept",
+    ]
+
+
+def _lookahead_test(cr: CompiledRule, ns: _Namespace) -> str:
+    """``r`` is not ``cr``, or every child ``cr`` constrains is accepted
+    by every lookahead state it names (children left to right)."""
+    checks = [
+        f"{ns.bind('L', states)} <= la(k[{i}])" for i, states in cr.lookahead
+    ]
+    return f"(r != {cr.index} or ({' and '.join(checks)}))"
+
+
+def _down_lines(
+    compiled: CompiledSTTR,
+    q: int,
+    rules: tuple[CompiledRule, ...],
+    group: int,
+    ns: _Namespace,
+) -> tuple[list[str], bool]:
+    """Dispatch of pair ``(q, t)`` for one constructor: memo lookup,
+    lookahead filter, then the pushes.  Returns the statements and
+    whether the pair is pushed back to emit on the way up (False: its
+    rules read no child, so the caller emits at once)."""
+    state = ns.bind("S", compiled.states[q], ("S", q))
+    memo = f"M{group}"
+    lines = [
+        f"app = {memo}.get(t.attrs)",
+        "if app is None:",
+        f"    app = {memo}[t.attrs] = RULES({state}, t, signs_of, counting)",
+    ]
+    constrained = [cr for cr in rules if cr.lookahead]
+    if constrained:
+        tests = " and ".join(_lookahead_test(cr, ns) for cr in constrained)
+        lines += [
+            "k = t.children",
+            "held = []",
+            "for r in app:",
+            f"    if {tests}:",
+            "        held.append(r)",
+            "app = held",
+        ]
+    with_targets = tuple(cr for cr in rules if cr.targets)
+    if not with_targets:
+        return lines, False
+
+    def pushes(cr: CompiledRule) -> list[str]:
+        return [
+            f"push(({compiled.state_index[s]}, k[{i}], None))" for s, i in cr.targets
+        ]
+
+    if not constrained:
+        lines.append("k = t.children")
+    lines += [f"push(({group}, t, app))", "for r in app:"]
+    if len({cr.targets for cr in rules}) == 1:
+        # Every rule reads the same pairs: no need to tell them apart.
+        lines += _indent(pushes(rules[0]))
+    else:
+        lines += _indent(_by_rule(with_targets, pushes, rules))
+    return lines + ["continue"], True
+
+
+def _fallback_lines(
+    compiled: CompiledSTTR, q: Optional[int], ns: _Namespace, single: bool
+) -> list[str]:
+    """A pair with no rule for its constructor: classify and dispatch it
+    all the same (the counts and the table see it), then emit nothing."""
+    return (
+        ["app = RULES(states[q], t, signs_of, counting)"]
+        + _emit_lines(compiled, (), q, ns, single)
+        + ["continue"]
+    )
+
+
+def _walk_source(
+    compiled: CompiledSTTR,
+    groups: list[tuple[int, str]],
+    ns: _Namespace,
+    single: bool,
+) -> list[str]:
+    """One walk function.  Stack entries are ``(state index, node,
+    None)`` going down and ``(group, node, rule indices)`` coming up,
+    where a group numbers a (state, constructor) pair that has rules."""
+    up: list[str] = []
+    down: list[str] = []
+    for q in range(len(compiled.states)):
+        branches: list[str] = []
+        for g, (gq, ctor) in enumerate(groups):
+            if gq != q:
+                continue
+            rules = compiled.rules_by_key[(compiled.states[q], ctor)]
+            dispatch, pushed = _down_lines(compiled, q, rules, g, ns)
+            emit = _emit_lines(compiled, rules, q, ns, single)
+            if pushed:
+                up += [f"{'elif' if up else 'if'} q == {g}:"] + _indent(emit)
+            else:
+                dispatch += emit + ["continue"]
+            branches.append(
+                f"{'elif' if branches else 'if'} t.ctor == {ns.bind('K', ctor)}:"
+            )
+            branches += _indent(dispatch)
+        fallback = _fallback_lines(compiled, q, ns, single)
+        if branches:
+            branches += ["else:"] + _indent(fallback)
+        else:
+            branches = fallback
+        down.append(f"{'elif' if down else 'if'} q == {q}:")
+        down += _indent(
+            [f"if id(t) in R{q}:", "    continue", "if counting:", "    DISPATCH()"]
+            + branches
+        )
+    # A root state that no rule mentions has the next index.
+    down += ["else:"] + _indent(
+        ["if id(t) in R[q]:", "    continue", "if counting:", "    DISPATCH()"]
+        + _fallback_lines(compiled, None, ns, single)
+    )
+    return [
+        f"def {'walk_one' if single else 'walk_all'}"
+        "(tree, q, states, limit, la, budgets, counting):",
+        "    R = [{} for _ in states]",
+        *(f"    R{i} = R[{i}]" for i in range(len(compiled.states))),
+        *(f"    M{g} = {{}}" for g in range(len(groups))),
+        "    signs_of = {}",
+        "    tainted = set()",
+        "    limited = limit is not None",
+        "    probe = None if limit is None else limit + 1",
+        "    root = q",
+        "    stack = [(q, tree, None)]",
+        "    pop = stack.pop",
+        "    push = stack.append",
+        "    while stack:",
+        "        q, t, app = pop()",
+        "        if app is not None:",
+        *_indent(up + ["continue"], 3),
+        *_indent(down, 2),
+        "    i = id(tree)",
+        "    return R[root][i], (root, i) in tainted, sum(map(len, R))",
+        "",
+    ]
+
+
+def _generate(compiled: CompiledSTTR) -> tuple[str, dict]:
+    """The source of ``walk_one`` and ``walk_all`` plus their namespace."""
+    ns = _Namespace()
+    index = compiled.state_index
+    groups = sorted(
+        ((index[state], ctor) for state, ctor in compiled.rules_by_key),
+        key=lambda group: group[0],
+    )
+    source = _walk_source(compiled, groups, ns, True)
+    source += _walk_source(compiled, groups, ns, False)
+    namespace = dict(ns.values)
+    namespace.update(
+        Tree=Tree,
+        CROSS=_cross,
+        TICK=_tick,
+        DISPATCH=_OBS_DISPATCH.inc,
+        RULES=compiled._rule_ids,
+        READS_TAINTED=compiled._reads_tainted,
+        ENV=compiled.sttr.input_type.attr_env,
+        __builtins__={
+            "id": id, "len": len, "list": list, "map": map, "set": set, "sum": sum,
+        },
+    )
+    return "\n".join(source), namespace

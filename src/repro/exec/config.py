@@ -4,7 +4,7 @@ All knobs are read at *call* time, not import time, so tests (and the
 benchmark harness) can flip them per scenario without reimporting:
 
 * ``REPRO_EXEC`` — ``compiled`` (default) routes ``Transducer.apply``
-  through the closure-lowered form; ``interp`` forces the reference
+  through the compiled form (generated walk); ``interp`` forces the reference
   interpreter.
 * ``REPRO_CACHE`` — ``off`` / ``0`` / ``no`` disables the artifact
   cache entirely (every request parses and compiles from source).

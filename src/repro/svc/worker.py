@@ -36,6 +36,7 @@ pays an interpreter start per worker.
 from __future__ import annotations
 
 import itertools
+import mmap
 import multiprocessing
 import os
 import signal
@@ -59,7 +60,7 @@ _CORRUPT_PAYLOAD = ("\x00corrupt\x00", "injected by WorkerChaosPolicy")
 
 #: Chaos-leaked slabs; module-level so they stay pinned for the life of
 #: the worker process, exactly like a real leak would.
-_LEAKED: list[bytearray] = []
+_LEAKED: list[mmap.mmap] = []
 
 _worker_ids = itertools.count(1)
 
@@ -91,6 +92,20 @@ def _reset_inherited_state() -> None:
         obs_tracer.reset_after_fork()
     except Exception:
         pass
+
+
+def _resident_slab(size: int) -> mmap.mmap:
+    """``size`` bytes of fresh anonymous memory, every page written.
+
+    A ``bytearray`` may be carved from heap memory a freed object left
+    resident (the worker inherits its parent's heap at fork), so it
+    need not grow the RSS it is meant to inflate; a new mapping whose
+    pages are all written always does.
+    """
+    slab = mmap.mmap(-1, size)
+    for offset in range(0, size, mmap.PAGESIZE):
+        slab[offset] = 1
+    return slab
 
 
 def _hygiene_report(flushes: int) -> dict:
@@ -173,7 +188,7 @@ def _worker_main(
             continue
         if fault == "leak":
             # Pin garbage, then answer correctly: the damage is RSS.
-            _LEAKED.append(bytearray(chaos.leak_bytes))
+            _LEAKED.append(_resident_slab(chaos.leak_bytes))
         result = execute_with_telemetry(spec, attempt, telemetry)
         result.hygiene = _hygiene_report(flushes)
         try:

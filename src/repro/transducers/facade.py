@@ -48,7 +48,9 @@ class Transducer:
     # -- execution -----------------------------------------------------------
 
     def _compiled(self):
-        """The closure-lowered form, built once per transducer.
+        """The compiled form with its generated walk, built on the first
+        run of this transducer (analyses that never run it never build
+        it).
 
         Lowering failures are remembered as None (fall back to the
         interpreter forever) — the compiled tier is an optimization,
@@ -60,6 +62,7 @@ class Transducer:
                 from ..exec.compiled import CompiledSTTR
 
                 compiled = CompiledSTTR(self.sttr)
+                compiled.walks()
             except Exception:
                 compiled = None
             object.__setattr__(self, "_compiled_sttr", compiled)

@@ -4,34 +4,75 @@ A :class:`Tree` is an immutable node ``f[a1 .. am](t1 .. tk)``: a
 constructor name, a tuple of attribute values, and a tuple of children.
 Trees are structural — a tree belongs to a :class:`~repro.trees.types.TreeType`
 if it validates against it — which keeps transducer outputs cheap to build.
+
+``Tree`` is a ``__slots__`` class, not a dataclass: a transducer run and
+the HTML encoding build one per node, so construction is three slot
+stores and one cached hash.  Fields are never reassigned after
+``__init__``.  Equality, ``repr`` and the other whole-tree walks are
+iterative, because ``val`` chains of the HTML encoding are thousands of
+nodes deep.  A pickled tree is rebuilt from its fields where it is
+loaded, so its cached hash follows the loading process's hash seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from ..smt.terms import Value
 
 
-@dataclass(frozen=True)
 class Tree:
     """An attributed ranked tree ``ctor[attrs](children)``."""
 
-    ctor: str
-    attrs: tuple[Value, ...] = ()
-    children: tuple["Tree", ...] = ()
+    __slots__ = ("ctor", "attrs", "children", "_hash")
 
-    def __post_init__(self) -> None:
+    ctor: str
+    attrs: tuple[Value, ...]
+    children: tuple["Tree", ...]
+
+    def __init__(
+        self,
+        ctor: str,
+        attrs: tuple[Value, ...] = (),
+        children: tuple["Tree", ...] = (),
+    ) -> None:
+        self.ctor = ctor
+        self.attrs = attrs
+        self.children = children
         # Cache the hash: trees key memoization tables in the automaton
         # algorithms, and recomputing a deep hash per lookup is quadratic.
-        object.__setattr__(
-            self, "_hash", hash((self.ctor, self.attrs, self.children))
-        )
+        self._hash = hash((ctor, attrs, children))
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Node pairs on an explicit stack; unequal hashes reject a pair
+        # before its fields are read.
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (
+                a._hash != b._hash
+                or a.ctor != b.ctor
+                or a.attrs != b.attrs
+                or len(a.children) != len(b.children)
+            ):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __reduce__(self):
+        # Rebuild from the fields, so the hash is recomputed under the
+        # loading process's hash seed (worker processes have their own).
+        return (Tree, (self.ctor, self.attrs, self.children))
 
     def __repr__(self) -> str:
         return format_tree(self)
@@ -117,10 +158,31 @@ def _format_attr(value: Value) -> str:
     return str(value)
 
 
-def format_tree(tree: Tree) -> str:
-    """Render in the paper's surface syntax: ``f["a"](c1, c2)``."""
+def _format_head(tree: Tree) -> str:
     attrs = " ".join(_format_attr(a) for a in tree.attrs)
-    head = tree.ctor + (f"[{attrs}]" if attrs else "[]" if tree.attrs else "")
-    if not tree.children:
-        return head
-    return head + "(" + ", ".join(format_tree(c) for c in tree.children) + ")"
+    return tree.ctor + (f"[{attrs}]" if attrs else "[]" if tree.attrs else "")
+
+
+def format_tree(tree: Tree) -> str:
+    """Render in the paper's surface syntax: ``f["a"](c1, c2)``.
+
+    Iterative: the stack holds trees still to render and the literal
+    separators between them.
+    """
+    parts: list[str] = []
+    stack: list[Tree | str] = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        parts.append(_format_head(item))
+        children = item.children
+        if children:
+            parts.append("(")
+            stack.append(")")
+            for i in range(len(children) - 1, 0, -1):
+                stack.append(children[i])
+                stack.append(", ")
+            stack.append(children[0])
+    return "".join(parts)

@@ -154,6 +154,29 @@ class TestSanitizers:
         assert len(kept) == 10_000
         assert all(el.tag == "b" for el in kept)
 
+    @pytest.mark.parametrize("tier", ["compiled", "interp"])
+    def test_deeply_nested_page(self, fast_sanitizer, monkeypatch, tier):
+        # 1,500 nested elements: parse, encode, run, decode and serialize
+        # all walk the nesting without recursing.  The monolithic
+        # sanitizer recurses on nesting, so the expected page is built
+        # by hand.
+        monkeypatch.setenv("REPRO_EXEC", tier)
+        depth = 1500
+        page = (
+            '<div title="a\'b">' * depth
+            + "it's<script>alert(1)</script>"
+            + "</div>" * depth
+            + "<p>end</p>"
+        )
+        expected = (
+            '<div title="a\\\'b">' * depth
+            + "it\\'s"
+            + "</div>" * depth
+            + "<p>end</p>"
+        )
+        out = fast_sanitizer.rem_esc.apply_one(encode_forest(parse_html(page)))
+        assert serialize(decode_forest(out)) == expected
+
     def test_analysis_fixed_is_safe(self, fast_sanitizer):
         assert fast_sanitizer.analyze().safe
 

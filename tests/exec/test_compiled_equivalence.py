@@ -17,11 +17,17 @@ list, permuted and repeated field copies, constants, and arithmetic.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.automata import STA, rule
-from repro.exec.compiled import CompiledSTTR, _lower_attrs, run_compiled_checked
+from repro.exec.compiled import (
+    CompiledSTTR,
+    _attrs_source,
+    _Namespace,
+    run_compiled_checked,
+)
 from repro.guard import Budget, scope
 from repro.obs import provenance as prov
 from repro.smt import INT, REAL, Solver, mk_add, mk_eq, mk_gt, mk_int, mk_real, mk_var
@@ -305,6 +311,14 @@ def test_hand_examples_reach_their_cases():
     ]
 
 
+def _lowered_attrs(exprs, t):
+    """Evaluate the generated source of an attribute list at ``t``."""
+    ns = _Namespace()
+    source, _reads = _attrs_source(exprs, ET, ns)
+    local = {"t": t, "a": t.attrs, "env": ET.attr_env(t.attrs)}
+    return eval(source, {"__builtins__": {}, **ns.values}, local)
+
+
 def test_attribute_lowering_matches_evaluation():
     """Each lowered attribute list yields the values evaluation does, the
     same objects; the identity list hands back the node's own tuple."""
@@ -312,11 +326,11 @@ def test_attribute_lowering_matches_evaluation():
         t = Tree("L", values)
         env = ET.attr_env(values)
         for exprs in ATTR_EXPRS:
-            lowered = _lower_attrs(exprs, ET)(t)
+            lowered = _lowered_attrs(exprs, t)
             expected = tuple(e.evaluate(env) for e in exprs)
             assert lowered == expected and repr(lowered) == repr(expected)
             assert [type(v) for v in lowered] == [type(v) for v in expected]
-        assert _lower_attrs((x, y, z), ET)(t) is t.attrs
+        assert _lowered_attrs((x, y, z), t) is t.attrs
 
 
 @given(sttr=sttrs(), tree=trees())
@@ -387,3 +401,133 @@ def test_facade_routes_through_compiled_tier(monkeypatch):
     monkeypatch.setenv("REPRO_EXEC", "interp")
     assert trans.apply(t) == compiled_out
     assert trans.apply_one(t) == compiled_out[0]
+
+
+def _both_tiers(sttr, tree, limit):
+    """Run both tiers under a budget and provenance; assert they agree."""
+    interp_budget = Budget()
+    with scope(interp_budget), prov.collecting() as interp_prov:
+        expected = run_checked(sttr, tree, limit=limit)
+    compiled_budget = Budget()
+    with scope(compiled_budget), prov.collecting() as compiled_prov:
+        actual = run_compiled_checked(CompiledSTTR(sttr), tree, limit=limit)
+    assert actual == expected
+    assert repr(actual) == repr(expected)
+    assert compiled_budget.steps == interp_budget.steps
+    assert _run_notes(compiled_prov) == _run_notes(interp_prov)
+    return actual
+
+
+def _chain(depth):
+    """``U(U(... L))``, ``depth`` unary nodes over one leaf."""
+    t = Tree("L", (1, 0, 0))
+    for i in range(depth):
+        t = Tree("U", (i % 3 - 1, Fraction(i % 2), 0), (t,))
+    return t
+
+
+@pytest.mark.parametrize("limit", [None, 1, 2])
+@pytest.mark.parametrize("sttr", [IDENTITY, TWO_OUTPUTS], ids=["identity", "two"])
+def test_deep_chain(sttr, limit):
+    """A chain deeper than the recursion limit: the generated walk keeps
+    its own stack, and both tiers agree on output, cut and ticks."""
+    outputs, truncated = _both_tiers(sttr, _chain(1500), limit)
+    assert outputs and outputs[0].depth() == 1501
+    assert truncated == (sttr is TWO_OUTPUTS and limit == 1)
+
+
+@pytest.fixture(scope="module")
+def rem_esc():
+    from repro.apps.html import FastHtmlSanitizer
+
+    return FastHtmlSanitizer().rem_esc.sttr
+
+
+@pytest.mark.parametrize("limit", [None, 1])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rem_esc_on_seeded_pages(rem_esc, seed, limit):
+    """The composed Section 5.1 sanitizer on generated pages."""
+    from repro.apps.html import encode_html, generate_page
+
+    tree = encode_html(generate_page(1250 * seed, seed))
+    outputs, truncated = _both_tiers(rem_esc, tree, limit)
+    assert len(outputs) == 1 and not truncated
+
+
+def test_source_is_generated_once_on_first_run(monkeypatch):
+    import repro.exec.compiled as compiled_module
+
+    calls = []
+    generate = compiled_module._generate
+
+    def counting(compiled):
+        calls.append(compiled)
+        return generate(compiled)
+
+    monkeypatch.setattr(compiled_module, "_generate", counting)
+    compiled = CompiledSTTR(TWO_STATES)
+    assert compiled.source is None and not calls
+    run_compiled_checked(compiled, SHARED_DAG, limit=1)
+    run_compiled_checked(compiled, SHARED_DAG)
+    run_compiled_checked(compiled, U_LEAF, limit=2)
+    assert calls == [compiled]
+    assert "def walk_one" in compiled.source and "def walk_all" in compiled.source
+
+
+#: Program text that would do harm if it were pasted into source.
+HOSTILE = (
+    '"); __import__("os").system("exit 3"); ("',
+    "'''\nimport os\n'''",
+    "\\",
+    "a\nb\r\n\tc",
+    "{K0}",
+)
+
+
+def test_program_text_is_never_spliced_into_source():
+    """Constructor names, states, guard and output constants full of
+    quotes, newlines and code: both tiers agree, and none of it shows
+    up in the generated source."""
+    from repro.smt import STRING, mk_str
+
+    names = [f"c{i}{text}" for i, text in enumerate(HOSTILE)]
+    st_type = make_tree_type(
+        "Hostile", [("s", STRING)], {names[0]: 0, names[1]: 1, names[2]: 2}
+    )
+    s = mk_var("s", STRING)
+    p, q = HOSTILE[0], ("state", HOSTILE[1])
+    rules = (
+        trule(
+            p,
+            names[2],
+            OutNode(names[1], (mk_str(HOSTILE[3]),), (OutApply(q, 0),)),
+            guard=mk_eq(s, mk_str(HOSTILE[4])),
+            rank=2,
+        ),
+        trule(
+            p,
+            names[2],
+            OutNode(names[2], (s,), (OutApply(q, 0), OutApply(p, 1))),
+            rank=2,
+        ),
+        trule(
+            q, names[1], OutNode(names[1], (mk_str(HOSTILE[2]),), (OutApply(p, 0),)), rank=1
+        ),
+        trule(q, names[0], OutNode(names[0], (s,), ()), rank=0),
+        trule(p, names[0], OutNode(names[0], (mk_str(HOSTILE[0]),), ()), rank=0),
+        trule(p, names[1], OutNode(names[0], (s,), ()), rank=1),
+    )
+    sttr = STTR("hostile", st_type, st_type, p, rules)
+    leaf = Tree(names[0], (HOSTILE[1],))
+    tree = Tree(
+        names[2],
+        (HOSTILE[4],),
+        (Tree(names[1], (HOSTILE[3],), (leaf,)), Tree(names[2], ("x",), (leaf, leaf))),
+    )
+    for limit in (None, 1, 2):
+        outputs, _ = _both_tiers(sttr, tree, limit)
+        assert len(outputs) == (1 if limit == 1 else 2)
+    compiled = CompiledSTTR(sttr)
+    compiled.walks()
+    for text in HOSTILE:
+        assert text not in compiled.source

@@ -1,6 +1,11 @@
 """Tests for tree types, values, parsing, and encodings."""
 
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +101,62 @@ class TestTree:
     def test_hashable(self):
         assert node("L", 1) == node("L", 1)
         assert len({node("L", 1), node("L", 1)}) == 1
+
+    def test_equality_is_structural(self):
+        t = node("N", 0, node("L", 1), node("L", 2))
+        assert t == node("N", 0, node("L", 1), node("L", 2))
+        assert t != node("N", 0, node("L", 2), node("L", 1))
+        assert t != node("N", 0, node("L", 1))
+        assert node("L", 1) != "L"
+        # Attribute values compare as values, as tuples do.
+        assert node("L", 1) == node("L", Fraction(1))
+
+    def test_deep_equality_and_repr_do_not_recurse(self):
+        # Two distinct 5000-deep chains: neither == nor repr may recurse.
+        a, b = encode_string("x" * 5000), encode_string("x" * 5000)
+        assert a is not b
+        assert a == b and not a != b
+        assert a != encode_string("x" * 4999 + "y")
+        assert repr(a) == 'val["x"](' * 5000 + 'nil[""]' + ")" * 5000
+
+    def test_pickle_rebuilds_the_hash_where_loaded(self):
+        # A tree pickled under one hash seed must be found in a set of
+        # equal trees under another (worker processes have their own).
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        dump = (
+            "import pickle, sys; from repro.trees import Tree; "
+            "sys.stdout.buffer.write(pickle.dumps(Tree('a', ('x',))))"
+        )
+        load = (
+            "import pickle, sys; from repro.trees import Tree; "
+            "t = pickle.loads(sys.stdin.buffer.read()); "
+            "print(t == Tree('a', ('x',)), t in {Tree('a', ('x',))})"
+        )
+        pickled = subprocess.run(
+            [sys.executable, "-c", dump],
+            env={**env, "PYTHONHASHSEED": "1"},
+            capture_output=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        loaded = subprocess.run(
+            [sys.executable, "-c", load],
+            env={**env, "PYTHONHASHSEED": "2"},
+            input=pickled,
+            capture_output=True,
+            check=True,
+            timeout=60,
+        )
+        assert loaded.stdout.split() == [b"True", b"True"]
+
+    def test_pickle_roundtrip(self):
+        t = node("N", 0, node("L", 1), node("L", 2))
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and hash(back) == hash(t) and repr(back) == repr(t)
 
 
 class TestFormatParse:
