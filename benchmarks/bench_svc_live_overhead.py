@@ -1,18 +1,16 @@
-"""Live-observability overhead: trace propagation + rolling windows.
+"""Live-observability overhead: request-scoped trace propagation.
 
-PR18 puts two new pieces of work on the served path of every request:
-request-scoped trace propagation (``trace_context`` + the
+Every served request carries trace work: ``trace_context`` plus the
 ``svc.admission``/``svc.dispatch`` spans and gate instants, recorded
-when observability is on) and rolling-window aggregation
-(the :class:`repro.obs.live.LiveStats` windows the admission gate
-records every served request into).  Both run once per
-request, so their cost must be measured against an honest request, not
-assumed away.
+when observability is on.  It runs once per request, so its cost must
+be measured against an honest request, not assumed away.  The serving
+ledger (:class:`repro.svc.telemetry.Ledger`) is always on, so both arms
+record into it.
 
 This benchmark drives the same warm pool through two per-request loops
-— a *bare* arm (parse, gate, execute, serialize: the pre-PR18 served
-path) and a *live* arm (the same plus trace context, spans recorded
-with observability on, and window recording) — with rounds **interleaved**
+— a *bare* arm (parse, gate, execute, ledger, serialize) and a *live*
+arm (the same plus trace context and spans recorded with observability
+on) — with rounds **interleaved**
 (bare, live, bare, live, ...) so slow patches on a shared CI container
 hit both arms instead of skewing whichever ran second.  The reported
 figure is the relative p50 per-request latency overhead.
@@ -47,7 +45,6 @@ os.environ.setdefault("REPRO_CACHE", "off")
 from repro import obs  # noqa: E402
 from repro.obs import metrics as obs_metrics  # noqa: E402
 from repro.obs import tracer as obs_tracer  # noqa: E402
-from repro.obs.live import LiveStats  # noqa: E402
 from repro.svc import (  # noqa: E402
     AnalysisService,
     GateConfig,
@@ -85,8 +82,7 @@ def _example(name: str) -> str:
 def request_lines(n: int, tag: str) -> list[str]:
     """``n`` realistically sized request lines (the paper's §5.1/§5.2
     programs, ~5–35 ms each).  Sub-millisecond toy jobs would make the
-    *relative* overhead figure meaningless — per-request trace + window
-    cost is a fixed few microseconds, so the denominator must be an
+    *relative* overhead figure meaningless — per-request trace cost is a fixed few microseconds, so the denominator must be an
     honest request."""
     sanitizer = _example("sanitizer_fixed.fast")
     tagger = _example("world_tagger.fast")
@@ -102,19 +98,16 @@ def request_lines(n: int, tag: str) -> list[str]:
     ]
 
 
-def _gate(windows: bool) -> AdmissionGate:
+def _gate() -> AdmissionGate:
     # Big queue, no quotas: nothing sheds, so both arms measure the
-    # *served* path only.  The bare arm's gate keeps no live windows.
-    gate = AdmissionGate(
+    # *served* path only.
+    return AdmissionGate(
         GateConfig(max_queue=1024, max_deadline=60.0, workers=POOL_SIZE)
     )
-    if not windows:
-        gate.live = LiveStats(windows=(), clock=gate.clock)
-    return gate
 
 
 def _serve_bare(svc: AnalysisService, gate: AdmissionGate, line: str) -> float:
-    """One request through the pre-PR18 served path."""
+    """One request through the served path without trace work."""
     t0 = time.perf_counter()
     request = parse_line(line, "bare")
     decision = gate.admit(request.spec, request.tenant)
@@ -131,8 +124,8 @@ def _serve_bare(svc: AnalysisService, gate: AdmissionGate, line: str) -> float:
 
 def _serve_live(svc: AnalysisService, gate: AdmissionGate, line: str) -> float:
     """One request through the full live path: trace context + spans
-    (recorded, observability on) + window recording — the exact
-    per-request work :func:`repro.svc.serve.serve_lines` does."""
+    (recorded, observability on) — the exact per-request work
+    :func:`repro.svc.serve.serve_lines` does."""
     t0 = time.perf_counter()
     request = parse_line(line, "live")
     with obs_tracer.trace_context(request.trace_id):
@@ -163,7 +156,7 @@ def measure_overhead() -> dict[str, float]:
     live_lat: list[float] = []
     with AnalysisService(config) as svc:
         svc.run_job(JobSpec("warmup", "run", PASSING))  # pay spawn once
-        gate_bare, gate_live = _gate(windows=False), _gate(windows=True)
+        gate_bare, gate_live = _gate(), _gate()
         for round_no in range(ROUNDS):
             lines = request_lines(CORPUS_SIZE, f"r{round_no}")
             for line in lines:
@@ -188,7 +181,7 @@ def render(row: dict[str, float]) -> str:
         f"--jobs {POOL_SIZE}, {os.cpu_count()} cpu(s)\n"
         f"bare served path p50: {row['p50_bare_ms']:7.2f} ms\n"
         f"live served path p50: {row['p50_live_ms']:7.2f} ms "
-        f"(trace context + spans + windows)\n"
+        f"(trace context + spans)\n"
         f"overhead: {row['overhead_pct']:+.1f}% "
         f"(budget {OVERHEAD_BUDGET_PCT:.0f}%, "
         f"backstop {OVERHEAD_BACKSTOP_PCT:.0f}%)"

@@ -294,8 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECONDS",
         default=0.0,
-        help="print a rolling jobs/sec + per-kind quantile line to "
-        "stderr at most every SECONDS (0 = never; default 0)",
+        help="print a rolling jobs/sec + per-kind quantile line, with "
+        "per-tenant counts since the previous one, to stderr at most "
+        "every SECONDS (0 = never; default 0)",
     )
     serve.add_argument(
         "--max-queue",

@@ -26,7 +26,8 @@ retained root store),
 :mod:`~repro.obs.export` (Chrome/Perfetto traces & flamegraphs, rendered
 from the span trees),
 :mod:`~repro.obs.diff` (snapshot diffing & the CI regression gate),
-:mod:`~repro.obs.provenance` (derivation recording for verdicts).
+:mod:`~repro.obs.provenance` (derivation recording for verdicts),
+:mod:`~repro.obs.live` (the Prometheus exposition of a server).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from . import export, live, provenance
 from .config import enabled, is_enabled, observed
 from .export import chrome_trace, collapsed_stacks, write_chrome_trace, write_flamegraph
-from .live import LiveStats, RollingWindow, render_prometheus
+from .live import render_prometheus
 from .metrics import (
     REGISTRY,
     Counter,
@@ -96,8 +97,6 @@ __all__ = [
     "Span",
     "NULL_SPAN",
     "live",
-    "LiveStats",
-    "RollingWindow",
     "render_prometheus",
     "counter",
     "gauge",

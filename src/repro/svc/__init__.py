@@ -21,8 +21,9 @@ process survives anything a job does:
 * :mod:`~repro.svc.telemetry` — cross-process observability: worker
   span trees and metric deltas ship back over the job boundary as
   size-capped blobs and merge into the host registry and span tree
-  (per-worker Perfetto tracks); plus the per-kind latency ledger and
-  the ``--stats`` renderers;
+  (per-worker Perfetto tracks); plus the serving ledger
+  (served/shed counts per kind and tenant, per-kind latency) and the
+  ``--stats`` renderers;
 * :mod:`~repro.svc.gate` — admission control: bounded pending queue
   with explicit load shedding, per-tenant token-bucket quotas, a
   server-side deadline ceiling with remaining-time propagation, health

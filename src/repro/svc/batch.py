@@ -18,6 +18,7 @@ Exit-code contract (``BatchReport.exit_code``):
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -25,7 +26,7 @@ from typing import Any, Optional
 from ..guard import Budget, scope as _budget_scope
 from .job import BudgetSpec, ERROR, JobResult, JobSpec, PROVED, REFUTED, UNKNOWN
 from .service import AnalysisService, ServiceConfig
-from .telemetry import KindLatency
+from .telemetry import Ledger
 
 #: Wall-clock cap on compiling any single shared source during prewarm:
 #: the supervisor must never be taken down (or stalled) by a
@@ -118,13 +119,18 @@ class BatchReport:
         lines.append(summary)
         return "\n".join(lines)
 
+    @functools.cached_property
+    def ledger(self) -> Ledger:
+        """The results as a serving ledger (built once)."""
+        return Ledger(self.results)
+
     def latency(self) -> dict[str, dict[str, Any]]:
         """Per-kind latency quantiles + retry counts (worker durations)."""
-        return KindLatency(self.results).summary()
+        return self.ledger.summary()
 
     def render_stats(self) -> str:
         """The ``fast top``-style per-kind latency/retry table."""
-        return "\n".join(KindLatency(self.results).render("batch stats"))
+        return "\n".join(self.ledger.render("batch stats"))
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -36,13 +36,12 @@ that implicit, unbounded queue with explicit, deliberate policy:
   depth, per-reason shed counters, and the worker lifecycle into one
   JSON-able dict — the payload of the ``health`` request kind.
 
-* **The serving ledger.**  The gate is the one record of served and
-  shed requests: its counters, its :class:`~repro.obs.live.LiveStats`
-  windows (fed by every shed — admit, release or drain — and every
-  :meth:`AdmissionGate.note_served`), and its per-kind
-  :class:`~repro.svc.telemetry.KindLatency`.  ``health``, ``/metrics``,
-  the ``stats`` request and the ``--stats`` output all read it, so they
-  agree by construction.
+* **The serving ledger.**  The gate owns the one record of served and
+  shed requests, a :class:`~repro.svc.telemetry.Ledger`: every shed
+  (admit, release or drain) and every :meth:`AdmissionGate.note_served`
+  is recorded into it once, with the request's kind and tenant.
+  ``health``, ``/metrics``, the ``stats`` request and the ``--stats``
+  output all read it, so they agree by construction.
 
 * **Graceful drain.**  :meth:`AdmissionGate.start_drain` stops
   admission (new requests shed with ``reason: "draining"``) while
@@ -63,15 +62,14 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..obs import config as obs_config
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
-from ..obs.live import LiveStats
 from .job import BudgetSpec, JobResult, JobSpec
-from .telemetry import KindLatency
+from .telemetry import Ledger
 
 #: Shed reasons (the ``reason`` field of a shed response).
 SHED_QUEUE_FULL = "queue-full"
@@ -242,13 +240,8 @@ class AdmissionGate:
         #: the first estimates are cheap retries, not long exiles.
         self._ewma_latency = 0.05
         self.admitted = 0
-        self.served = 0
-        self.shed: dict[str, int] = {reason: 0 for reason in SHED_REASONS}
-        #: Rolling windows over served/shed events (the ``stats`` kind,
-        #: ``/metrics`` window gauges, ``--stats`` tenant rows).
-        self.live = LiveStats(clock=clock)
-        #: Whole-run per-kind worker latency and retries.
-        self.latency = KindLatency()
+        #: Every served and shed request, by kind and tenant.
+        self.ledger = Ledger()
 
     # -- admission ---------------------------------------------------------
 
@@ -256,6 +249,7 @@ class AdmissionGate:
         self,
         reason: str,
         retry_after: float,
+        spec: JobSpec,
         tenant: str,
         stage: str = "admit",
     ) -> Shed:
@@ -267,8 +261,7 @@ class AdmissionGate:
         ``release``), tenant — is followable by ``trace_id`` alongside
         the spans of requests that made it through.
         """
-        self.shed[reason] += 1
-        self.live.record_shed(reason, tenant)
+        self.ledger.record_shed(spec.kind, tenant, reason)
         if obs_config.ENABLED:
             _OBS_SHED[reason].inc()
         obs_tracer.instant(
@@ -300,7 +293,7 @@ class AdmissionGate:
         with self._lock:
             if self.draining:
                 return self._shed(
-                    SHED_DRAINING, self.config.drain_timeout, tenant
+                    SHED_DRAINING, self.config.drain_timeout, spec, tenant
                 )
             if self.config.tenant_rate > 0:
                 bucket = self._buckets.get(tenant)
@@ -313,10 +306,10 @@ class AdmissionGate:
                     self._buckets[tenant] = bucket
                 ok, retry_after = bucket.try_take()
                 if not ok:
-                    return self._shed(SHED_QUOTA, retry_after, tenant)
+                    return self._shed(SHED_QUOTA, retry_after, spec, tenant)
             if self._pending >= self.config.max_queue:
                 return self._shed(
-                    SHED_QUEUE_FULL, self._queue_retry_after(), tenant
+                    SHED_QUEUE_FULL, self._queue_retry_after(), spec, tenant
                 )
             now = self.clock()
             deadline = self.clamp(spec.budget)
@@ -370,7 +363,8 @@ class AdmissionGate:
             remaining = ticket.deadline_at - self.clock()
             if remaining <= 0:
                 return self._shed(
-                    SHED_DEADLINE, 0.0, ticket.tenant, stage="release"
+                    SHED_DEADLINE, 0.0, ticket.spec, ticket.tenant,
+                    stage="release",
                 )
             self._inflight += 1
         budget = ticket.spec.budget or BudgetSpec()
@@ -392,21 +386,17 @@ class AdmissionGate:
     ) -> None:
         """One released job came back (any outcome: it was *answered*).
 
-        Records the served event, its latency and its per-kind latency.
-        The ``retry_after`` estimate follows the worker duration, or
+        Records the result into the ledger under ``tenant``.  The
+        ``retry_after`` estimate follows the worker duration, or
         ``elapsed`` (caller-measured wall time) for results that never
         reached a worker.
         """
         duration = result.duration or elapsed
         with self._lock:
             self._inflight = max(0, self._inflight - 1)
-            self.served += 1
             if duration > 0:
                 self._ewma_latency += 0.2 * (duration - self._ewma_latency)
-            self.latency.record(result)
-        self.live.record_served(
-            result.kind, tenant, result.duration, outcome=result.outcome
-        )
+            self.ledger.record_served(result, tenant)
         if obs_config.ENABLED:
             _OBS_SERVED.inc()
 
@@ -422,7 +412,7 @@ class AdmissionGate:
             if obs_config.ENABLED:
                 _OBS_QUEUE_DEPTH.add(-1)
             return self._shed(
-                SHED_DRAINING, 0.0, ticket.tenant, stage="drain"
+                SHED_DRAINING, 0.0, ticket.spec, ticket.tenant, stage="drain"
             )
 
     # -- drain & health ----------------------------------------------------
@@ -458,7 +448,7 @@ class AdmissionGate:
         happen without scraping ``/metrics``.
         """
         with self._lock:
-            shed_total = sum(self.shed.values())
+            total = self.ledger.total()
             doc: dict[str, Any] = {
                 "status": "draining" if self.draining else "ok",
                 "ready": not self.draining,
@@ -472,9 +462,9 @@ class AdmissionGate:
                 else self.config.workers,
                 "counters": {
                     "admitted": self.admitted,
-                    "served": self.served,
-                    "shed": dict(self.shed),
-                    "shed_total": shed_total,
+                    "served": total.served,
+                    "shed": {r: total.shed.get(r, 0) for r in SHED_REASONS},
+                    "shed_total": total.shed_total,
                 },
             }
         if pool is not None:

@@ -28,8 +28,9 @@ the dispatcher thread and graceful drain.
   server-minted), exactly like the stdin JSONL wire.
 
 * ``GET /metrics`` — Prometheus text exposition
-  (:func:`repro.obs.live.render_prometheus`): gate ledger counters,
-  rolling-window gauges and latency quantiles, worker
+  (:func:`repro.obs.live.render_prometheus`): gate counters, the
+  ledger's per-kind and per-tenant counters and per-kind latency
+  summary, worker
   lifecycle gauges (``svc_worker_rss_bytes`` / ``svc_worker_generation``
   per worker, ``svc_recycles_total`` by reason), and the obs registry
   when recording is on.
@@ -68,7 +69,7 @@ from .serve import (
     triage,
 )
 from .service import AnalysisService, ServiceConfig
-from .telemetry import stats_summary
+from .telemetry import StatsMark, stats_summary
 
 #: Slack added on top of ``max_source_bytes`` for the JSON envelope
 #: around the source (ids, args, budget, tenant, trace_id).
@@ -252,7 +253,7 @@ class HttpFrontEnd:
         self.stats_interval = stats_interval
         self.err = err if err is not None else sys.stderr
         self._svc: Optional[AnalysisService] = None
-        self._stats_mark = (self.gate.started, 0)
+        self._stats_mark: StatsMark = (self.gate.started, {})
         self._queue: "queue.Queue[Ticket]" = queue.Queue()
         self._draining = threading.Event()
         self._done = threading.Event()
@@ -325,7 +326,7 @@ class HttpFrontEnd:
     @property
     def served(self) -> int:
         """Jobs answered so far (the gate's ledger)."""
-        return self.gate.served
+        return self.gate.ledger.total().served
 
     def health_doc(self) -> dict[str, Any]:
         """The ``health`` ledger (gate + worker lifecycle)."""
@@ -334,8 +335,8 @@ class HttpFrontEnd:
     def metrics_text(self) -> str:
         """The Prometheus text exposition of this front-end's state.
 
-        The ``svc_gate_*`` families and the window gauges both come from
-        the gate's ledger (valid with observability off, and exactly
+        The ``svc_gate_*``, per-kind and per-tenant families all come
+        from the gate's ledger (valid with observability off, and exactly
         consistent with the wire-level served/shed partition); registry
         metrics ride along when obs recording is on.
         """

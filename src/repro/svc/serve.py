@@ -62,7 +62,7 @@ from ..obs import tracer as obs_tracer
 from .gate import AdmissionGate, GateConfig, Shed, Ticket
 from .job import KINDS, BudgetSpec, JobSpec
 from .service import AnalysisService, ServiceConfig
-from .telemetry import stats_line, stats_summary
+from .telemetry import StatsMark, stats_line, stats_summary
 
 _OBS_CLIENT_GONE = obs_metrics.counter("svc.serve.client_gone")
 _OBS_BAD_REQUESTS = obs_metrics.counter("svc.serve.bad_requests")
@@ -70,8 +70,9 @@ _OBS_BAD_REQUESTS = obs_metrics.counter("svc.serve.bad_requests")
 #: Budget keys a request may carry; anything else is a client error.
 _BUDGET_KEYS = ("deadline", "max_solver_queries", "max_steps")
 
-#: Client-supplied trace ids: printable, no whitespace, bounded — an id
-#: is a correlation token, not a payload channel.
+#: Client-supplied trace ids and tenants: printable, no whitespace,
+#: bounded — a name is a correlation token, not a payload channel (a
+#: tenant is also printed raw in the ``--stats`` rows).
 _TRACE_ID_RE = re.compile(r"^[\x21-\x7e]{1,128}$")
 
 
@@ -274,8 +275,11 @@ def parse_line(
         return Request(client_id, stats=True, trace_id=trace_id)
     try:
         tenant = doc.get("tenant", "default")
-        if not isinstance(tenant, str) or not tenant:
-            raise ValueError("'tenant' must be a non-empty string")
+        if not isinstance(tenant, str) or not _TRACE_ID_RE.match(tenant):
+            raise ValueError(
+                "'tenant' must be a non-empty printable string without "
+                "whitespace, at most 128 chars"
+            )
         spec = _spec_from_doc(doc, default_id, limits, trace_id=trace_id)
     except (ValueError, OSError) as exc:
         raise RequestError(str(exc), client_id, trace_id) from exc
@@ -323,7 +327,7 @@ def serve_lines(
     gate = AdmissionGate(
         gate_config or GateConfig(workers=config.jobs), clock=clock
     )
-    mark = (gate.started, 0)
+    mark: StatsMark = (gate.started, {})
     with _one_cpu(), AnalysisService(config) as svc:
         for index, line in enumerate(lines):
             if stop is not None and stop.is_set():
@@ -435,7 +439,13 @@ def triage(
         doc["trace_id"] = request.trace_id
         return doc
     if request.stats:
-        return stats_response(request, gate)
+        stats = gate.ledger.snapshot()
+        return {
+            "id": request.client_id,
+            "trace_id": request.trace_id,
+            "served_total": stats["all"]["served"],
+            "stats": stats,
+        }
     return request
 
 
@@ -468,31 +478,22 @@ def health_doc(
     )
 
 
-def stats_response(request: Request, gate: AdmissionGate) -> dict[str, Any]:
-    """The payload of a ``stats`` request: the live window snapshot."""
-    return {
-        "id": request.client_id,
-        "trace_id": request.trace_id,
-        "served_total": gate.served,
-        "stats": gate.live.snapshot(),
-    }
-
-
 def rolling_stats(
     gate: AdmissionGate,
     interval: float,
     err: IO[str],
-    mark: tuple[float, int],
-) -> tuple[float, int]:
+    mark: StatsMark,
+) -> StatsMark:
     """Write the rolling ``--stats`` block once ``interval`` seconds have
     passed since ``mark``; returns the mark the next block counts from."""
     if interval <= 0 or gate.clock() - mark[0] < interval:
         return mark
-    # One write call: stats output must never interleave with other
-    # stderr traffic mid-line.
-    err.write(stats_line(gate, since=mark) + "\n")
+    # One ledger read ends this block and starts the next, and one write
+    # keeps the block from interleaving with other stderr traffic.
+    until = (gate.clock(), gate.ledger.by_tenant())
+    err.write(stats_line(gate, since=mark, until=until) + "\n")
     err.flush()
-    return (gate.clock(), gate.served)
+    return until
 
 
 def _emit(out: IO[str], doc: dict[str, Any]) -> bool:

@@ -45,21 +45,26 @@ to merge (corrupted in flight) is dropped whole and counted in
 
 Telemetry is on iff :mod:`repro.obs` recording is on when the pool
 starts (``REPRO_OBS``, ``--profile``, ``--trace-json``, ...).
+
+**The serving ledger** (:class:`Ledger`) is always on: the cumulative
+record of served and shed jobs, and of per-kind worker latency, that
+every serving view renders (``health``, ``/metrics``, the ``stats``
+request, ``--stats``, ``fast batch --json``).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from ..obs import config as obs_config
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
-from ..obs.live import LiveStats
 from ..obs.metrics import Counter, Gauge, Histogram
-from .job import JobResult, JobSpec, execute_job
+from .job import ERROR, JobResult, JobSpec, execute_job
 
 if TYPE_CHECKING:
     from .gate import AdmissionGate
@@ -316,53 +321,171 @@ def _span_from_dict(doc: Any, pid: int, offset: float) -> obs_tracer.Span:
 #: The latency quantiles every serving view reports.
 _QS = ("p50", "p95", "p99")
 
+#: Distinct tenants the ledger keeps rows for; every later tenant is
+#: counted under :data:`OTHER_TENANT`, so a client minting tenant names
+#: cannot grow the ledger (or ``/metrics``) without bound.
+MAX_TENANTS = 256
+OTHER_TENANT = "_other"
 
-class KindLatency:
-    """Per-kind worker latency and retry counts, fed from results.
 
-    One stand-alone (unregistered) :class:`Histogram` per
-    job kind plus a retry count: the ledger behind ``fast batch
-    --json``'s ``latency`` block and every ``--stats`` table, so it
-    works with observability off.  Only results that reached a worker
-    (``worker_pid`` set) count toward latency — crashes past the retry
-    cap and kill timeouts have no duration — but every result counts
-    its retries.  Quantiles are exact up to
-    :data:`Histogram.RESERVOIR_SIZE` jobs per kind and a seeded
-    reservoir estimate above that; count, mean and max stay exact.
+class Counts:
+    """Served, errored and shed jobs of one ledger row (sheds per reason)."""
+
+    __slots__ = ("served", "errors", "shed")
+
+    def __init__(self) -> None:
+        self.served = 0
+        self.errors = 0
+        self.shed: dict[str, int] = {}
+
+    @property
+    def shed_total(self) -> int:
+        return sum(self.shed.values())
+
+    def add(self, other: "Counts") -> None:
+        self.served += other.served
+        self.errors += other.errors
+        for reason, n in other.shed.items():
+            self.shed[reason] = self.shed.get(reason, 0) + n
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "served": self.served,
+            "errors": self.errors,
+            "shed": dict(sorted(self.shed.items())),
+            "shed_total": self.shed_total,
+        }
+
+
+class Ledger:
+    """The serving ledger: every served and shed job, cumulatively.
+
+    Counts served, errored (outcome ERROR) and shed jobs per (kind,
+    tenant), sheds per reason, retries per kind, and keeps one
+    :class:`Histogram` of worker durations per kind — the serving
+    tier's only latency estimator (exact up to 512 jobs per kind, a
+    uniform reservoir above).  Latency counts only results that reached
+    a worker (``worker_pid`` set).  The admission gate records each
+    event into its ledger once and ``fast batch`` builds one from its
+    results; every serving view renders it.  Windows are the reader's
+    business: deltas between two reads, as the rolling ``--stats``
+    block and Prometheus' ``rate()`` take them.
     """
 
     def __init__(self, results: Iterable[JobResult] = ()) -> None:
-        self.hists: dict[str, Histogram] = {}
-        self.retries: dict[str, int] = {}
+        self._lock = threading.Lock()
+        self._rows: dict[tuple[str, str], Counts] = {}
+        self._tenants: set[str] = set()
+        self._retries: dict[str, int] = {}
+        self._hists: dict[str, Histogram] = {}
         for result in results:
-            self.record(result)
+            self.record_served(result)
 
-    def record(self, result: JobResult) -> None:
+    def _row(self, kind: str, tenant: str) -> Counts:
+        """The (kind, tenant) row; the caller holds the lock."""
+        if tenant not in self._tenants:
+            if len(self._tenants) < MAX_TENANTS:
+                self._tenants.add(tenant)
+            else:
+                tenant = OTHER_TENANT
+        row = self._rows.get((kind, tenant))
+        if row is None:
+            row = self._rows[(kind, tenant)] = Counts()
+        return row
+
+    # -- recording ---------------------------------------------------------
+
+    def record_served(self, result: JobResult, tenant: str = "default") -> None:
+        """One answered job (any outcome)."""
         kind = result.kind
-        self.retries[kind] = (
-            self.retries.get(kind, 0) + max(0, result.attempts - 1)
-        )
-        if result.worker_pid is not None:
-            hist = self.hists.get(kind)
-            if hist is None:  # a Histogram seeds its own RNG: build once
-                hist = self.hists[kind] = Histogram()
-            hist.observe(result.duration)
+        with self._lock:
+            row = self._row(kind, tenant)
+            row.served += 1
+            if result.outcome == ERROR:
+                row.errors += 1
+            self._retries[kind] = (
+                self._retries.get(kind, 0) + max(0, result.attempts - 1)
+            )
+            if result.worker_pid is not None:
+                hist = self._hists.get(kind)
+                if hist is None:  # a Histogram seeds its own RNG: build once
+                    hist = self._hists[kind] = Histogram()
+                hist.observe(result.duration)
+
+    def record_shed(self, kind: str, tenant: str, reason: str) -> None:
+        """One refused request, whichever stage refused it."""
+        with self._lock:
+            shed = self._row(kind, tenant).shed
+            shed[reason] = shed.get(reason, 0) + 1
+
+    # -- reading -----------------------------------------------------------
+
+    def _grouped(self, index: Optional[int]) -> dict[str, Counts]:
+        """Rows summed by kind (0), by tenant (1), or into one "" row."""
+        out: dict[str, Counts] = {}
+        with self._lock:
+            for key, row in self._rows.items():
+                group = "" if index is None else key[index]
+                total = out.get(group)
+                if total is None:
+                    total = out[group] = Counts()
+                total.add(row)
+        return out
+
+    def total(self) -> Counts:
+        return self._grouped(None).get("") or Counts()
+
+    def by_kind(self) -> dict[str, Counts]:
+        return self._grouped(0)
+
+    def by_tenant(self) -> dict[str, Counts]:
+        return self._grouped(1)
+
+    def latency(self) -> dict[str, dict[str, Any]]:
+        """Per served kind: ``retries`` plus the duration histogram's
+        snapshot in seconds (just ``count`` 0 when no job of the kind
+        reached a worker)."""
+        with self._lock:
+            retries = sorted(self._retries.items())
+            hists = dict(self._hists)
+        return {
+            kind: {
+                **(hists[kind].snapshot() if kind in hists else {"count": 0}),
+                "retries": n,
+            }
+            for kind, n in retries
+        }
 
     def summary(self) -> dict[str, dict[str, Any]]:
         """The JSON ``latency`` block: per kind, count/retries + ms."""
         out: dict[str, dict[str, Any]] = {}
-        for kind in sorted(self.retries):
-            hist = self.hists.get(kind)
-            entry: dict[str, Any] = {
-                "count": hist.count if hist is not None else 0,
-                "retries": self.retries[kind],
+        for kind, snap in self.latency().items():
+            entry = out[kind] = {
+                "count": snap["count"], "retries": snap["retries"]
             }
-            if hist is not None:
-                snap = hist.snapshot()
+            if snap["count"]:
                 for key in (*_QS, "mean", "max"):
                     entry[f"{key}_ms"] = round(snap[key] * 1e3, 3)
-            out[kind] = entry
         return out
+
+    def snapshot(self) -> dict[str, Any]:
+        """The payload of the ``stats`` request kind: the totals, one
+        row per kind (with its ``latency`` entry) and one per tenant."""
+        latency = self.summary()
+        return {
+            "all": self.total().to_dict(),
+            "kind": {
+                kind: {
+                    **counts.to_dict(),
+                    "latency": latency.get(kind, {"count": 0, "retries": 0}),
+                }
+                for kind, counts in sorted(self.by_kind().items())
+            },
+            "tenant": {
+                tenant: counts.to_dict()
+                for tenant, counts in sorted(self.by_tenant().items())
+            },
+        }
 
     def render(self, title: str) -> list[str]:
         """The ``fast top``-style per-kind table, one string per row."""
@@ -384,78 +507,67 @@ class KindLatency:
         return lines
 
 
-#: LiveStats window the rolling line's per-tenant rows report from.
-LINE_WINDOW = "1m"
-
-
-def _tenant_rows(live: LiveStats) -> list[str]:
-    """One row per active tenant over the short live window."""
-    labels = [label for label, _ in live.windows]
-    if not labels:
-        return []
-    label = LINE_WINDOW if LINE_WINDOW in labels else labels[0]
-    rows = []
-    for tenant in live.tenants():
-        win = live.window(label, f"tenant:{tenant}")
-        if win is None:
-            continue
-        totals = win.totals()
-        served = totals.get("served", 0)
-        shed = totals.get("shed", 0)
-        if not served and not shed:
-            continue  # idle this window: no row
-        parts = [
-            f"tenant={tenant}",
-            f"window={label}",
-            f"served={served}",
-            f"shed={shed}",
-        ]
-        errors = totals.get("error", 0)
-        if errors:
-            parts.append(f"errors={errors}")
-        if win.sample_count():
-            q = win.quantiles()
-            parts.extend(f"{k}={q[k] * 1e3:.1f}ms" for k in _QS)
-        rows.append("[svc]   " + " ".join(parts))
-    return rows
+#: Where a rolling ``--stats`` block counts from: the time of the
+#: previous block and the ledger's per-tenant rows at that moment.
+StatsMark = tuple[float, dict[str, Counts]]
 
 
 def stats_line(
-    gate: "AdmissionGate", since: Optional[tuple[float, int]] = None
+    gate: "AdmissionGate",
+    since: Optional[StatsMark] = None,
+    until: Optional[StatsMark] = None,
 ) -> str:
     """One rolling ``--stats`` block read from the gate's ledger.
 
-    ``since`` is the ``(time, gate.served)`` mark of the previous block
-    (default: gate start), so the rate covers just this interval.  The
-    first line is the overall rate/kind summary; one indented row per
-    active tenant follows.  The caller must emit the whole block with a
-    single write so it cannot interleave with other stderr traffic.
+    ``since`` is the mark of the previous block (default: gate start)
+    and ``until`` the one this block ends at (default: now), so the
+    rate and the tenant rows cover just this interval.  The first line
+    is the overall rate/kind summary; one indented row per tenant that
+    was served or shed in the interval follows.  The caller must emit
+    the whole block with a single write so it cannot interleave with
+    other stderr traffic.
     """
-    started, served_then = since or (gate.started, 0)
-    elapsed = max(gate.clock() - started, 1e-9)
-    parts = [f"{(gate.served - served_then) / elapsed:.1f} jobs/s"]
-    shed_total = sum(gate.shed.values())
-    if shed_total:
-        parts.append(f"shed={shed_total}")
-    for kind, entry in gate.latency.summary().items():
+    started, before = since or (gate.started, {})
+    ended, tenants = until or (gate.clock(), gate.ledger.by_tenant())
+    total = Counts()
+    for counts in tenants.values():
+        total.add(counts)
+    served = total.served - sum(c.served for c in before.values())
+    elapsed = max(ended - started, 1e-9)
+    parts = [f"{served / elapsed:.1f} jobs/s"]
+    if total.shed:
+        parts.append(f"shed={total.shed_total}")
+    for kind, entry in gate.ledger.summary().items():
         if entry["count"]:
             parts.append(
                 f"{kind} n={entry['count']} "
                 + " ".join(f"{q}={entry[q + '_ms']:.1f}ms" for q in _QS)
             )
-    return "\n".join(["[svc] " + " | ".join(parts)] + _tenant_rows(gate.live))
+    lines = ["[svc] " + " | ".join(parts)]
+    for tenant, now in sorted(tenants.items()):
+        then = before.get(tenant) or Counts()
+        served = now.served - then.served
+        shed = now.shed_total - then.shed_total
+        if not served and not shed:
+            continue  # idle since the previous block: no row
+        row = f"[svc]   tenant={tenant} served={served} shed={shed}"
+        errors = now.errors - then.errors
+        if errors:
+            row += f" errors={errors}"
+        lines.append(row)
+    return "\n".join(lines)
 
 
 def stats_summary(gate: "AdmissionGate") -> str:
     """The closing ``--stats`` table of ``fast serve``, from the gate."""
-    lines = gate.latency.render("svc stats")
+    lines = gate.ledger.render("svc stats")
+    total = gate.ledger.total()
     elapsed = max(gate.clock() - gate.started, 1e-9)
     lines.append(
-        f"{gate.served} jobs in {elapsed:.1f}s "
-        f"({gate.served / elapsed:.1f} jobs/s)"
+        f"{total.served} jobs in {elapsed:.1f}s "
+        f"({total.served / elapsed:.1f} jobs/s)"
     )
-    shed = {reason: n for reason, n in sorted(gate.shed.items()) if n}
-    if shed:
-        breakdown = " ".join(f"{reason}={n}" for reason, n in shed.items())
-        lines.append(f"shed: {sum(shed.values())} ({breakdown})")
+    if total.shed:
+        breakdown = " ".join(f"{r}={n}" for r, n in sorted(total.shed.items()))
+        lines.append(f"shed: {total.shed_total} ({breakdown})")
     return "\n".join(lines)

@@ -5,7 +5,6 @@ import pickle
 
 import pytest
 
-from repro import serialize
 from repro.smt import (
     BOOL,
     INT,
@@ -108,18 +107,6 @@ class TestPickleAndSerialize:
     def test_pickle_preserves_sort_singletons(self):
         v = pickle.loads(pickle.dumps(mk_var("r", REAL)))
         assert v.sort is REAL
-
-    def test_serialize_round_trip_preserves_identity(self):
-        f = _formula(9)
-        clone = serialize.loads(serialize.dumps(f))
-        assert clone == f
-        assert clone is f
-
-    def test_serialize_eq_atom_round_trip(self):
-        # String equality survives as a raw Eq node and re-interns.
-        e = mk_eq(mk_var("s", STRING), mk_str("hello"))
-        clone = serialize.loads(serialize.dumps(e))
-        assert clone is e
 
 
 class TestThreadSafety:

@@ -123,7 +123,7 @@ class TestAdmission:
         assert isinstance(shed, Shed)
         assert shed.reason == SHED_QUEUE_FULL
         assert shed.retry_after > 0
-        assert gate.shed[SHED_QUEUE_FULL] == 1
+        assert gate.ledger.total().shed == {SHED_QUEUE_FULL: 1}
 
     def test_release_frees_a_queue_slot(self):
         gate = AdmissionGate(GateConfig(max_queue=1), clock=FakeClock())
@@ -178,7 +178,7 @@ class TestDeadlinePropagation:
         shed = gate.release(ticket)
         assert isinstance(shed, Shed)
         assert shed.reason == SHED_DEADLINE
-        assert gate.shed[SHED_DEADLINE] == 1
+        assert gate.ledger.total().shed == {SHED_DEADLINE: 1}
         assert gate.queue_depth == 0  # the slot was still freed
 
     def test_served_accounting(self):
@@ -189,9 +189,11 @@ class TestDeadlinePropagation:
         assert gate.inflight == 1
         gate.note_served(JobResult("a", "run", PROVED, duration=0.2))
         assert gate.inflight == 0
-        assert gate.served == 1
-        # The same served event lands in the gate's live windows.
-        assert gate.live.window("5m").total("served") == 1
+        # The served event lands in the gate's ledger, under its kind
+        # and tenant.
+        assert gate.ledger.total().served == 1
+        assert gate.ledger.by_kind()["run"].served == 1
+        assert gate.ledger.by_tenant()["default"].served == 1
 
 
 class TestDrain:

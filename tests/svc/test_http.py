@@ -98,7 +98,10 @@ class TestEndpoints:
         fams = parse_exposition(text)
         assert fams["svc_gate_served_total"][()] == 1.0
         assert fams["svc_gate_ready"][()] == 1.0
-        assert "svc_window_served" in fams
+        assert fams["svc_kind_served_total"][(("kind", "run"),)] == 1.0
+        assert fams["svc_job_duration_seconds_count"][
+            (("kind", "run"),)
+        ] == 1.0
 
     def test_analyze_echoes_client_trace_id(self, front):
         status, doc, _ = _request(
@@ -138,6 +141,16 @@ class TestEndpoints:
         assert status == 400
         assert "trace_id" in doc["error"]
 
+    def test_malformed_tenant_is_400(self, front):
+        status, doc, _ = _request(
+            front, "POST", "/v1/analyze",
+            {"id": "bad", "kind": "run", "source": PASSING,
+             "tenant": "a\n[svc] forged"},
+        )
+        assert status == 400
+        assert "tenant" in doc["error"]
+        assert front.health_doc()["counters"]["admitted"] == 0
+
     def test_bad_json_body_is_400(self, front):
         status, doc, _ = _request(front, "POST", "/v1/analyze", "{nope")
         assert status == 400
@@ -170,7 +183,7 @@ class TestEndpoints:
         finally:
             fe.close()
 
-    def test_stats_kind_returns_window_snapshot(self, front):
+    def test_stats_kind_returns_ledger_snapshot(self, front):
         _request(
             front, "POST", "/v1/analyze",
             {"id": "w", "kind": "run", "source": PASSING},
@@ -180,7 +193,8 @@ class TestEndpoints:
         )
         assert status == 200
         assert doc["served_total"] == 1
-        assert doc["stats"]["windows"]["5m"]["all"]["counts"]["served"] == 1
+        assert doc["stats"]["all"]["served"] == 1
+        assert doc["stats"]["kind"]["run"]["latency"]["count"] == 1
 
     def test_quota_shed_is_429_with_retry_after(self):
         fe = HttpFrontEnd(
@@ -437,10 +451,13 @@ class TestOverloadCoherence:
             assert fams["svc_gate_admitted_total"][()] == float(
                 counters["admitted"]
             )
-            # Live windows saw the same served stream (run kind only).
-            assert fams["svc_window_served"][
-                (("kind", "run"), ("window", "5m"))
+            # The ledger's kind rows saw the same stream (run kind only).
+            assert fams["svc_kind_served_total"][
+                (("kind", "run"),)
             ] == float(served)
+            assert fams["svc_kind_shed_total"][
+                (("kind", "run"),)
+            ] == float(shed)
         finally:
             front.close()
 

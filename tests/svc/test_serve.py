@@ -214,6 +214,22 @@ class TestParseLine:
         with pytest.raises(RequestError, match="tenant"):
             parse_line(json.dumps({"source": "x", "tenant": 7}), "d")
 
+    @pytest.mark.parametrize(
+        "tenant",
+        ["", "a\n[svc] forged", "team a", "\x7f", "t" * 129, "caf\u00e9"],
+    )
+    def test_tenant_must_be_a_printable_token(self, tenant):
+        # A tenant is printed raw in the --stats rows: a newline in it
+        # would forge a stats line.
+        with pytest.raises(RequestError, match="tenant") as info:
+            parse_line(
+                json.dumps({"id": "q", "source": "x", "tenant": tenant}), "d"
+            )
+        assert info.value.client_id == "q"
+        assert parse_line(
+            json.dumps({"source": "x", "tenant": "t" * 128}), "d"
+        ).tenant == "t" * 128
+
     def test_request_error_carries_client_id(self):
         # The error line must correlate with the request that caused
         # it, even though no job was ever built.
@@ -449,10 +465,12 @@ class TestDrainShedLedger:
         stats = []
         front.handle_line(json.dumps({"id": "s", "kind": "stats"}), "s",
                           stats.append)
-        window = stats[0]["stats"]["windows"]["5m"]["all"]
-        assert window["counts"]["shed"] == 6
+        ledger = stats[0]["stats"]
+        assert ledger["all"]["shed"] == {"draining": 6}
+        assert ledger["kind"]["run"]["shed_total"] == 6
 
         fams = parse_exposition(front.metrics_text())
-        assert fams["svc_window_shed"][(("window", "5m"),)] == 6.0
+        assert fams["svc_kind_shed_total"][(("kind", "run"),)] == 6.0
+        assert fams["svc_tenant_shed_total"][(("tenant", "default"),)] == 6.0
 
         assert "shed: 6 (draining=6)" in stats_summary(front.gate)

@@ -150,8 +150,10 @@ def test_http_front_end_sheds_exactly_and_drains():
         conn.close()
         assert fams["svc_gate_served_total"][()] == float(served)
         assert sum(fams["svc_gate_shed_total"].values()) == float(shed)
-        assert fams["svc_window_served"][
-            (("kind", "run"), ("window", "5m"))] == float(served)
+        assert fams["svc_kind_served_total"][
+            (("kind", "run"),)] == float(served)
+        assert fams["svc_kind_shed_total"][
+            (("kind", "run"),)] == float(shed)
 
         # /healthz is live, then SIGTERM drains to exit 0.
         conn = http.client.HTTPConnection(host, port, timeout=60)

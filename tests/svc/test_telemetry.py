@@ -28,7 +28,7 @@ from repro.obs import tracer as obs_tracer
 from repro.obs.export import chrome_trace
 from repro.svc import JobSpec, WorkerPool
 from repro.svc.gate import AdmissionGate, GateConfig, Ticket
-from repro.svc.job import JobResult, PROVED, UNKNOWN
+from repro.svc.job import ERROR, JobResult, PROVED, UNKNOWN
 from repro.svc import telemetry as tel
 from repro.svc.worker import _reset_inherited_state
 
@@ -436,19 +436,27 @@ class TestServeStatsLine:
         assert len(tenant_rows) == 2
         row_a = next(l for l in tenant_rows if "tenant=team-a" in l)
         row_b = next(l for l in tenant_rows if "tenant=team-b" in l)
-        assert "served=2" in row_a and "p50=" in row_a
-        assert "served=1" in row_b and "shed=1" in row_b
-        assert f"window={tel.LINE_WINDOW}" in row_a
+        assert "served=2 shed=0" in row_a
+        assert "served=1 shed=1" in row_b
+        assert "run n=2 p50=" in lines[0]
 
     def test_idle_tenants_age_out_of_the_block(self):
+        # Tenant rows count since the previous block: a tenant with no
+        # traffic in between prints no row.
         clock = _Clock()
         gate = AdmissionGate(clock=clock)
         gate.note_served(_result(), tenant="team-a")
-        clock.advance(90.0)  # past the 1m live window
         gate.note_served(_result(), tenant="team-b")
-        block = tel.stats_line(gate)
-        assert "tenant=team-b" in block
-        assert "tenant=team-a" not in block
+        mark = (clock(), gate.ledger.by_tenant())
+        clock.advance(10.0)
+        gate.note_served(_result(), tenant="team-b")
+        gate.note_served(_result(outcome=ERROR), tenant="team-b")
+        block = tel.stats_line(gate, since=mark)
+        lines = block.splitlines()
+        assert lines[0].startswith("[svc] 0.2 jobs/s")
+        assert lines[1:] == [
+            "[svc]   tenant=team-b served=2 shed=0 errors=1"
+        ]
 
     def test_block_is_one_write_on_the_serving_path(self):
         """serve_lines emits the whole multi-line block in a single
