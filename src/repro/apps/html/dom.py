@@ -95,14 +95,3 @@ def serialize(nodes: list[Node]) -> str:
                 stack.append(f"</{n.tag}>")
                 stack.extend(reversed(n.children))
     return "".join(parts)
-
-
-def count_nodes(nodes: list[Node]) -> int:
-    total = 0
-    stack = list(nodes)
-    while stack:
-        n = stack.pop()
-        total += 1
-        if isinstance(n, Element):
-            stack.extend(n.children)
-    return total

@@ -16,11 +16,12 @@ frozenset accepts every tree of the type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ..guard.budget import tick as _tick
 from ..smt import builders as smt
 from ..smt.solver import Solver
+from ..smt.terms import Term
 from .sta import STA, STARule, State
 
 
@@ -56,10 +57,26 @@ def normalize(
     unsatisfiable guards are dropped eagerly.
     """
     start_states: list[NormState] = [frozenset(s) for s in starts]
-    max_rank = sta.tree_type.max_rank()
     done: set[NormState] = set()
     work: list[NormState] = list(start_states)
     out_rules: list[STARule] = []
+    # Per-call memos: the same original states and guard pairs recur in
+    # many merged states (terms are interned, so the result is the same).
+    sort_keys: dict[State, str] = {}
+    conjunctions: dict[tuple[Term, Term], Term] = {}
+
+    def sort_key(s: State) -> str:
+        key = sort_keys.get(s)
+        if key is None:
+            key = sort_keys[s] = repr(s)
+        return key
+
+    def conjoin(left: Term, right: Term) -> Term:
+        key = (left, right)
+        both = conjunctions.get(key)
+        if both is None:
+            both = conjunctions[key] = smt.mk_and(left, right)
+        return both
 
     while work:
         q = work.pop()
@@ -67,8 +84,10 @@ def normalize(
             continue
         _tick(kind="normalize.state")
         done.add(q)
+        ordered = sorted(q, key=sort_key)
         for ctor in sta.tree_type.constructors:
-            for guard, children in _merged_rules(sta, q, ctor.name, ctor.rank, solver):
+            merged = _merged_rules(sta, ordered, ctor.name, ctor.rank, solver, conjoin)
+            for guard, children in merged:
                 out_rules.append(
                     STARule(
                         q,
@@ -85,14 +104,20 @@ def normalize(
 
 
 def _merged_rules(
-    sta: STA, states: NormState, ctor: str, rank: int, solver: Solver
+    sta: STA,
+    states: list[State],
+    ctor: str,
+    rank: int,
+    solver: Solver,
+    conjoin: Callable[[Term, Term], Term],
 ):
-    """The merge ``!`` of one rule per state in ``states`` (delta^f)."""
+    """The merge ``!`` of one rule per state in ``states`` (delta^f), the
+    states in a fixed order and ``conjoin`` the guards' ``mk_and``."""
     if not states:
         # L^emptyset accepts everything: one unconstrained rule.
         yield smt.TRUE, tuple(frozenset() for _ in range(rank))
         return
-    rule_choices = [sta.rules_from(s, ctor) for s in sorted(states, key=repr)]
+    rule_choices = [sta.rules_from(s, ctor) for s in states]
     if any(not rc for rc in rule_choices):
         return  # some state has no rule for this symbol: conjunction fails
 
@@ -107,7 +132,7 @@ def _merged_rules(
                 yield guard, children
             return
         for r in rule_choices[idx]:
-            g2 = smt.mk_and(guard, r.guard)
+            g2 = conjoin(guard, r.guard)
             if g2 == smt.FALSE:
                 continue
             merged = tuple(c | l for c, l in zip(children, r.lookahead))

@@ -121,18 +121,6 @@ class STA:
             ),
         )
 
-    def restrict_states(self, keep: Iterable[State]) -> "STA":
-        """Drop rules whose source or lookahead states are not in ``keep``."""
-        keep = set(keep)
-        return STA(
-            self.tree_type,
-            tuple(
-                r
-                for r in self.rules
-                if r.state in keep and all(l <= keep for l in r.lookahead)
-            ),
-        )
-
 
 def disjoint_union(left: STA, right: STA):
     """Union two STAs over the same tree type with disjoint state spaces.

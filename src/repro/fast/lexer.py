@@ -8,7 +8,8 @@ The concrete syntax of the paper uses some typographic operators
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import ParseDepthError, ReproError, SourceLocation
 
@@ -29,8 +30,7 @@ class FastParseDepthError(ParseDepthError, FastSyntaxError):
     """Expression nesting in a Fast program exceeded the parser's cap."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ID, INT, REAL, STRING, OP, KW, EOF
     value: str
     line: int
@@ -60,149 +60,7 @@ KEYWORDS = {
     "not",
 }
 
-# Multi-character operators first (maximal munch).
-OPERATORS = [
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "->",
-    ":=",
-    "(",
-    ")",
-    "[",
-    "]",
-    "{",
-    "}",
-    "<",
-    ">",
-    "=",
-    "+",
-    "-",
-    "*",
-    "%",
-    "|",
-    ",",
-    ":",
-    "!",
-]
-
-UNICODE_OPS = {
-    "≠": "!=",  # ≠
-    "∧": "&&",  # ∧
-    "∨": "||",  # ∨
-    "∈": "in",  # ∈
-    "¬": "!",  # ¬
-}
-
-
-def tokenize(text: str) -> list[Token]:
-    """Tokenize a Fast program; raises :class:`FastSyntaxError`."""
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-
-    def error(msg: str) -> FastSyntaxError:
-        return FastSyntaxError(msg, line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in UNICODE_OPS:
-            mapped = UNICODE_OPS[ch]
-            kind = "KW" if mapped == "in" else "OP"
-            tokens.append(Token(kind, mapped, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            out: list[str] = []
-            while True:
-                if i >= n:
-                    raise FastSyntaxError("unterminated string", start_line, start_col)
-                c = text[i]
-                if c == "\n":
-                    raise FastSyntaxError("newline in string", start_line, start_col)
-                i += 1
-                col += 1
-                if c == '"':
-                    break
-                if c == "\\":
-                    if i >= n:
-                        raise FastSyntaxError("dangling escape", line, col)
-                    esc = text[i]
-                    i += 1
-                    col += 1
-                    out.append({"n": "\n", "t": "\t", "r": "\r", "0": "\0"}.get(esc, esc))
-                else:
-                    out.append(c)
-            tokens.append(Token("STRING", "".join(out), start_line, start_col))
-            continue
-        if ch.isdigit():
-            start_col = col
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                tokens.append(Token("REAL", text[i:j], line, start_col))
-            else:
-                tokens.append(Token("INT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            start_col = col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_."):
-                j += 1
-            word = text[i:j]
-            # assert-true / assert-false / pre-image / restrict-out / etc.
-            # join a following "-ident" when the combined word is meaningful.
-            if j < n and text[j] == "-":
-                k = j + 1
-                while k < n and (text[k].isalnum() or text[k] in "_-"):
-                    k += 1
-                hyphenated = text[i:k]
-                if hyphenated in HYPHENATED_WORDS:
-                    word, j = hyphenated, k
-            kind = "KW" if word in KEYWORDS else "ID"
-            tokens.append(Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("OP", op, line, col))
-                i += len(op)
-                col += len(op)
-                break
-        else:
-            raise error(f"unexpected character {ch!r}")
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
-
-
+#: Words that keep a hyphen (``x-1`` is still a subtraction).
 HYPHENATED_WORDS = {
     "assert-true",
     "assert-false",
@@ -213,4 +71,103 @@ HYPHENATED_WORDS = {
     "type-check",
 }
 
-KEYWORDS |= {"assert-true", "assert-false"}
+UNICODE_OPS = {
+    "≠": "!=",  # ≠
+    "∧": "&&",  # ∧
+    "∨": "||",  # ∨
+    "∈": "in",  # ∈
+    "¬": "!",  # ¬
+}
+
+#: One alternative per token class; every character of a text falls in
+#: some match, the last alternative catching what starts no token.
+#: Multi-character operators come first (maximal munch).  A hyphenated
+#: word must not run on into more word characters or hyphens.  A word is
+#: a letter or ``_`` and then letters, digits, ``_`` and ``.``:
+#: ``[^\W\d]`` also admits a few numeric non-letters such as ``½``, which
+#: :func:`tokenize` rejects.
+_TOKEN = re.compile(
+    r"""
+    (?P<space>[ \t\r]+)
+  | (?P<word>(?:%s)(?![\w-])|[^\W\d][\w.]*)
+  | (?P<op>==|!=|<=|>=|&&|\|\||->|:=|[()\[\]{}<>=+\-*%%|,:!])
+  | (?P<newline>\n)
+  | (?P<number>\d+(?:\.\d+)?)
+  | (?P<string>"(?P<body>(?:[^"\\\n]|\\[\s\S])*)")
+  | (?P<comment>//[^\n]*)
+  | (?P<unicode>[≠∧∨∈¬])
+  | (?P<other>[\s\S])
+    """
+    % "|".join(sorted(HYPHENATED_WORDS)),
+    re.VERBOSE,
+)
+
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0"}
+
+
+def _unescape(match: re.Match) -> str:
+    return _ESCAPES.get(match[1], match[1])
+
+
+def tokenize(text: str) -> list[Token]:
+    """Tokenize a Fast program; raises :class:`FastSyntaxError`."""
+    tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without the NamedTuple call overhead
+    line, line_start = 1, 0
+    eof = len(text)  # the EOF token sits where a final comment starts
+    for m in _TOKEN.finditer(text):
+        group = m.lastgroup
+        if group == "space":
+            continue
+        start = m.start()
+        if group == "word":
+            word = m[0]
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise FastSyntaxError(
+                    f"unexpected character {word[0]!r}", line, start - line_start + 1
+                )
+            kind = "KW" if word in KEYWORDS else "ID"
+            append(new(Token, (kind, word, line, start - line_start + 1)))
+        elif group == "op":
+            append(new(Token, ("OP", m[0], line, start - line_start + 1)))
+        elif group == "newline":
+            line += 1
+            line_start = start + 1
+        elif group == "number":
+            value = m[0]
+            kind = "REAL" if "." in value else "INT"
+            append(new(Token, (kind, value, line, start - line_start + 1)))
+        elif group == "string":
+            body = m["body"]
+            if "\\" in body:
+                body = _ESCAPE.sub(_unescape, body)
+            append(new(Token, ("STRING", body, line, start - line_start + 1)))
+        elif group == "comment":
+            if m.end() == len(text):
+                eof = start
+        elif group == "unicode":
+            mapped = UNICODE_OPS[m[0]]
+            kind = "KW" if mapped == "in" else "OP"
+            append(new(Token, (kind, mapped, line, start - line_start + 1)))
+        elif m[0] == '"':
+            _string_error(text, start, line, line_start)
+        else:
+            raise FastSyntaxError(
+                f"unexpected character {m[0]!r}", line, start - line_start + 1
+            )
+    append(new(Token, ("EOF", "", line, eof - line_start + 1)))
+    return tokens
+
+
+def _string_error(text: str, start: int, line: int, line_start: int) -> None:
+    """Raise the error of the malformed string literal opening at ``start``."""
+    i, n = start + 1, len(text)
+    while i < n and text[i] not in '"\n':
+        i += 2 if text[i] == "\\" else 1
+    if i > n:  # the text ends right after a backslash
+        raise FastSyntaxError("dangling escape", line, n - line_start + 1)
+    message = "newline in string" if i < n else "unterminated string"
+    raise FastSyntaxError(message, line, start - line_start + 1)
+

@@ -8,15 +8,15 @@ runs on exact machine integers), a ``Real`` term has
 Fourier-Motzkin scales by fractions).
 Raises :class:`~repro.smt.terms.NonLinearError` when the term multiplies
 two non-constant factors (those go to the univariate polynomial solver)
-and :class:`ModPresentError` when a ``Mod`` node survives (the integer
-solver eliminates those first).
+and :class:`ModPresentError` when a ``Mod`` node is met without a rule
+for it (the integer solver maps each to a witness variable).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .sorts import INT, REAL
 from .terms import Add, Const, Mod, Mul, Neg, NonLinearError, SmtError, Term, Var
@@ -93,7 +93,14 @@ class LinTerm:
         c = self.coeff(var)
         if c == 0:
             return self
-        return self.drop(var).add(replacement.scale(c))
+        rest = tuple(vc for vc in self.coeffs if vc[0] != var)
+        const = self.const + c * replacement.const
+        if not replacement.coeffs:  # still sorted and free of zeros
+            return LinTerm(rest, const)
+        coeffs = dict(rest)
+        for v, a in replacement.coeffs:
+            coeffs[v] = coeffs.get(v, 0) + c * a
+        return LinTerm.of(coeffs, const)
 
     def evaluate(self, env: Mapping[str, Num]) -> Num:
         total = self.const
@@ -107,27 +114,29 @@ class LinTerm:
         return " + ".join(parts)
 
 
-def linearize(term: Term) -> LinTerm:
+def linearize(term: Term, mod: Optional[Callable[[Mod], LinTerm]] = None) -> LinTerm:
     """Convert a numeric term to a linear form.
 
-    Raises :class:`NonLinearError` for products of non-constant factors
-    and :class:`ModPresentError` if a ``Mod`` node is present.
+    Each ``Mod`` node becomes ``mod(node)`` (the integer solver passes
+    its witness variables); without ``mod`` a ``Mod`` node raises
+    :class:`ModPresentError`.  Raises :class:`NonLinearError` for
+    products of non-constant factors.
     """
     if isinstance(term, Const) and term.const_sort in (INT, REAL):
         return LinTerm.constant(term.value)  # type: ignore[arg-type]
     if isinstance(term, Var):
         return LinTerm.variable(term.name)
     if isinstance(term, Neg):
-        return linearize(term.arg).negate()
+        return linearize(term.arg, mod).negate()
     if isinstance(term, Add):
         total = LinTerm.constant(0)
         for a in term.args:
-            total = total.add(linearize(a))
+            total = total.add(linearize(a, mod))
         return total
     if isinstance(term, Mul):
         total = LinTerm.constant(1)
         for a in term.args:
-            lin = linearize(a)
+            lin = linearize(a, mod)
             if total.is_constant():
                 total = lin.scale(total.const)
             elif lin.is_constant():
@@ -136,5 +145,7 @@ def linearize(term: Term) -> LinTerm:
                 raise NonLinearError(f"non-linear product: {term!r}")
         return total
     if isinstance(term, Mod):
-        raise ModPresentError(f"mod must be eliminated first: {term!r}")
+        if mod is None:
+            raise ModPresentError(f"mod must be eliminated first: {term!r}")
+        return mod(term)
     raise NonLinearError(f"not an arithmetic term: {term!r}")

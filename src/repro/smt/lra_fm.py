@@ -102,6 +102,11 @@ def solve_real_cube(
     return _solve(linear, polys, poly_vars)
 
 
+def is_feasible(linear: list[RealConstraint]) -> bool:
+    """Do the linear constraints have a rational solution?"""
+    return _solve(linear, [], set()) is not None
+
+
 def _solve(
     linear: list[RealConstraint],
     polys: list[tuple[str, PolyConstraint]],

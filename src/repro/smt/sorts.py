@@ -37,11 +37,3 @@ STRING = Sort("String")
 
 #: All basic sorts, keyed by their Fast surface name.
 BASIC_SORTS = {s.name: s for s in (BOOL, INT, REAL, STRING)}
-
-#: Sorts whose atoms are handled by the arithmetic theory solvers.
-NUMERIC_SORTS = (INT, REAL)
-
-
-def is_numeric(sort: Sort) -> bool:
-    """Return True for sorts handled by the arithmetic solvers."""
-    return sort in NUMERIC_SORTS

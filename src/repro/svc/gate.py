@@ -21,7 +21,9 @@ that implicit, unbounded queue with explicit, deliberate policy:
   that tenant's bucket (``tenant_rate`` tokens/sec, ``tenant_burst``
   capacity).  An empty bucket sheds with ``reason: "quota"`` and a
   ``retry_after`` computed from the refill rate, so one hostile client
-  cannot starve the rest.
+  cannot starve the rest.  As in the ledger, only the first
+  ``MAX_TENANTS`` tenants get a bucket of their own; later ones share
+  the ``_other`` bucket, so minted tenant names cannot grow the gate.
 
 * **Deadline ceiling + propagation.**  The server clamps every job's
   ``BudgetSpec.deadline`` to ``max_deadline`` (jobs without a deadline
@@ -69,7 +71,7 @@ from ..obs import config as obs_config
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
 from .job import BudgetSpec, JobResult, JobSpec
-from .telemetry import Ledger
+from .telemetry import MAX_TENANTS, OTHER_TENANT, Ledger
 
 #: Shed reasons (the ``reason`` field of a shed response).
 SHED_QUEUE_FULL = "queue-full"
@@ -296,14 +298,17 @@ class AdmissionGate:
                     SHED_DRAINING, self.config.drain_timeout, spec, tenant
                 )
             if self.config.tenant_rate > 0:
-                bucket = self._buckets.get(tenant)
+                key = tenant
+                if key not in self._buckets and len(self._buckets) >= MAX_TENANTS:
+                    key = OTHER_TENANT
+                bucket = self._buckets.get(key)
                 if bucket is None:
                     bucket = TokenBucket(
                         self.config.tenant_rate,
                         self.config.tenant_burst,
                         self.clock,
                     )
-                    self._buckets[tenant] = bucket
+                    self._buckets[key] = bucket
                 ok, retry_after = bucket.try_take()
                 if not ok:
                     return self._shed(SHED_QUOTA, retry_after, spec, tenant)

@@ -21,7 +21,6 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from ..guard import Verdict
 from ..guard.chaos import WorkerChaosPolicy, worker_policy_from_spec
 from .job import JobResult, JobSpec
 from .lifecycle import LifecyclePolicy
@@ -119,8 +118,3 @@ class AnalysisService:
     def lifecycle_snapshot(self) -> dict:
         """Per-worker generation/RSS/age state (for health reporting)."""
         return self.pool.lifecycle_snapshot()
-
-    @staticmethod
-    def verdict_of(result: JobResult) -> Verdict:
-        """The result as a library :class:`~repro.guard.Verdict`."""
-        return result.to_verdict()

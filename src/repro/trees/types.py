@@ -79,9 +79,6 @@ class TreeType:
                 return c
         raise TreeTypeError(f"{self.name} has no constructor {name!r}")
 
-    def has_constructor(self, name: str) -> bool:
-        return any(c.name == name for c in self.constructors)
-
     def rank(self, name: str) -> int:
         return self.constructor(name).rank
 

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,20 @@ from repro.smt.linear import LinTerm
 
 x = mk_var("x", INT)
 y = mk_var("y", INT)
+
+
+def lin(a, b, c):
+    """The term a*x + b*y + c."""
+    return mk_add(mk_mul(mk_int(a), x), mk_mul(mk_int(b), y), mk_int(c))
+
+
+def solve_within(lits, seconds=1.0):
+    """Solve under a deadline, so a slow cube fails instead of hanging."""
+    t0 = time.monotonic()
+    with scope(Budget(deadline=seconds)):
+        model = solve_int_cube(lits)
+    assert time.monotonic() - t0 < seconds
+    return model
 
 
 class TestNormalization:
@@ -29,11 +44,18 @@ class TestNormalization:
         assert c.kind == "le" and c.lin.coeff("x") == -1 and c.lin.const == 3
 
     def test_mod_elimination_produces_div(self):
+        # A positive x % 5 = 2 is 5 | x - 2 directly, with no witness
+        # variable; only the ground checks 0 <= 2 < 5 remain beside it.
         cons = normalize_literals([(True, mk_eq(mk_mod(x, 5), mk_int(2)))])
-        kinds = sorted(c.kind for c in cons)
-        assert "div" in kinds and "eq" in kinds
         div = next(c for c in cons if c.kind == "div")
-        assert div.divisor == 5
+        assert div.divisor == 5 and div.lin == LinTerm.of({"x": 1}, -2)
+        assert all(c.lin.is_constant() for c in cons if c is not div)
+        # A negated one keeps a witness m: 5 | x - m and m - 2 != 0.
+        cons = normalize_literals([(False, mk_eq(mk_mod(x, 5), mk_int(2)))])
+        kinds = sorted(c.kind for c in cons)
+        assert kinds == ["div", "le", "le", "ne"]
+        div = next(c for c in cons if c.kind == "div")
+        assert div.divisor == 5 and len(div.lin.variables) == 2
 
     def test_nested_mod(self):
         inner = mk_mod(x, 6)
@@ -103,12 +125,30 @@ class TestSolveCube:
         assert all(type(v) is int for v in m.values())
 
     def test_deadline_bounds_a_slow_cube(self):
-        # UNSAT from the bounds alone (x <= -1 and x >= 9), yet Cooper
-        # branches for tens of seconds before a ground contradiction
-        # shows; the budget's deadline must cut it short.
-        def lin(a, b, c):
-            return mk_add(mk_mul(mk_int(a), x), mk_mul(mk_int(b), y), mk_int(c))
+        # UNSAT: 3x = 5y (as two inequalities) needs 5 | x, but
+        # x % 100000 = 1 gives x = 1 (mod 5).  The conflict is modular,
+        # so the rational pre-check passes it, and Cooper's case split
+        # walks a period of about half a million values (~10 s) before
+        # it shows; the budget's deadline must cut it short.
+        lits = [
+            (True, mk_le(lin(3, -5, 0), mk_int(0))),
+            (True, mk_le(mk_int(0), lin(3, -5, 0))),
+            (True, mk_eq(mk_mod(x, 100000), mk_int(1))),
+            (True, mk_eq(mk_mod(y, 99999), mk_int(2))),
+        ]
+        t0 = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            with scope(Budget(deadline=0.5)):
+                solve_int_cube(lits)
+        assert time.monotonic() - t0 < 2.0
 
+
+class TestDirectDecisions:
+    """Cubes that Cooper's period expansion took seconds or more on; the
+    direct steps answer each well inside a second."""
+
+    def test_bounds_alone_refute(self):
+        # UNSAT since x <= -1 and x >= 9: the rational pre-check sees it.
         lits = [
             (True, mk_le(lin(0, -3, 5), mk_int(0))),
             (True, mk_lt(mk_int(0), lin(1, -1, -6))),
@@ -116,11 +156,71 @@ class TestSolveCube:
             (True, mk_le(mk_int(0), lin(-2, 0, -1))),
             (False, mk_eq(mk_mod(lin(2, -3, 4), 3), mk_int(1))),
         ]
-        t0 = time.monotonic()
-        with pytest.raises(DeadlineExceeded):
-            with scope(Budget(deadline=0.5)):
-                solve_int_cube(lits)
-        assert time.monotonic() - t0 < 2.0
+        assert solve_within(lits) is None
+
+    def test_large_modulus_equality(self):
+        m = solve_within([(True, mk_eq(mk_mod(x, 100003), mk_int(100002)))])
+        assert m["x"] % 100003 == 100002
+
+    def test_chinese_remainder(self):
+        lits = [
+            (True, mk_eq(mk_mod(x, 1009), mk_int(1000))),
+            (True, mk_eq(mk_mod(x, 1013), mk_int(1001))),
+        ]
+        m = solve_within(lits)
+        assert m["x"] % 1009 == 1000 and m["x"] % 1013 == 1001
+
+    def test_excluded_residues_in_a_small_window(self):
+        lits = [
+            (True, mk_le(mk_int(0), x)),
+            (True, mk_le(x, mk_int(5))),
+            (False, mk_eq(mk_mod(x, 5003), mk_int(0))),
+            (False, mk_eq(mk_mod(x, 5003), mk_int(1))),
+        ]
+        m = solve_within(lits)
+        assert 2 <= m["x"] <= 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(2, 60),
+            st.integers(-3, 3).filter(bool),
+            st.integers(-9, 9),
+            st.integers(-1, 60),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.one_of(st.none(), st.integers(-40, 40)),
+    st.one_of(st.none(), st.integers(-40, 40)),
+)
+def test_one_variable_cube_agrees_with_one_period(mods, lower, upper):
+    """(a*x + b) % k = c literals, k in 2..60, and optional bounds: the
+    solver agrees with a search over one period of x past a finite end."""
+    lits = [
+        (sign, mk_eq(mk_mod(mk_add(mk_mul(mk_int(a), x), mk_int(b)), k), mk_int(c)))
+        for k, a, b, c, sign in mods
+    ]
+    if lower is not None:
+        lits.append((True, mk_le(mk_int(lower), x)))
+    if upper is not None:
+        lits.append((True, mk_le(x, mk_int(upper))))
+
+    def holds(v):
+        return all(((a * v + b) % k == c) == sign for k, a, b, c, sign in mods) and (
+            (lower is None or lower <= v) and (upper is None or v <= upper)
+        )
+
+    period = lcm(*(k for k, *_ in mods))
+    start = lower if lower is not None else (upper - period + 1 if upper is not None else 0)
+    model = solve_int_cube(lits)
+    if model is None:
+        assert not any(holds(v) for v in range(start, start + period))
+    else:
+        assert holds(model["x"]) and type(model["x"]) is int
 
 
 @settings(max_examples=200, deadline=None)

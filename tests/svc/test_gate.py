@@ -21,6 +21,7 @@ from repro.svc.gate import (
     TokenBucket,
 )
 from repro.svc.job import PROVED, BudgetSpec, JobResult, JobSpec
+from repro.svc.telemetry import MAX_TENANTS, OTHER_TENANT
 
 
 class FakeClock:
@@ -148,6 +149,19 @@ class TestAdmission:
         # Refill brings tenant a back.
         clock.advance(1.0)
         assert isinstance(gate.admit(spec("a4"), tenant="a"), Ticket)
+
+    def test_minted_tenants_share_one_bucket_past_the_cap(self):
+        gate = AdmissionGate(
+            GateConfig(tenant_rate=1.0, tenant_burst=1), clock=FakeClock()
+        )
+        for i in range(10_000):
+            gate.admit(spec(f"j{i}"), tenant=f"t{i}")
+        assert len(gate._buckets) == MAX_TENANTS + 1 == 257
+        assert OTHER_TENANT in gate._buckets
+        # The first tenants keep their own (now empty) buckets; every
+        # later one drew from the shared bucket, which is empty too.
+        assert gate.admit(spec("again"), tenant="t0").reason == SHED_QUOTA
+        assert gate.admit(spec("late"), tenant="fresh").reason == SHED_QUOTA
 
     def test_shed_response_wire_form(self):
         gate = AdmissionGate(GateConfig(max_queue=1), clock=FakeClock())
