@@ -144,20 +144,23 @@ class MonolithicSanitizer:
         return serialize(self._clean_forest(forest))
 
     def _clean_forest(self, nodes: list[Node]) -> list[Node]:
+        """Iterative, so a page nested thousands of elements deep cleans.
+        ``work`` holds each sibling list still to clean with the list its
+        cleaned nodes go to."""
         out: list[Node] = []
-        for n in nodes:
-            if isinstance(n, Text):
-                out.append(Text(self._escape(n.data)))
-                continue
-            if n.tag in self.remove_tags:
-                continue  # drop the subtree, keep later siblings
-            out.append(
-                Element(
-                    n.tag,
-                    [(k, self._escape(v)) for k, v in n.attrs],
-                    self._clean_forest(n.children),
-                )
-            )
+        work: list[tuple[list[Node], list[Node]]] = [(nodes, out)]
+        while work:
+            nodes, dest = work.pop()
+            for n in nodes:
+                if isinstance(n, Text):
+                    dest.append(Text(self._escape(n.data)))
+                    continue
+                if n.tag in self.remove_tags:
+                    continue  # drop the subtree, keep later siblings
+                children: list[Node] = []
+                attrs = [(k, self._escape(v)) for k, v in n.attrs]
+                dest.append(Element(n.tag, attrs, children))
+                work.append((n.children, children))
         return out
 
     @staticmethod

@@ -36,6 +36,10 @@ compiled tier factors that work out of the hot loop:
   results of the pairs the rule reads, copied attributes are reads of
   ``node.attrs``, constant attribute tuples are built once, and only
   an attribute computing a new value builds an attribute environment.
+  In ``walk_one`` an output node that copies the input node (its
+  symbol, its identity field list, child ``i`` computed from child
+  ``i``) is the input node itself whenever each result read is the very
+  child it came from, so a pass that changes little builds little.
   Results are kept per state, keyed by node identity, and a rule whose
   output reads no child is emitted on the way down.  The source is
   written and compiled on the first run and kept on the
@@ -340,6 +344,12 @@ class _RuleCode:
     Attribute tuples that can fail are computed first, in pre-order
     (the order evaluation meets them), then the results of the pairs
     the rule reads; the output is assembled from those.
+
+    In single-output mode an output node that copies the input node ``t``
+    (the rule's symbol, the identity field list, and child ``i`` the
+    result of a pair on child ``i``, for every child of the symbol) is
+    ``t`` itself whenever every result read is the child object it was
+    computed from: the tree it would build equals ``t``.
     """
 
     def __init__(
@@ -347,6 +357,8 @@ class _RuleCode:
     ) -> None:
         self.ns = ns
         self.input_type = compiled.sttr.input_type
+        self.ctor = cr.rule.ctor
+        self.rank = self.input_type.rank(self.ctor)
         self.state_index = compiled.state_index
         self.single = single
         self.reads: set[str] = set()
@@ -372,7 +384,13 @@ class _RuleCode:
             ctor = self.ns.bind("K", term.ctor)
             kids = [self._term(c) for c in term.children]
             if self.single:
-                return f"Tree({ctor}, {attrs}, ({''.join(k + ', ' for k in kids)}))"
+                built = f"Tree({ctor}, {attrs}, ({''.join(k + ', ' for k in kids)}))"
+                if not self._copies_input(term):
+                    return built
+                if not kids:
+                    return "t"
+                same = " and ".join(f"{v} is k[{i}]" for i, v in enumerate(kids))
+                return f"(t if {same} else {built})"
             n = len(self.capped)
             self.cross_lines += [
                 f"l{n} = []",
@@ -381,6 +399,19 @@ class _RuleCode:
             self.capped.append(f"c{n}")
             return f"l{n}"
         raise TransductionError(f"cannot lower extended term {term!r}")
+
+    def _copies_input(self, term: OutNode) -> bool:
+        """Is ``term`` the input node rebuilt from its own children's
+        results, ``ctor[fields](p0(y0) .. pn(yn))`` for the rule's symbol?"""
+        return (
+            term.ctor == self.ctor
+            and term.attr_exprs == self.input_type.attr_vars()
+            and len(term.children) == self.rank
+            and all(
+                isinstance(c, OutApply) and c.index == i
+                for i, c in enumerate(term.children)
+            )
+        )
 
     def lines(self) -> list[str]:
         """Statements leaving the rule's output in ``out`` (one tree or

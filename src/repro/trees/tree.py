@@ -6,12 +6,16 @@ Trees are structural — a tree belongs to a :class:`~repro.trees.types.TreeType
 if it validates against it — which keeps transducer outputs cheap to build.
 
 ``Tree`` is a ``__slots__`` class, not a dataclass: a transducer run and
-the HTML encoding build one per node, so construction is three slot
-stores and one cached hash.  Fields are never reassigned after
-``__init__``.  Equality, ``repr`` and the other whole-tree walks are
+the HTML encoding build one per node, so construction is four slot
+stores.  Fields are never reassigned after ``__init__``.  The hash is
+computed on first use and cached: one iterative post-order pass hashes
+the nodes not yet hashed, so a tree that is built and never hashed (an
+encoded page, most run outputs) pays nothing for it.  Equality,
+hashing, pickling, ``repr`` and the other whole-tree walks are
 iterative, because ``val`` chains of the HTML encoding are thousands of
-nodes deep.  A pickled tree is rebuilt from its fields where it is
-loaded, so its cached hash follows the loading process's hash seed.
+nodes deep.  A tree pickles as a flat post-order list of its distinct
+nodes, so shared subtrees stay shared, and is rebuilt where it is
+loaded, so its hash follows the loading process's hash seed.
 """
 
 from __future__ import annotations
@@ -40,12 +44,16 @@ class Tree:
         self.ctor = ctor
         self.attrs = attrs
         self.children = children
-        # Cache the hash: trees key memoization tables in the automaton
-        # algorithms, and recomputing a deep hash per lookup is quadratic.
-        self._hash = hash((ctor, attrs, children))
+        # The hash, once computed: trees key memoization tables in the
+        # automaton algorithms, and recomputing a deep hash per lookup
+        # is quadratic.
+        self._hash: int | None = None
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = _hash_nodes(self)
+        return h
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -60,7 +68,7 @@ class Tree:
             if a is b:
                 continue
             if (
-                a._hash != b._hash
+                hash(a) != hash(b)
                 or a.ctor != b.ctor
                 or a.attrs != b.attrs
                 or len(a.children) != len(b.children)
@@ -70,9 +78,16 @@ class Tree:
         return True
 
     def __reduce__(self):
-        # Rebuild from the fields, so the hash is recomputed under the
-        # loading process's hash seed (worker processes have their own).
-        return (Tree, (self.ctor, self.attrs, self.children))
+        # Flat, so the pickler does not recurse per node; rebuilt from
+        # the fields, so the hash is recomputed under the loading
+        # process's hash seed (worker processes have their own).
+        nodes = dag_post_order(self)
+        index = {id(t): i for i, t in enumerate(nodes)}
+        flat = [
+            (t.ctor, t.attrs, tuple([index[id(c)] for c in t.children]))
+            for t in nodes
+        ]
+        return (_from_post_order, (flat,))
 
     def __repr__(self) -> str:
         return format_tree(self)
@@ -114,6 +129,35 @@ class Tree:
 
     def replace_children(self, children: Sequence["Tree"]) -> "Tree":
         return Tree(self.ctor, self.attrs, tuple(children))
+
+
+def _hash_nodes(tree: Tree) -> int:
+    """Hash ``tree`` and every unhashed node below it, children first.
+
+    The stack holds unhashed nodes; the top is hashed once none of its
+    children is left unhashed, so no call recurses and each node's
+    ``hash((ctor, attrs, children))`` reads its children's cached hashes.
+    """
+    stack = [tree]
+    while stack:
+        t = stack[-1]
+        for c in t.children:
+            if c._hash is None:
+                stack.append(c)
+                break
+        else:
+            stack.pop()
+            t._hash = hash((t.ctor, t.attrs, t.children))
+    return tree._hash
+
+
+def _from_post_order(nodes: list[tuple[str, tuple, tuple[int, ...]]]) -> Tree:
+    """Unpickle :meth:`Tree.__reduce__`'s list: each entry names its
+    children by their position in the list; the root is last."""
+    built: list[Tree] = []
+    for ctor, attrs, kids in nodes:
+        built.append(Tree(ctor, attrs, tuple([built[i] for i in kids])))
+    return built[-1]
 
 
 def dag_post_order(tree: Tree) -> list[Tree]:

@@ -1,5 +1,7 @@
 """Tests for the HTML substrate and the two sanitizers (Sections 2, 5.1)."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,28 +156,67 @@ class TestSanitizers:
         assert len(kept) == 10_000
         assert all(el.tag == "b" for el in kept)
 
-    @pytest.mark.parametrize("tier", ["compiled", "interp"])
-    def test_deeply_nested_page(self, fast_sanitizer, monkeypatch, tier):
-        # 1,500 nested elements: parse, encode, run, decode and serialize
-        # all walk the nesting without recursing.  The monolithic
-        # sanitizer recurses on nesting, so the expected page is built
-        # by hand.
-        monkeypatch.setenv("REPRO_EXEC", tier)
-        depth = 1500
-        page = (
+    @staticmethod
+    def _nested_page(depth):
+        return (
             '<div title="a\'b">' * depth
             + "it's<script>alert(1)</script>"
             + "</div>" * depth
             + "<p>end</p>"
         )
-        expected = (
-            '<div title="a\\\'b">' * depth
-            + "it\\'s"
-            + "</div>" * depth
-            + "<p>end</p>"
-        )
+
+    def _assert_sanitizes_like_monolithic(self, fast_sanitizer, page):
         out = fast_sanitizer.rem_esc.apply_one(encode_forest(parse_html(page)))
-        assert serialize(decode_forest(out)) == expected
+        assert serialize(decode_forest(out)) == MonolithicSanitizer().sanitize(page)
+
+    @pytest.mark.parametrize("tier", ["compiled", "interp"])
+    def test_deeply_nested_page(self, fast_sanitizer, monkeypatch, tier):
+        # 1,500 nested elements: parse, encode, run, decode and serialize
+        # all walk the nesting without recursing, and so does the
+        # monolithic sanitizer, the oracle.
+        monkeypatch.setenv("REPRO_EXEC", tier)
+        page = self._nested_page(1500)
+        self._assert_sanitizes_like_monolithic(fast_sanitizer, page)
+        expected = MonolithicSanitizer().sanitize(page)
+        assert expected.startswith('<div title="a\\\'b">') and "<script" not in expected
+
+    @pytest.mark.parametrize("tier", ["compiled", "interp"])
+    def test_5000_deep_page(self, fast_sanitizer, monkeypatch, tier):
+        monkeypatch.setenv("REPRO_EXEC", tier)
+        self._assert_sanitizes_like_monolithic(fast_sanitizer, self._nested_page(5000))
+
+    def test_unchanged_page_is_returned_as_is(self, fast_sanitizer):
+        # No script and no quote: every output node copies its input
+        # node, so the compiled walk returns the input tree itself.
+        tree = encode_html('<div id="a"><p>hello</p><b title=x>world</b></div>')
+        assert fast_sanitizer.rem_esc.apply_one(tree) is tree
+
+    def test_text_after_a_quote_is_the_input_chain(self, fast_sanitizer):
+        tree = encode_html("<p>it's here</p>")
+        out = fast_sanitizer.rem_esc.apply_one(tree)
+        assert decode_html(out) == "<p>it\\'s here</p>"
+        # node[p](attr[text](chain, nil), nil, nil): walk both text
+        # chains to the quote.
+        chain = tree.children[0].children[0]
+        chain_out = out.children[0].children[0]
+        while chain.attrs != ("'",):
+            chain, chain_out = chain.children[0], chain_out.children[0]
+        # The output inserts a backslash node, then reuses the input's
+        # quote node and the chain after it.
+        assert chain_out.attrs == ("\\",)
+        (quote,) = chain_out.children
+        assert quote is chain and quote.children[0] is chain.children[0]
+
+    def test_output_sharing_its_input_pickles(self, fast_sanitizer):
+        # A 1,000-character text is a 1,000-deep chain, shared from its
+        # first quote on between the input and the output.
+        page = generate_page(3000, 5) + "<p>" + "it's " * 200 + "</p>"
+        tree = encode_html(page)
+        out = fast_sanitizer.rem_esc.apply_one(tree)
+        back_tree, back_out = pickle.loads(pickle.dumps((tree, out)))
+        assert back_out == out and back_tree == tree
+        assert pickle.loads(pickle.dumps(out)) == out
+        assert decode_html(back_out) == MonolithicSanitizer().sanitize(page)
 
     def test_analysis_fixed_is_safe(self, fast_sanitizer):
         assert fast_sanitizer.analyze().safe

@@ -129,7 +129,8 @@ class TestTree:
         )
         dump = (
             "import pickle, sys; from repro.trees import Tree; "
-            "sys.stdout.buffer.write(pickle.dumps(Tree('a', ('x',))))"
+            "t = Tree('a', ('x',)); hash(t); "
+            "sys.stdout.buffer.write(pickle.dumps(t))"
         )
         load = (
             "import pickle, sys; from repro.trees import Tree; "
@@ -157,6 +158,41 @@ class TestTree:
         t = node("N", 0, node("L", 1), node("L", 2))
         back = pickle.loads(pickle.dumps(t))
         assert back == t and hash(back) == hash(t) and repr(back) == repr(t)
+
+    def test_deep_chain_pickles(self):
+        # The pickler would recurse three levels per node of a nested
+        # reduce; the flat one does not.
+        t = encode_string("x" * 5000)
+        hash(t)
+        back = pickle.loads(pickle.dumps(t))
+        assert back is not t and back == t and back.depth() == 5001
+        # The hash is recomputed where the tree is loaded.
+        assert hash(back) == hash(t) == hash(encode_string("x" * 5000))
+        assert back in {t}
+
+    def test_pickle_keeps_shared_subtrees_shared(self):
+        # Emptiness witnesses share subtrees; a round trip must not
+        # unfold the DAG.
+        leaf = node("L", 1)
+        mid = node("N", 2, leaf, leaf)
+        t = node("N", 3, mid, mid)
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t
+        (a, b) = back.children
+        assert a is b and a.children[0] is a.children[1]
+
+    def test_deep_hash_is_iterative_and_structural(self):
+        def chain(n, top="x"):
+            t = node("nil", "")
+            for _ in range(n - 1):
+                t = node("val", "x", t)
+            return node("val", top, t)
+
+        a, b = chain(200_000), chain(200_000)
+        assert a is not b and hash(a) == hash(b) and a == b
+        assert chain(200_000, top="y") != a
+        deeper = node("val", "x", chain(200_000))
+        assert deeper != node("val", "x", deeper.children[0].children[0])
 
 
 class TestFormatParse:
