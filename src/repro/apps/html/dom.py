@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
+from ...trees.tree import pause_collector, resume_collector
+
 #: Elements that never have children and need no closing tag.
 VOID_ELEMENTS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
@@ -81,17 +83,21 @@ def serialize(nodes: list[Node]) -> str:
     the stack holds nodes still to write and the closing tags between
     them.
     """
-    parts: list[str] = []
-    stack: list[Node | str] = list(reversed(nodes))
-    while stack:
-        n = stack.pop()
-        if isinstance(n, str):
-            parts.append(n)
-        elif isinstance(n, Text):
-            parts.append(n.serialize())
-        else:
-            parts.append(n._open_tag())
-            if n.tag not in VOID_ELEMENTS:
-                stack.append(f"</{n.tag}>")
-                stack.extend(reversed(n.children))
-    return "".join(parts)
+    pause_collector()
+    try:
+        parts: list[str] = []
+        stack: list[Node | str] = list(reversed(nodes))
+        while stack:
+            n = stack.pop()
+            if isinstance(n, str):
+                parts.append(n)
+            elif isinstance(n, Text):
+                parts.append(n.serialize())
+            else:
+                parts.append(n._open_tag())
+                if n.tag not in VOID_ELEMENTS:
+                    stack.append(f"</{n.tag}>")
+                    stack.extend(reversed(n.children))
+        return "".join(parts)
+    finally:
+        resume_collector()

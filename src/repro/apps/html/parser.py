@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 
+from ...trees.tree import pause_collector, resume_collector
 from .dom import VOID_ELEMENTS, Element, Node, Text
 
 _TAG_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9:-]*")
@@ -39,86 +40,90 @@ def _unescape(text: str) -> str:
 
 def parse_html(text: str) -> list[Node]:
     """Parse HTML text into a forest of DOM nodes (never raises)."""
-    root = Element("#root")
-    stack: list[Element] = [root]
-    i = 0
-    n = len(text)
-    while i < n:
-        lt = text.find("<", i)
-        if lt == -1:
-            _append_text(stack[-1], text[i:])
-            break
-        if lt > i:
-            _append_text(stack[-1], text[i:lt])
-        if text.startswith("<!--", lt):
-            end = text.find("-->", lt + 4)
-            i = n if end == -1 else end + 3
-            continue
-        if text.startswith("<!", lt) or text.startswith("<?", lt):
-            end = text.find(">", lt)
-            i = n if end == -1 else end + 1
-            continue
-        if text.startswith("</", lt):
-            end = text.find(">", lt)
-            if end == -1:
+    pause_collector()
+    try:
+        root = Element("#root")
+        stack: list[Element] = [root]
+        i = 0
+        n = len(text)
+        while i < n:
+            lt = text.find("<", i)
+            if lt == -1:
+                _append_text(stack[-1], text[i:])
                 break
-            name = text[lt + 2 : end].strip().lower()
-            _close(stack, name)
-            i = end + 1
-            continue
-        m = _TAG_RE.match(text, lt + 1)
-        if m is None:
-            _append_text(stack[-1], "<")
-            i = lt + 1
-            continue
-        tag = m.group(0).lower()
-        j = m.end()
-        attrs: list[tuple[str, str]] = []
-        self_closing = False
-        while j < n:
-            if text[j] == ">":
-                j += 1
-                break
-            if text.startswith("/>", j):
-                self_closing = True
-                j += 2
-                break
-            am = _ATTR_RE.match(text, j)
-            if am is None or am.end() == j:
-                j += 1
+            if lt > i:
+                _append_text(stack[-1], text[i:lt])
+            if text.startswith("<!--", lt):
+                end = text.find("-->", lt + 4)
+                i = n if end == -1 else end + 3
                 continue
-            name = am.group(1).lower()
-            raw = am.group(2)
-            if raw is None:
-                value = ""
-            elif am.group(3) is not None:
-                value = am.group(3)
-            elif am.group(4) is not None:
-                value = am.group(4)
-            else:
-                value = raw
-            attrs.append((name, _unescape(value)))
-            j = am.end()
-        element = Element(tag, attrs)
-        stack[-1].children.append(element)
-        if tag in RAW_TEXT_ELEMENTS and not self_closing:
-            close = f"</{tag}"
-            end = text.lower().find(close, j)
-            if end == -1:
-                raw_content = text[j:]
-                j = n
-            else:
-                raw_content = text[j:end]
-                gt = text.find(">", end)
-                j = n if gt == -1 else gt + 1
-            if raw_content:
-                element.children.append(Text(raw_content))
+            if text.startswith("<!", lt) or text.startswith("<?", lt):
+                end = text.find(">", lt)
+                i = n if end == -1 else end + 1
+                continue
+            if text.startswith("</", lt):
+                end = text.find(">", lt)
+                if end == -1:
+                    break
+                name = text[lt + 2 : end].strip().lower()
+                _close(stack, name)
+                i = end + 1
+                continue
+            m = _TAG_RE.match(text, lt + 1)
+            if m is None:
+                _append_text(stack[-1], "<")
+                i = lt + 1
+                continue
+            tag = m.group(0).lower()
+            j = m.end()
+            attrs: list[tuple[str, str]] = []
+            self_closing = False
+            while j < n:
+                if text[j] == ">":
+                    j += 1
+                    break
+                if text.startswith("/>", j):
+                    self_closing = True
+                    j += 2
+                    break
+                am = _ATTR_RE.match(text, j)
+                if am is None or am.end() == j:
+                    j += 1
+                    continue
+                name = am.group(1).lower()
+                raw = am.group(2)
+                if raw is None:
+                    value = ""
+                elif am.group(3) is not None:
+                    value = am.group(3)
+                elif am.group(4) is not None:
+                    value = am.group(4)
+                else:
+                    value = raw
+                attrs.append((name, _unescape(value)))
+                j = am.end()
+            element = Element(tag, attrs)
+            stack[-1].children.append(element)
+            if tag in RAW_TEXT_ELEMENTS and not self_closing:
+                close = f"</{tag}"
+                end = text.lower().find(close, j)
+                if end == -1:
+                    raw_content = text[j:]
+                    j = n
+                else:
+                    raw_content = text[j:end]
+                    gt = text.find(">", end)
+                    j = n if gt == -1 else gt + 1
+                if raw_content:
+                    element.children.append(Text(raw_content))
+                i = j
+                continue
+            if not self_closing and tag not in VOID_ELEMENTS:
+                stack.append(element)
             i = j
-            continue
-        if not self_closing and tag not in VOID_ELEMENTS:
-            stack.append(element)
-        i = j
-    return root.children
+        return root.children
+    finally:
+        resume_collector()
 
 
 def _append_text(parent: Element, data: str) -> None:

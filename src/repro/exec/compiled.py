@@ -76,7 +76,7 @@ from ..smt.terms import Const, Term
 from ..transducers.output_terms import OutApply, OutNode, OutputTerm
 from ..transducers.run import TransductionError, _cross
 from ..transducers.sttr import STTR, STTRRule, State
-from ..trees.tree import Tree
+from ..trees.tree import Tree, pause_collector, resume_collector
 from ..trees.types import TreeType
 
 _OBS_COMPILES = obs_metrics.counter("exec.compile")
@@ -259,30 +259,34 @@ def run_compiled_checked(
     provenance note, output order) as
     :func:`repro.transducers.run.run_checked`.
     """
-    sttr = compiled.sttr
-    root_state = sttr.initial if state is None else state
-    la = acceptance_table(sttr.lookahead_sta, tree)
-    walk_one, walk_all = compiled.walks()
-    states = compiled.states
-    q = compiled.state_index.get(root_state)
-    if q is None:
-        # A state no rule mentions: the walk's fallback branch runs it.
-        q = len(states)
-        states = states + (root_state,)
-    budgets = bool(_active_budgets())
-    counting = obs_config.ENABLED
-    if limit == 1:
-        root, truncated, tasks = walk_one(tree, q, states, limit, la, budgets, counting)
-        root = [] if root is None else [root]
-    else:
-        root, truncated, tasks = walk_all(tree, q, states, limit, la, budgets, counting)
-    if prov.is_active():
-        prov.note(
-            "run",
-            f"ran {sttr.name} from state {root_state}: {tasks} tasks, "
-            f"{len(root)} output(s)",
-        )
-    return root, truncated
+    pause_collector()
+    try:
+        sttr = compiled.sttr
+        root_state = sttr.initial if state is None else state
+        la = acceptance_table(sttr.lookahead_sta, tree)
+        walk_one, walk_all = compiled.walks()
+        states = compiled.states
+        q = compiled.state_index.get(root_state)
+        if q is None:
+            # A state no rule mentions: the walk's fallback branch runs it.
+            q = len(states)
+            states = states + (root_state,)
+        budgets = bool(_active_budgets())
+        counting = obs_config.ENABLED
+        if limit == 1:
+            root, truncated, tasks = walk_one(tree, q, states, limit, la, budgets, counting)
+            root = [] if root is None else [root]
+        else:
+            root, truncated, tasks = walk_all(tree, q, states, limit, la, budgets, counting)
+        if prov.is_active():
+            prov.note(
+                "run",
+                f"ran {sttr.name} from state {root_state}: {tasks} tasks, "
+                f"{len(root)} output(s)",
+            )
+        return root, truncated
+    finally:
+        resume_collector()
 
 
 # -- source generation -------------------------------------------------------

@@ -172,11 +172,10 @@ class WorkerPool:
     def _recycle(self, worker: Worker, reason: str) -> Worker:
         """Seamlessly replace one idle worker: spawn first, retire second.
 
-        The replacement is fully spawned and handshaken
-        (the spawn-time ping doubles as a readiness barrier) *before*
-        the old worker leaves the pool, so capacity never dips and no
-        job can be dispatched into the gap.  Generation numbers come
-        from a process-wide counter and are never reused.
+        The replacement is started *before* the old worker leaves the
+        pool, so capacity never dips; a job sent before its loop is up
+        waits in its pipe.  Generation numbers come from a process-wide
+        counter and are never reused.
         """
         t0 = time.monotonic()
         replacement = self._prepare_replacement(worker)
@@ -404,9 +403,7 @@ class WorkerPool:
                 # Fold the worker's telemetry blob (metric deltas, span
                 # tree) into host obs state before the span is recorded;
                 # crash-safe — a mangled blob merges nothing.
-                worker_spans = svc_telemetry.consume_blob(
-                    payload, worker.clock_offset
-                )
+                worker_spans = svc_telemetry.consume_blob(payload)
                 finalize(job_id, payload, worker_spans)
             else:
                 if obs_config.ENABLED:
@@ -497,12 +494,6 @@ class WorkerPool:
                         except (EOFError, OSError):
                             self._on_crash(worker, job_id, fail_attempt)
                             del busy[key]
-                            continue
-                        if svc_telemetry.is_pong(payload):
-                            # A clock pong that missed the spawn-time
-                            # handshake window; the job reply is still
-                            # on its way — keep the worker busy.
-                            worker.note_pong(payload)
                             continue
                         del busy[key]
                         classify_reply(worker, job_id, payload)

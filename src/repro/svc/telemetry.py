@@ -21,22 +21,18 @@ JSON-able *telemetry blob* attached to the
   post-job snapshot *is* the per-job delta; histograms ship their
   reservoir so quantiles survive the merge).
 
-**Clock alignment** (:func:`clock_offset_from_pong`).  ``perf_counter``
-timelines are per-process, so at worker spawn the supervisor plays one
-NTP-style ping/pong: it stamps ``t0``, pings, the worker pongs back its
-own ``perf_counter``, the supervisor stamps ``t1`` and estimates
-``offset = (t0 + t1) / 2 - t_worker``.  Adding ``offset`` to a worker
-timestamp lands it on the supervisor's timeline, accurate to half the
-pipe round-trip (microseconds on a fork pool).
+**One clock.**  Span times are ``time.perf_counter`` readings.  On
+Linux that is ``CLOCK_MONOTONIC``, one clock for the whole host, so a
+worker's span times are already on the supervisor's timeline, under
+``fork`` and ``spawn`` alike, and are merged as they are.
 
 **Supervisor side** (:func:`consume_blob`).  When a valid result
 arrives, its counter deltas fold into the host registry, so
 ``--profile-json`` and the ``repro.obs.diff`` CI gate count worker
-solver work, and its span tree is rebuilt shifted by the worker's clock
-offset with the worker's pid as its track.  The pool grafts that tree
-under the supervisor's ``svc.job`` span, so profile trees, span
-totals, and the Perfetto export (one track per worker pid) show *what
-the worker did inside* each job.
+solver work, and its span tree is rebuilt with the worker's pid as its
+track.  The pool grafts that tree under the supervisor's ``svc.job``
+span, so profile trees, span totals, and the Perfetto export (one
+track per worker pid) show *what the worker did inside* each job.
 
 Crash safety is structural: a killed/hung worker never sends a result,
 so there is no blob and therefore nothing to merge.  A blob that fails
@@ -57,7 +53,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import time
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from ..obs import config as obs_config
@@ -69,55 +64,11 @@ from .job import ERROR, JobResult, JobSpec, execute_job
 if TYPE_CHECKING:
     from .gate import AdmissionGate
 
-#: Handshake message markers (tuple heads on the worker pipe).
-CLOCK_PING = "__repro_clock_ping__"
-CLOCK_PONG = "__repro_clock_pong__"
-
 #: Span-tree nodes shipped per blob (depth-first budget).
 MAX_SPANS = 512
 
 _OBS_BLOBS = obs_metrics.counter("svc.telemetry.blobs")
 _OBS_MERGE_ERRORS = obs_metrics.counter("svc.telemetry.merge_errors")
-
-
-# -- clock handshake ---------------------------------------------------------
-
-
-def is_ping(message: Any) -> bool:
-    return (
-        isinstance(message, tuple) and len(message) >= 1
-        and message[0] == CLOCK_PING
-    )
-
-
-def is_pong(message: Any) -> bool:
-    return (
-        isinstance(message, tuple) and len(message) == 3
-        and message[0] == CLOCK_PONG
-    )
-
-
-def make_pong() -> tuple[str, int, float]:
-    """The worker's handshake reply: pid and its clock now."""
-    return (CLOCK_PONG, os.getpid(), time.perf_counter())
-
-
-def clock_offset_from_pong(
-    pong: Any, t_sent: float, t_received: float
-) -> Optional[float]:
-    """Supervisor-side: the worker→supervisor clock offset, or None.
-
-    ``t_sent``/``t_received`` bracket the round trip on the
-    supervisor's ``perf_counter``; the worker's timestamp is assumed to
-    sit at the midpoint (symmetric pipe latency), so the estimate is
-    off by at most half the round trip.
-    """
-    if not is_pong(pong):
-        return None
-    t_worker = pong[2]
-    if not isinstance(t_worker, (int, float)):
-        return None
-    return (t_sent + t_received) / 2.0 - t_worker
 
 
 # -- worker side -------------------------------------------------------------
@@ -219,7 +170,6 @@ def execute_with_telemetry(
             ):
                 result = execute_job(spec)
     finally:
-        t_end = time.perf_counter()
         obs_config.enabled(was_enabled)
 
     counters, hists = _metric_deltas(obs_metrics.REGISTRY)
@@ -229,7 +179,6 @@ def execute_with_telemetry(
 
     result.telemetry = {
         "pid": os.getpid(),
-        "t_end": t_end,
         # Worker self-report: the lifecycle layer's RSS recycle
         # threshold keys off the same sample (see result.hygiene).
         "rss_bytes": current_rss_bytes(),
@@ -244,16 +193,13 @@ def execute_with_telemetry(
 # -- supervisor side ---------------------------------------------------------
 
 
-def consume_blob(
-    result: JobResult, clock_offset: Optional[float]
-) -> list[obs_tracer.Span]:
+def consume_blob(result: JobResult) -> list[obs_tracer.Span]:
     """Detach and merge a result's telemetry blob into host obs state.
 
     Counter deltas and histogram states fold into the host registry.
-    Returns the worker's span tree, rebuilt on the supervisor timeline
-    (falling back to right-edge alignment when the handshake never
-    completed) on the worker pid's track, for the pool to graft under
-    its ``svc.job`` span; empty when there is no blob.
+    Returns the worker's span tree, rebuilt on the worker pid's track,
+    for the pool to graft under its ``svc.job`` span; empty when there
+    is no blob.
 
     Merge is all-or-nothing per blob: any malformed structure aborts
     the whole merge — counted in ``svc.telemetry.merge_errors`` — so a
@@ -265,12 +211,7 @@ def consume_blob(
         return []
     try:
         pid = int(blob["pid"])
-        if clock_offset is None:
-            # Handshake never completed: pin the blob's right edge to
-            # "now" (it was received moments after t_end) so it still
-            # lands on the host timeline in roughly the right place.
-            clock_offset = time.perf_counter() - float(blob["t_end"])
-        spans = [_span_from_dict(doc, pid, clock_offset) for doc in blob["spans"]]
+        spans = [_span_from_dict(doc, pid) for doc in blob["spans"]]
         counters = blob["counters"]
         hists = blob["hists"]
         if not (isinstance(counters, dict) and isinstance(hists, dict)):
@@ -298,11 +239,11 @@ def consume_blob(
     return spans
 
 
-def _span_from_dict(doc: Any, pid: int, offset: float) -> obs_tracer.Span:
+def _span_from_dict(doc: Any, pid: int) -> obs_tracer.Span:
     """One shipped span dict as a closed span on the worker's track;
     raises on anything malformed."""
     attrs, children = doc["attrs"], doc["children"]
-    start = float(doc["start"]) + offset
+    start = float(doc["start"])
     duration = float(doc["duration"])
     if not (
         isinstance(attrs, dict) and isinstance(children, list)
@@ -312,7 +253,7 @@ def _span_from_dict(doc: Any, pid: int, offset: float) -> obs_tracer.Span:
     span = obs_tracer.Span(str(doc["name"]), dict(attrs))
     span.start, span.duration = start, duration
     span.pid = span.tid = pid
-    span.children = [_span_from_dict(c, pid, offset) for c in children]
+    span.children = [_span_from_dict(c, pid) for c in children]
     return span
 
 

@@ -47,13 +47,7 @@ from ..guard.chaos import WorkerChaosPolicy
 from ..obs import config as obs_config
 from .job import JobSpec
 from .lifecycle import LifecyclePolicy, current_rss_bytes, next_generation
-from .telemetry import (
-    CLOCK_PING,
-    clock_offset_from_pong,
-    execute_with_telemetry,
-    is_ping,
-    make_pong,
-)
+from .telemetry import execute_with_telemetry
 
 #: Payload a chaos-corrupted worker sends instead of a JobResult.
 _CORRUPT_PAYLOAD = ("\x00corrupt\x00", "injected by WorkerChaosPolicy")
@@ -165,15 +159,6 @@ def _worker_main(
             break
         if message is None:
             break
-        if is_ping(message):
-            # Clock handshake: reply with our pid and perf_counter so
-            # the supervisor can align this worker's telemetry
-            # timestamps onto its own timeline.
-            try:
-                conn.send(make_pong())
-            except (BrokenPipeError, OSError):
-                break
-            continue
         spec, attempt = message
         fault = chaos.decide(spec.job_id, attempt) if chaos is not None else None
         if fault == "kill":
@@ -213,9 +198,6 @@ def _worker_main(
 class Worker:
     """Supervisor-side handle: process + pipe + respawn."""
 
-    #: How long the spawn-time clock handshake waits for the pong.
-    HANDSHAKE_TIMEOUT = 5.0
-
     def __init__(
         self,
         ctx,
@@ -231,9 +213,6 @@ class Worker:
         self.spawns = 0
         self.process: Any = None
         self.conn: Any = None
-        #: Worker->supervisor ``perf_counter`` offset, from the spawn
-        #: handshake; None when telemetry is off or the pong never came.
-        self.clock_offset: Optional[float] = None
         #: Never-reused generation number, fresh per (re)spawn.
         self.generation: int = 0
         #: Supervisor-clock timestamp of the last (re)spawn.
@@ -267,40 +246,6 @@ class Worker:
         self.spawned_at = time.monotonic()
         self.jobs_served = 0
         self.rss_bytes = None
-        self.clock_offset = None
-        self._handshake()
-
-    def _handshake(self) -> None:
-        """Ping the fresh worker; absorb its clock offset.
-
-        Doubles as the *readiness barrier*: the worker only answers the
-        ping once its loop is up — which is what lets a recycle retire
-        the old worker knowing its replacement is ready.  Best-effort: a
-        worker that dies or stalls before ponging just leaves
-        ``clock_offset`` at None (telemetry merges fall back to
-        right-edge alignment) — job dispatch proceeds regardless, and a
-        late pong is absorbed by the pool's reply loop via
-        :meth:`note_pong`.
-        """
-        try:
-            t_sent = time.perf_counter()
-            self.conn.send((CLOCK_PING,))
-            if self.conn.poll(self.HANDSHAKE_TIMEOUT):
-                payload = self.conn.recv()
-                t_received = time.perf_counter()
-                self.clock_offset = clock_offset_from_pong(
-                    payload, t_sent, t_received
-                )
-        except (BrokenPipeError, EOFError, OSError):
-            pass
-
-    def note_pong(self, payload: Any) -> None:
-        """Absorb a pong that arrived late, outside the handshake window."""
-        t_now = time.perf_counter()
-        # The send time is long gone; treat receipt as the whole trip.
-        offset = clock_offset_from_pong(payload, t_now, t_now)
-        if offset is not None and self.clock_offset is None:
-            self.clock_offset = offset
 
     @property
     def age(self) -> float:

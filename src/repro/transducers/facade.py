@@ -117,7 +117,10 @@ class Transducer:
         Complete for the reason :func:`repro.transducers.run.run_one`
         gives: a per-task cap of one output preserves non-emptiness.
         """
-        outputs, _ = self._checked(tree, 1)
+        # Indexed, not unpacked: unpacking allocates an iterator until
+        # the interpreter specializes it, which would run the collection
+        # the run put off right here (see trees/tree.py::pause_collector).
+        outputs = self._checked(tree, 1)[0]
         return outputs[0] if outputs else None
 
     def __call__(self, tree: Tree) -> Optional[Tree]:

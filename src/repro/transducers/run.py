@@ -22,7 +22,7 @@ from typing import Optional
 from ..automata.semantics import AcceptanceTable, acceptance_table
 from ..guard.budget import tick as _tick
 from ..obs import provenance as prov
-from ..trees.tree import Tree, dag_post_order
+from ..trees.tree import Tree, dag_post_order, pause_collector, resume_collector
 from .output_terms import OutApply, OutNode, OutputTerm
 from .sttr import STTR, STTRRule, State, TransducerError
 
@@ -97,56 +97,60 @@ def run_checked(
     inside a deep cross product is propagated through the task
     dependency graph as a taint.
     """
-    root_state = sttr.initial if state is None else state
-    la = acceptance_table(sttr.lookahead_sta, tree)
-    tasks = _discover_tasks(sttr, tree, root_state, la)
+    pause_collector()
+    try:
+        root_state = sttr.initial if state is None else state
+        la = acceptance_table(sttr.lookahead_sta, tree)
+        tasks = _discover_tasks(sttr, tree, root_state, la)
 
-    # Dependencies always point at strict subtrees.  Subtree *objects* can
-    # be shared (e.g. a single nil leaf), so discovery order is not
-    # topological; sorting by subtree height is, since height strictly
-    # decreases along every dependency edge.
-    heights: dict[int, int] = {}
-    for n in dag_post_order(tree):
-        heights[id(n)] = 1 + max((heights[id(c)] for c in n.children), default=0)
-    tasks.sort(key=lambda task: heights[id(task[1])])
+        # Dependencies always point at strict subtrees.  Subtree *objects* can
+        # be shared (e.g. a single nil leaf), so discovery order is not
+        # topological; sorting by subtree height is, since height strictly
+        # decreases along every dependency edge.
+        heights: dict[int, int] = {}
+        for n in dag_post_order(tree):
+            heights[id(n)] = 1 + max((heights[id(c)] for c in n.children), default=0)
+        tasks.sort(key=lambda task: heights[id(task[1])])
 
-    probe = None if limit is None else limit + 1
-    results: dict[tuple[State, int], list[Tree]] = {}
-    tainted: set[tuple[State, int]] = set()
-    for q, t, applicable in tasks:
-        _tick(kind="transducer.task")
-        env = sttr.input_type.attr_env(t.attrs)
-        outputs: dict[Tree, None] = {}
-        cut = False
-        for r in applicable:
-            produced, capped = _eval_output(r.output, t, env, results, probe)
-            cut = cut or capped
-            for out in produced:
-                outputs.setdefault(out)
-            if limit is not None and len(outputs) > limit:
+        probe = None if limit is None else limit + 1
+        results: dict[tuple[State, int], list[Tree]] = {}
+        tainted: set[tuple[State, int]] = set()
+        for q, t, applicable in tasks:
+            _tick(kind="transducer.task")
+            env = sttr.input_type.attr_env(t.attrs)
+            outputs: dict[Tree, None] = {}
+            cut = False
+            for r in applicable:
+                produced, capped = _eval_output(r.output, t, env, results, probe)
+                cut = cut or capped
+                for out in produced:
+                    outputs.setdefault(out)
+                if limit is not None and len(outputs) > limit:
+                    cut = True
+                    break
+            kept = list(outputs)
+            if limit is not None and len(kept) > limit:
                 cut = True
-                break
-        kept = list(outputs)
-        if limit is not None and len(kept) > limit:
-            cut = True
-            kept = kept[:limit]
-        key = (q, id(t))
-        if cut or any(
-            (term.state, id(t.children[term.index])) in tainted
-            for r in applicable
-            for term in r.output.iter_terms()
-            if isinstance(term, OutApply)
-        ):
-            tainted.add(key)
-        results[key] = kept
-    root_key = (root_state, id(tree))
-    if prov.is_active():
-        prov.note(
-            "run",
-            f"ran {sttr.name} from state {root_state}: {len(tasks)} tasks, "
-            f"{len(results[root_key])} output(s)",
-        )
-    return results[root_key], root_key in tainted
+                kept = kept[:limit]
+            key = (q, id(t))
+            if cut or any(
+                (term.state, id(t.children[term.index])) in tainted
+                for r in applicable
+                for term in r.output.iter_terms()
+                if isinstance(term, OutApply)
+            ):
+                tainted.add(key)
+            results[key] = kept
+        root_key = (root_state, id(tree))
+        if prov.is_active():
+            prov.note(
+                "run",
+                f"ran {sttr.name} from state {root_state}: {len(tasks)} tasks, "
+                f"{len(results[root_key])} output(s)",
+            )
+        return results[root_key], root_key in tainted
+    finally:
+        resume_collector()
 
 
 def run(

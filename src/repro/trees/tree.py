@@ -16,10 +16,21 @@ iterative, because ``val`` chains of the HTML encoding are thousands of
 nodes deep.  A tree pickles as a flat post-order list of its distinct
 nodes, so shared subtrees stay shared, and is rebuilt where it is
 loaded, so its hash follows the loading process's hash seed.
+
+Trees are built bottom up from finished children and never change, so
+no tree is part of a reference cycle and reference counting frees every
+one.  Python's cyclic collector cannot free any of them, yet it counts
+each node and its children tuple and rescans them in every collection
+while a page is built.  :func:`pause_collector` and
+:func:`resume_collector` keep the collector off around the bulk builds
+and runs of the HTML pipeline and of both transducer tiers.
 """
 
 from __future__ import annotations
 
+import gc
+import os
+import threading
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -230,3 +241,66 @@ def format_tree(tree: Tree) -> str:
                 stack.append(", ")
             stack.append(children[0])
     return "".join(parts)
+
+
+# -- the cyclic collector ----------------------------------------------------
+
+_pause_lock = threading.Lock()
+#: Pauses entered and not yet left, over all threads.
+_pauses = 0
+#: Whether the outermost pause found the collector on.
+_reenable = False
+
+
+def pause_collector() -> None:
+    """Keep the cyclic collector off until the matching
+    :func:`resume_collector`; call it first thing, then ``try: ...
+    finally: resume_collector()``.
+
+    For code that builds or walks acyclic trees in bulk: reference
+    counting still frees them, and only cycles made meanwhile (an
+    exception's traceback) wait for the collector.  Pauses nest and may
+    overlap across threads; the outermost exit turns the collector back
+    on, unless it was already off when the outermost pause began.
+
+    This is a plain call rather than a decorator or ``with`` block on
+    purpose: an argument tuple or a bound ``__enter__`` is a tracked
+    allocation, which would run the collection the previous pause put
+    off before this pause begins.  Nothing here allocates, so a run of
+    paused calls shares that one collection.
+    """
+    global _pauses, _reenable
+    _pause_lock.acquire()
+    if not _pauses:
+        _reenable = gc.isenabled()
+        gc.disable()
+    _pauses += 1
+    _pause_lock.release()
+
+
+def resume_collector() -> None:
+    """Leave one :func:`pause_collector`."""
+    global _pauses
+    _pause_lock.acquire()
+    # A child forked inside a pause starts at zero pauses (see below)
+    # and may still leave the pause it inherited.
+    if _pauses:
+        _pauses -= 1
+        if not _pauses and _reenable:
+            gc.enable()
+    _pause_lock.release()
+
+
+def _reset_pauses_in_child() -> None:
+    """A forked child keeps only the forking thread: pauses entered by
+    other threads would never be left, so the child starts with none,
+    and with a fresh lock in case another thread held it at the fork."""
+    global _pause_lock, _pauses
+    _pause_lock = threading.Lock()
+    if _pauses:
+        _pauses = 0
+        if _reenable:
+            gc.enable()
+
+
+os.register_at_fork(after_in_child=_reset_pauses_in_child)

@@ -1,5 +1,6 @@
 """Tests for the HTML substrate and the two sanitizers (Sections 2, 5.1)."""
 
+import gc
 import pickle
 
 import pytest
@@ -226,6 +227,54 @@ class TestSanitizers:
         out = s.sanitize("<iframe src=x></iframe><b>keep</b>")
         assert "iframe" not in out and "keep" in out
         assert s.analyze().safe
+
+
+class TestCollectorPause:
+    """Pages and their trees are acyclic, so the HTML pipeline and the
+    transducer run keep the cyclic collector off while they build."""
+
+    @pytest.mark.parametrize("tier", ["compiled", "interp"])
+    def test_no_collection_while_a_page_is_built_or_run(
+        self, fast_sanitizer, monkeypatch, tier
+    ):
+        monkeypatch.setenv("REPRO_EXEC", tier)
+        page = generate_page(20_000, 4)
+        expected = MonolithicSanitizer().sanitize(page)
+        apply_one = fast_sanitizer.rem_esc.apply_one
+        apply_one(encode_html(page))  # the compiled tier writes its walk here
+        steps = dict(
+            parse_html=parse_html,
+            encode_forest=encode_forest,
+            apply_one=apply_one,
+            decode_forest=decode_forest,
+            serialize=serialize,
+        )
+        running: list[str] = []
+        started: list[tuple[str, int]] = []
+
+        def on_collect(phase, info):
+            if phase == "start" and running:
+                started.append((running[0], info["generation"]))
+
+        gc.callbacks.append(on_collect)
+        try:
+            for enabled in (True, False):
+                if not enabled:
+                    gc.disable()
+                value = page
+                for name, step in steps.items():
+                    # Start each step owing the collector nothing, so a
+                    # collection can only come from the step's own work.
+                    gc.collect()
+                    running.append(name)
+                    value = step(value)
+                    running.clear()
+                    assert gc.isenabled() is enabled, name
+                assert value == expected
+            assert started == []
+        finally:
+            gc.callbacks.remove(on_collect)
+            gc.enable()
 
 
 class TestPages:

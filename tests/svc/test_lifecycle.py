@@ -7,8 +7,8 @@ The tentpole invariants under proactive recycling:
   twice;
 * **generation numbers are never reused** — every spawn (initial, crash
   respawn, recycle) takes a fresh value from a process-wide counter;
-* **seamlessness** — the replacement is spawned, prewarmed, and
-  handshaken *before* the old worker retires, so capacity never dips;
+* **seamlessness** — the replacement is spawned and prewarmed *before*
+  the old worker retires, so capacity never dips;
 * **verdict stability** — an in-worker cache flush between jobs must
   not flip any verdict.
 

@@ -1,9 +1,9 @@
-"""Cross-process telemetry: worker blobs, clock alignment, trace merge.
+"""Cross-process telemetry: worker blobs and trace merge.
 
 Three layers of coverage:
 
-* unit — the clock handshake math and the worker-side blob builder
-  (span cap, restore-on-exit, disabled mode), all in-process;
+* unit — the worker-side blob builder (span cap, restore-on-exit,
+  disabled mode), all in-process;
 * merge — :func:`repro.svc.telemetry.consume_blob` against valid,
   hostile, and fuzzed blobs (a corrupt blob must merge *nothing*);
 * golden — a real 2-worker pool run whose exported Perfetto trace must
@@ -15,6 +15,7 @@ Three layers of coverage:
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -54,32 +55,6 @@ def find_seed(predicate, limit=2000):
     pytest.fail(f"no chaos seed under {limit} matches the fault schedule")
 
 
-# -- clock handshake ---------------------------------------------------------
-
-
-class TestClockHandshake:
-    def test_ping_pong_shapes(self):
-        assert tel.is_ping((tel.CLOCK_PING,))
-        assert not tel.is_ping(("something", 1))
-        pong = tel.make_pong()
-        assert tel.is_pong(pong)
-        assert not tel.is_pong((tel.CLOCK_PONG, 1))  # wrong arity
-        assert not tel.is_pong("not a tuple")
-
-    def test_offset_is_midpoint_estimate(self):
-        pong = (tel.CLOCK_PONG, 123, 50.0)
-        # Supervisor clock runs 100s ahead: sent at 149, received at 151.
-        offset = tel.clock_offset_from_pong(pong, 149.0, 151.0)
-        assert offset == pytest.approx(100.0)
-
-    def test_offset_rejects_junk(self):
-        assert tel.clock_offset_from_pong(("junk",), 0.0, 1.0) is None
-        assert (
-            tel.clock_offset_from_pong((tel.CLOCK_PONG, 1, "NaNish"), 0.0, 1.0)
-            is None
-        )
-
-
 # -- worker-side capture -----------------------------------------------------
 
 
@@ -100,7 +75,6 @@ class TestWorkerCapture:
         root = blob["spans"][0]
         assert root["name"] == "svc.job"
         assert root["attrs"]["job"] == "j"
-        assert root["start"] + root["duration"] <= blob["t_end"]
         child_names = {c["name"] for c in root["children"]}
         assert "explain_program" in child_names
         for child in root["children"]:  # children start inside the job
@@ -154,7 +128,7 @@ class TestMerge:
         obs.enabled(True)
         obs_metrics.REGISTRY.reset()
         result = JobResult("j", "run", PROVED, telemetry=dict(blob))
-        spans = tel.consume_blob(result, clock_offset=0.0)
+        spans = tel.consume_blob(result)
         assert result.telemetry is None  # detached
         # Every shipped span comes back, on the worker pid's track.
         assert len(list(_walk(spans))) == _count(blob["spans"])
@@ -166,13 +140,10 @@ class TestMerge:
         )
         assert obs_metrics.REGISTRY.counter("svc.telemetry.blobs").value == 1
 
-    def test_clock_offset_shifts_timestamps(self):
+    def test_span_times_merge_as_shipped(self):
         blob = _run_blob()
-        [root] = tel.consume_blob(
-            JobResult("j", "run", PROVED, telemetry=dict(blob)),
-            clock_offset=1000.0,
-        )
-        assert root.start == pytest.approx(blob["spans"][0]["start"] + 1000.0)
+        [root] = tel.consume_blob(JobResult("j", "run", PROVED, telemetry=dict(blob)))
+        assert root.start == blob["spans"][0]["start"]
         assert root.duration == blob["spans"][0]["duration"]
 
     def test_corrupt_blob_merges_nothing(self):
@@ -180,9 +151,7 @@ class TestMerge:
         obs.enabled(True)
         obs_metrics.REGISTRY.reset()
         bad = dict(blob, spans=blob["spans"] + [{"name": "x"}])
-        out = tel.consume_blob(
-            JobResult("j", "run", PROVED, telemetry=bad), None
-        )
+        out = tel.consume_blob(JobResult("j", "run", PROVED, telemetry=bad))
         # All-or-nothing: no span and no counter of the blob merged.
         assert out == []
         assert obs_metrics.REGISTRY.counter("solver.sat_queries").value == 0
@@ -193,7 +162,7 @@ class TestMerge:
 
     def test_missing_blob_is_a_cheap_noop(self):
         result = JobResult("j", "run", PROVED)
-        assert tel.consume_blob(result, None) == []
+        assert tel.consume_blob(result) == []
 
     def test_graft_spans_rebuilds_worker_tree(self):
         blob = _run_blob()
@@ -201,7 +170,7 @@ class TestMerge:
         with obs_tracer.span("svc.job", job="j") as sp:
             pass
         sp.children.extend(
-            tel.consume_blob(JobResult("j", "run", PROVED, telemetry=blob), 0.0)
+            tel.consume_blob(JobResult("j", "run", PROVED, telemetry=blob))
         )
         assert sp.children[0].name == "svc.job"
         names = {c.name for c in sp.children[0].children}
@@ -223,7 +192,7 @@ class TestMerge:
             | st.dictionaries(
                 st.sampled_from(
                     ["pid", "counters", "hists", "spans", "name", "attrs",
-                     "start", "duration", "children", "t_end", "junk"]
+                     "start", "duration", "children", "junk"]
                 ),
                 inner,
                 max_size=6,
@@ -235,7 +204,7 @@ class TestMerge:
         obs.enabled(True)
         result = JobResult("j", "run", PROVED)
         result.telemetry = blob
-        spans = tel.consume_blob(result, None)  # must never raise
+        spans = tel.consume_blob(result)  # must never raise
         assert result.telemetry is None
         for sp in _walk(spans):  # merged spans are closed and well-formed
             assert isinstance(sp.start, float) and isinstance(sp.tid, int)
@@ -330,6 +299,31 @@ class TestGoldenTrace:
         hist = obs_metrics.REGISTRY.histogram("svc.job_latency.run")
         assert hist.count == 6
         assert hist.quantile(0.95) >= hist.quantile(0.5) > 0
+
+    def test_worker_spans_land_inside_their_supervisor_spans(self):
+        # perf_counter is one clock for the host, so a grafted worker
+        # span needs no shifting: it lies inside the batch and ends
+        # before the supervisor's svc.job span that records its reply.
+        specs = [JobSpec(f"job-{i}", "run", PASSING) for i in range(4)]
+        obs.reset()
+        with obs.observed():
+            with WorkerPool(2) as pool:
+                t_start = time.perf_counter()
+                results = pool.run_jobs(specs)
+                t_end = time.perf_counter()
+            roots = obs_tracer.trace()
+        assert all(r.outcome == PROVED for r in results)
+        pairs = [
+            (sp, child)
+            for sp in _walk(roots)
+            if sp.name == "svc.job"
+            for child in sp.children
+            if child.name == "svc.job" and child.pid != sp.pid
+        ]
+        assert len(pairs) == len(specs)
+        for supervisor, worker in pairs:
+            assert t_start <= worker.start
+            assert worker.start + worker.duration <= supervisor.start <= t_end
 
     def test_killed_worker_never_corrupts_the_merge(self):
         # Attempt 0 killed, attempt 1 clean: the job's only blob comes

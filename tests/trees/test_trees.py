@@ -1,9 +1,11 @@
 """Tests for tree types, values, parsing, and encodings."""
 
+import gc
 import os
 import pickle
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +30,8 @@ from repro.trees import (
     node,
     parse_tree,
 )
+from repro.trees import tree as tree_mod
+from repro.trees.tree import pause_collector, resume_collector
 
 HTML_E = make_tree_type(
     "HtmlE", [("tag", STRING)], {"nil": 0, "val": 1, "attr": 2, "node": 3}
@@ -299,3 +303,112 @@ class TestUnrankedEncoding:
         forest = [Unranked("a", (Unranked("b"), Unranked("c")))]
         t = encode_unranked(forest)
         assert t.count("node") == 3
+
+
+class TestCollectorPause:
+    @pytest.fixture(autouse=True)
+    def collector_on(self):
+        gc.enable()
+        yield
+        assert tree_mod._pauses == 0
+        gc.enable()
+
+    def test_nested_pauses(self):
+        pause_collector()
+        pause_collector()
+        assert not gc.isenabled()
+        resume_collector()
+        assert not gc.isenabled()  # the outer pause still holds
+        resume_collector()
+        assert gc.isenabled()
+
+    def test_exception_inside_a_pause(self):
+        def build():
+            pause_collector()
+            try:
+                raise ValueError("mid-build")
+            finally:
+                resume_collector()
+
+        with pytest.raises(ValueError):
+            build()
+        assert gc.isenabled()
+
+    def test_collector_the_caller_turned_off_stays_off(self):
+        gc.disable()
+        pause_collector()
+        resume_collector()
+        assert not gc.isenabled()
+
+    def test_overlapping_pauses_in_two_threads(self):
+        # This thread pauses first and leaves first; the collector stays
+        # off until the other thread has left too.
+        other_paused = threading.Event()
+        main_left = threading.Event()
+        seen = []
+
+        def other():
+            pause_collector()
+            try:
+                other_paused.set()
+                main_left.wait(timeout=10)
+                seen.append(gc.isenabled())
+            finally:
+                resume_collector()
+
+        pause_collector()
+        thread = threading.Thread(target=other)
+        thread.start()
+        try:
+            assert other_paused.wait(timeout=10)
+        finally:
+            resume_collector()
+        assert not gc.isenabled()
+        main_left.set()
+        thread.join()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_many_threads_pausing_keep_the_count(self):
+        # More threads than cores, switching often: a lost update to the
+        # pause count would leave the collector off or the count above 0.
+        def worker():
+            for _ in range(2000):
+                pause_collector()
+                resume_collector()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert tree_mod._pauses == 0 and gc.isenabled()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_with_the_collector_on(self):
+        pause_collector()
+        try:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child
+                try:
+                    ok = gc.isenabled() and tree_mod._pauses == 0
+                    resume_collector()  # leaving the inherited pause is harmless
+                    ok = ok and gc.isenabled() and tree_mod._pauses == 0
+                    os.write(write_end, b"1" if ok else b"0")
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            with os.fdopen(read_end, "rb") as pipe:
+                answer = pipe.read()
+            os.waitpid(pid, 0)
+            assert not gc.isenabled()  # the parent is still paused
+        finally:
+            resume_collector()
+        assert answer == b"1"
