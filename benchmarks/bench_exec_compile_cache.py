@@ -84,11 +84,6 @@ def cache_env():
             os.environ["REPRO_CACHE"] = saved
 
 
-def _pctl(values: list[float], q: float) -> float:
-    ordered = sorted(values)
-    return ordered[min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))]
-
-
 def measure_cold_warm() -> dict[str, float]:
     """Interleaved cold/warm runs of the Figure 8 list-analysis program."""
     cold: list[float] = []
@@ -105,9 +100,9 @@ def measure_cold_warm() -> dict[str, float]:
     return {
         "rounds": float(ROUNDS),
         "cold_p50_ms": statistics.median(cold) * 1e3,
-        "cold_p95_ms": _pctl(cold, 0.95) * 1e3,
+        "cold_p95_ms": obs_metrics.percentile(sorted(cold), 0.95) * 1e3,
         "warm_p50_ms": statistics.median(warm) * 1e3,
-        "warm_p95_ms": _pctl(warm, 0.95) * 1e3,
+        "warm_p95_ms": obs_metrics.percentile(sorted(warm), 0.95) * 1e3,
     }
 
 

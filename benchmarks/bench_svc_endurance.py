@@ -66,12 +66,6 @@ lang pos : BT { N(l, r) where (v > 0) given (pos l) (pos r) | L() }
 assert-false (is-empty pos)
 """
 
-def _quantile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    return sorted_values[int(q * (len(sorted_values) - 1))]
-
-
 def _slope_bytes_per_job(samples: list[tuple[int, int]]) -> float:
     """Least-squares slope of (job index, rss bytes) samples."""
     n = len(samples)
@@ -205,8 +199,8 @@ def measure() -> dict:
         "recycles_jobs": leg_jobs["recycles"]["jobs"],
         "recycles_rss": leg_rss["recycles"]["rss"],
         "recycles_age": leg_age["recycles"]["age"],
-        "recycle_pause_p50_ms": _quantile(pauses, 0.50) * 1e3,
-        "recycle_pause_p95_ms": _quantile(pauses, 0.95) * 1e3,
+        "recycle_pause_p50_ms": obs_metrics.percentile(pauses, 0.50) * 1e3,
+        "recycle_pause_p95_ms": obs_metrics.percentile(pauses, 0.95) * 1e3,
         "baseline_rss_mb": baseline_rss / (1 << 20),
         "steady_rss_mb": steady_rss / (1 << 20),
         "rss_ceiling_mb": ceiling / (1 << 20),

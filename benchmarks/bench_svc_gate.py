@@ -66,12 +66,6 @@ assert-false (is-empty pos)
 """
 
 
-def _quantile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    return sorted_values[int(q * (len(sorted_values) - 1))]
-
-
 class _LoadClient:
     """One keep-alive connection sending requests back to back, timing
     every reply."""
@@ -162,10 +156,10 @@ def measure() -> dict[str, float]:
         "unanswered": float(unanswered),
         "wall_s": wall,
         "served_jobs_per_sec": len(served_lat) / wall if wall else 0.0,
-        "shed_p50_ms": _quantile(shed_lat, 0.50) * 1e3,
-        "shed_p95_ms": _quantile(shed_lat, 0.95) * 1e3,
-        "served_p50_ms": _quantile(served_lat, 0.50) * 1e3,
-        "served_p99_ms": _quantile(served_lat, 0.99) * 1e3,
+        "shed_p50_ms": obs_metrics.percentile(shed_lat, 0.50) * 1e3,
+        "shed_p95_ms": obs_metrics.percentile(shed_lat, 0.95) * 1e3,
+        "served_p50_ms": obs_metrics.percentile(served_lat, 0.50) * 1e3,
+        "served_p99_ms": obs_metrics.percentile(served_lat, 0.99) * 1e3,
     }
 
 

@@ -1,7 +1,5 @@
 """Alternating symbolic tree automata (STAs) and their algorithms."""
 
-from .antichain import included_in_antichain, universal_antichain
-
 from .cleanup import reachable_lookahead_rules, universal_states
 from .boolean_ops import complement, difference, intersect, union
 from .determinize import BottomUpDTA, determinize, to_top_down
@@ -29,7 +27,6 @@ __all__ = [
     "disjoint_union",
     "equivalent",
     "included_in",
-    "included_in_antichain",
     "intersect",
     "is_empty",
     "minimize",
@@ -38,7 +35,6 @@ __all__ = [
     "rule",
     "to_top_down",
     "union",
-    "universal_antichain",
     "universal_states",
     "reachable_lookahead_rules",
     "witness",

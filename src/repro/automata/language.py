@@ -118,18 +118,6 @@ class Language:
             refuted="separating tree found",
         )
 
-    def included_in_verdict(self, other: "Language", budget=None):
-        """:meth:`included_in` under a resource budget (REFUTED carries
-        a tree in ``self`` but not ``other``)."""
-        from ..guard import governed
-
-        return governed(
-            lambda: self.included_in(other),
-            budget,
-            proved="inclusion holds",
-            refuted="gap witness found",
-        )
-
     # -- boolean algebra -----------------------------------------------------
 
     def intersect(self, other: "Language") -> "Language":

@@ -18,12 +18,10 @@ compiled tier factors that work out of the hot loop:
   tuple of applicable rules`` is memoized: the guard subset test runs
   once per distinct minterm, not once per node.  Tables fill lazily
   from observed sign vectors (an observed vector is its own
-  satisfiability proof — no solver involved); :meth:`CompiledSTTR.
-  precompute` eagerly enumerates the satisfiable vectors with
-  :func:`repro.smt.minterms.minterms` when a solver is at hand.  A run
-  memoizes each pair's dispatched rules per ``(state, symbol)`` on the
-  attribute tuple, so a pair whose rules carry no lookahead costs one
-  lookup; ``exec.dispatch`` counts every pair.
+  satisfiability proof — no solver involved).  A run memoizes each
+  pair's dispatched rules per ``(state, symbol)`` on the attribute
+  tuple, so a pair whose rules carry no lookahead costs one lookup;
+  ``exec.dispatch`` counts every pair.
 
 * **The walk is generated source.**  Like Fast's C# backend (paper
   Section 2), each STTR gets its own code: :func:`_generate` writes
@@ -70,8 +68,6 @@ from ..guard.budget import tick as _tick
 from ..obs import config as obs_config
 from ..obs import metrics as obs_metrics
 from ..obs import provenance as prov
-from ..smt.minterms import minterms
-from ..smt.solver import Solver
 from ..smt.terms import Const, Term
 from ..transducers.output_terms import OutApply, OutNode, OutputTerm
 from ..transducers.run import TransductionError, _cross
@@ -148,8 +144,8 @@ class CompiledSTTR:
                 index.setdefault(s, len(index))
         self.state_index = index
         self.states: tuple[State, ...] = tuple(index)
-        # (state, ctor, sign vector) -> applicable rules; filled lazily
-        # from observed vectors, eagerly by precompute().
+        # (state, ctor, sign vector) -> applicable rules, filled lazily
+        # from observed vectors.
         self._table: dict[
             tuple[State, str, tuple[bool, ...]], tuple[CompiledRule, ...]
         ] = {}
@@ -180,27 +176,6 @@ class CompiledSTTR:
             if obs_config.ENABLED:
                 _OBS_DISPATCH_MEMO.inc()
         return rules
-
-    def precompute(self, solver: Solver) -> int:
-        """Eagerly fill the dispatch table for every satisfiable minterm.
-
-        Enumerates the satisfiable sign vectors of each symbol's guard
-        set with :func:`repro.smt.minterms.minterms` (solver-pruned sign
-        DFS) and materializes the table rows, so a warm run never takes
-        the lazy-fill branch.  Returns the number of table entries.
-        """
-        states_by_ctor: dict[str, list[State]] = {}
-        for state, ctor in self.rules_by_key:
-            states_by_ctor.setdefault(ctor, []).append(state)
-        for ctor, guards in self.ctor_guards.items():
-            for signs, _conj in minterms(list(guards), solver):
-                vector = tuple(signs)
-                for state in states_by_ctor.get(ctor, ()):
-                    self.dispatch(state, ctor, vector)
-        return len(self._table)
-
-    def table_size(self) -> int:
-        return len(self._table)
 
     # -- the generated walk ------------------------------------------------
 

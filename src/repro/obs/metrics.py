@@ -34,8 +34,8 @@ def percentile(sorted_values: Sequence[Number], q: float) -> float:
     """The ``q``-quantile (0..1) of an already-sorted sequence.
 
     Linear interpolation between closest ranks; 0.0 for an empty
-    sequence.  Shared by :class:`Histogram` quantiles and the per-kind
-    latency summaries in :mod:`repro.svc`.
+    sequence.  The one quantile estimator: :class:`Histogram` quantiles
+    and the benchmarks' latency summaries both use it.
     """
     if not sorted_values:
         return 0.0

@@ -280,9 +280,8 @@ class Solver:
     def implies(self, antecedent: Term, consequent: Term) -> bool:
         """Does the antecedent entail the consequent?
 
-        Memoized per ``(antecedent, consequent)`` identity pair — the
-        workhorse of antichain subsumption and ``typecheck`` fires the
-        same entailments thousands of times.
+        Memoized per ``(antecedent, consequent)`` identity pair, so a
+        repeated entailment costs one lookup.
         """
         if antecedent is consequent or antecedent is FALSE or consequent is TRUE:
             self.stats._trivial.inc()

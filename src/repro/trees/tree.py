@@ -138,9 +138,6 @@ class Tree:
         """How many nodes use the given constructor."""
         return sum(1 for n in self.iter_nodes() if n.ctor == ctor)
 
-    def replace_children(self, children: Sequence["Tree"]) -> "Tree":
-        return Tree(self.ctor, self.attrs, tuple(children))
-
 
 def _hash_nodes(tree: Tree) -> int:
     """Hash ``tree`` and every unhashed node below it, children first.

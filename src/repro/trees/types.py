@@ -98,9 +98,6 @@ class TreeType:
         """Some nullary constructor (used for witness construction)."""
         return next(c for c in self.constructors if c.rank == 0)
 
-    def max_rank(self) -> int:
-        return max(c.rank for c in self.constructors)
-
     # -- attribute handling --------------------------------------------------
 
     def default_attrs(self) -> tuple[Value, ...]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata import Language, rule
+from repro.automata.equivalence import included_in
 from repro.smt import INT, Solver, mk_eq, mk_gt, mk_int, mk_le, mk_lt, mk_mod, mk_var
 from repro.trees import make_tree_type, node
 
@@ -28,6 +29,7 @@ def lang_all_leaves(name, guard):
 POS = lang_all_leaves("pos", mk_gt(i, mk_int(0)))
 ODD = lang_all_leaves("odd", mk_eq(mk_mod(i, 2), mk_int(1)))
 SMALL = lang_all_leaves("small", mk_le(i, mk_int(5)))
+BIG = lang_all_leaves("big", mk_gt(i, mk_int(10)))
 
 _trees = st.deferred(
     lambda: st.builds(
@@ -144,3 +146,47 @@ class TestEquivalence:
         assert pos_odd.included_in(POS) is None
         gap = POS.included_in(pos_odd)
         assert gap is not None and POS.accepts(gap) and not pos_odd.accepts(gap)
+
+
+# Trees of depth exactly 2, and every non-leaf tree.
+DEPTH2 = Language.build(
+    BT, "d2", [rule("d2", "N", None, [["leaf"], ["leaf"]]), rule("leaf", "L")]
+)
+NONLEAF = Language.build(BT, "nl", [rule("nl", "N", None, [[], []])])
+UNIV = Language.universal(BT)
+
+# (left, right, does left ⊆ right hold?)
+_INCLUSIONS = {
+    "incomparable_pos_odd": (POS, ODD, False),
+    "incomparable_odd_pos": (ODD, POS, False),
+    "reflexive": (POS, POS, True),
+    "subset_holds": (BIG, POS, True),
+    "subset_fails_with_witness": (POS, BIG, False),
+    "empty_included_in_everything": (Language.empty(BT), BIG, True),
+    "nothing_nonempty_included_in_empty": (POS, Language.empty(BT), False),
+    "structural_depth2_in_nonleaf": (DEPTH2, NONLEAF, True),
+    "structural_nonleaf_not_in_depth2": (NONLEAF, DEPTH2, False),
+    "union_absorbs_operand": (POS, POS.union(ODD), True),
+    "universal_in_universal": (UNIV, UNIV, True),
+    "universal_in_union_with_complement": (UNIV, POS.union(POS.complement()), True),
+    "universal_not_in_pos": (UNIV, POS, False),
+}
+_POOL = [POS, BIG, ODD, POS.intersect(ODD), POS.union(BIG)]
+
+
+class TestInclusion:
+    @pytest.mark.parametrize("case", sorted(_INCLUSIONS))
+    def test_included_in(self, case):
+        left, right, holds = _INCLUSIONS[case]
+        gap = included_in(left.sta, left.state, right.sta, right.state, Solver())
+        assert (gap is None) == holds
+        if gap is not None:
+            assert left.accepts(gap) and not right.accepts(gap)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, len(_POOL) - 1), st.integers(0, len(_POOL) - 1))
+    def test_gap_is_in_left_not_right(self, a, b):
+        left, right = _POOL[a], _POOL[b]
+        gap = included_in(left.sta, left.state, right.sta, right.state, Solver())
+        if gap is not None:
+            assert left.accepts(gap) and not right.accepts(gap)

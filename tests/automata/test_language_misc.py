@@ -81,12 +81,6 @@ class TestDagPostOrder:
         assert len(order) == 61
         assert t.depth() == 61
 
-    def test_replace_children(self):
-        t = node("N", 0, node("L", 1), node("L", 2))
-        swapped = t.replace_children(tuple(reversed(t.children)))
-        assert swapped.children[0].attrs == (2,)
-        assert swapped.attrs == t.attrs
-
 
 _trees = st.deferred(
     lambda: st.builds(

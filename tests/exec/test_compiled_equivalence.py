@@ -30,7 +30,7 @@ from repro.exec.compiled import (
 )
 from repro.guard import Budget, scope
 from repro.obs import provenance as prov
-from repro.smt import INT, REAL, Solver, mk_add, mk_eq, mk_gt, mk_int, mk_real, mk_var
+from repro.smt import INT, REAL, mk_add, mk_eq, mk_gt, mk_int, mk_real, mk_var
 from repro.transducers import OutApply, OutNode, STTR, Transducer, run_checked, trule
 from repro.trees import Tree, make_tree_type, node
 
@@ -331,50 +331,6 @@ def test_attribute_lowering_matches_evaluation():
             assert lowered == expected and repr(lowered) == repr(expected)
             assert [type(v) for v in lowered] == [type(v) for v in expected]
         assert _lowered_attrs((x, y, z), t) is t.attrs
-
-
-@given(sttr=sttrs(), tree=trees())
-@settings(max_examples=25, deadline=None)
-def test_precomputed_table_matches_lazy(sttr, tree):
-    lazy = CompiledSTTR(sttr)
-    eager = CompiledSTTR(sttr)
-    eager.precompute(Solver())
-    assert run_compiled_checked(eager, tree) == run_compiled_checked(lazy, tree)
-
-
-def test_precompute_fills_table():
-    sttr = STTR(
-        "pc",
-        ET,
-        ET,
-        "p",
-        (
-            trule(
-                "p",
-                "L",
-                OutNode("L", (x, y, z), ()),
-                guard=mk_gt(x, mk_int(0)),
-                rank=0,
-            ),
-            trule("p", "L", OutNode("L", (mk_add(x, mk_int(1)), y, z), ()), rank=0),
-            trule(
-                "p",
-                "U",
-                OutNode("U", (x, y, z), (OutApply("p", 0),)),
-                rank=1,
-            ),
-        ),
-    )
-    compiled = CompiledSTTR(sttr)
-    assert compiled.table_size() == 0
-    filled = compiled.precompute(Solver())
-    assert filled == compiled.table_size() > 0
-    # A warm table answers without growing.
-    t = node("U", (1, 0, 0), node("L", (2, 0, 0)))
-    out, truncated = run_compiled_checked(compiled, t)
-    assert not truncated
-    assert out == run_checked(sttr, t)[0]
-    assert compiled.table_size() == filled
 
 
 def test_facade_routes_through_compiled_tier(monkeypatch):

@@ -122,13 +122,6 @@ class TestLanguageVerdicts:
         assert v.is_unknown
         assert v.snapshot is not None and v.snapshot.max_steps == 2
 
-    def test_included_in_verdict(self):
-        pos, odd = self._langs()
-        both = pos.intersect(odd)
-        assert both.included_in_verdict(pos).is_proved
-        v = pos.included_in_verdict(both)
-        assert v.is_refuted and v.witness is not None
-
     def test_ambient_scope_degrades_to_unknown(self):
         pos, odd = self._langs()
         with scope(max_steps=2):

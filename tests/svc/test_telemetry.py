@@ -286,7 +286,7 @@ class TestGoldenTrace:
             assert depth == 0, f"unbalanced track {wpid}"
             # Worker-side analysis spans nest inside the jobs.
             assert "explain_program" in inner_names
-            assert any(n.startswith(("emptiness", "antichain")) or n == "assert"
+            assert any(n.startswith("emptiness") or n == "assert"
                        for n in inner_names)
 
         # Folded worker metrics: solver activity visible host-side.
