@@ -44,6 +44,18 @@ compiled tier factors that work out of the hot loop:
   :class:`CompiledSTTR`; analyses that never run a transducer never
   pay for it.
 
+* **Unary chains run in one loop.**  A *chain group* is a (state
+  ``q``, constructor ``c``) group where ``c`` is unary, no rule has
+  lookahead and every rule reads just its child in ``q`` (the ``val``
+  character chains of the HTML encoding, in a copying state).
+  ``walk_one`` enters such a pair and the pairs below it in one loop,
+  going on while the node had a rule and the child is a ``c`` node
+  with no result in ``q``, then emits the whole run from one stack
+  entry, bottom-up.  The stack walk entered those pairs one after the
+  other too, and emitted them bottom-up, so classification, the
+  ``exec.dispatch`` count and the budget ticks happen for the same
+  pairs in the same order.
+
 **No program text enters the source.**  ``fast serve`` compiles
 untrusted programs, so constructor names, states, attribute constants,
 lookahead sets and guard terms are bound as values in the namespace the
@@ -562,6 +574,50 @@ def _down_lines(
     return lines + ["continue"], True
 
 
+def _is_chain(
+    compiled: CompiledSTTR, q: int, ctor: str, rules: tuple[CompiledRule, ...]
+) -> bool:
+    """Is ``(q, ctor)`` a chain group: ``ctor`` unary, and every rule
+    reading just its child in ``q`` itself, with no lookahead?"""
+    reads = ((compiled.states[q], 0),)
+    return compiled.sttr.input_type.rank(ctor) == 1 and all(
+        not cr.lookahead and cr.targets == reads for cr in rules
+    )
+
+
+def _chain_lines(
+    compiled: CompiledSTTR, q: int, ctor: str, group: int, ns: _Namespace
+) -> list[str]:
+    """Dispatch of a chain group's pair ``(q, t)`` and of the pairs below
+    it in one loop.  Each node's child is entered next while the node has
+    a rule, and the child has the same constructor and no result in
+    ``q`` yet; one up-entry then carries the ``(node, rules)`` links, and
+    the first child that is not entered is pushed if it has no result.
+    Memo lookups and counts run in the order the stack would run them."""
+    state = ns.bind("S", compiled.states[q], ("S", q))
+    memo = f"M{group}"
+    return [
+        "links = []",
+        f"push(({group}, None, links))",
+        "while True:",
+        f"    app = {memo}.get(t.attrs)",
+        "    if app is None:",
+        f"        app = {memo}[t.attrs] = RULES({state}, t, signs_of, counting)",
+        "    links.append((t, app))",
+        "    if not app:",
+        "        break",
+        "    t = t.children[0]",
+        f"    if id(t) in R{q}:",
+        "        break",
+        f"    if t.ctor != {ns.bind('K', ctor)}:",
+        f"        push(({q}, t, None))",
+        "        break",
+        "    if counting:",
+        "        DISPATCH()",
+        "continue",
+    ]
+
+
 def _fallback_lines(
     compiled: CompiledSTTR, q: Optional[int], ns: _Namespace, single: bool
 ) -> list[str]:
@@ -582,7 +638,8 @@ def _walk_source(
 ) -> list[str]:
     """One walk function.  Stack entries are ``(state index, node,
     None)`` going down and ``(group, node, rule indices)`` coming up,
-    where a group numbers a (state, constructor) pair that has rules."""
+    where a group numbers a (state, constructor) pair that has rules; in
+    ``walk_one`` a chain group comes up as ``(group, None, links)``."""
     up: list[str] = []
     down: list[str] = []
     for q in range(len(compiled.states)):
@@ -591,8 +648,15 @@ def _walk_source(
             if gq != q:
                 continue
             rules = compiled.rules_by_key[(compiled.states[q], ctor)]
-            dispatch, pushed = _down_lines(compiled, q, rules, g, ns)
-            emit = _emit_lines(compiled, rules, q, ns, single)
+            if single and _is_chain(compiled, q, ctor, rules):
+                dispatch, pushed = _chain_lines(compiled, q, ctor, g, ns), True
+                # The up-entry's ``app`` holds the links, emitted bottom-up.
+                emit = ["for t, app in reversed(app):"] + _indent(
+                    _emit_lines(compiled, rules, q, ns, single)
+                )
+            else:
+                dispatch, pushed = _down_lines(compiled, q, rules, g, ns)
+                emit = _emit_lines(compiled, rules, q, ns, single)
             if pushed:
                 up += [f"{'elif' if up else 'if'} q == {g}:"] + _indent(emit)
             else:
@@ -661,7 +725,8 @@ def _generate(compiled: CompiledSTTR) -> tuple[str, dict]:
         READS_TAINTED=compiled._reads_tainted,
         ENV=compiled.sttr.input_type.attr_env,
         __builtins__={
-            "id": id, "len": len, "list": list, "map": map, "set": set, "sum": sum,
+            "id": id, "len": len, "list": list, "map": map, "reversed": reversed,
+            "set": set, "sum": sum,
         },
     )
     return "\n".join(source), namespace

@@ -2,6 +2,7 @@
 
 import gc
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from repro.apps.html import (
     parse_html,
     serialize,
 )
+from repro.exec.compiled import CompiledSTTR
 
 
 class TestParser:
@@ -185,6 +187,23 @@ class TestSanitizers:
     def test_5000_deep_page(self, fast_sanitizer, monkeypatch, tier):
         monkeypatch.setenv("REPRO_EXEC", tier)
         self._assert_sanitizes_like_monolithic(fast_sanitizer, self._nested_page(5000))
+
+    @pytest.mark.parametrize("tier", ["compiled", "interp"])
+    def test_5000_quote_attribute(self, fast_sanitizer, monkeypatch, tier):
+        # A 5,000-deep val chain of quotes: every node of it is rebuilt.
+        monkeypatch.setenv("REPRO_EXEC", tier)
+        page = '<p title="' + "'" * 5000 + '">x</p>'
+        self._assert_sanitizes_like_monolithic(fast_sanitizer, page)
+        assert MonolithicSanitizer().sanitize(page).count("\\'") == 5000
+
+    def test_val_chains_run_in_one_loop(self, fast_sanitizer):
+        # walk_one enters a run of val nodes in one loop (a chain group);
+        # its generated source names the constructor it loops over.
+        compiled = CompiledSTTR(fast_sanitizer.rem_esc.sttr)
+        walk_one, _ = compiled.walks()
+        source = compiled.source.split("def walk_all")[0]
+        looped = re.findall(r"t\.ctor == (\w+):\n\s+links = \[\]", source)
+        assert [walk_one.__globals__[name] for name in looped] == ["val"]
 
     def test_unchanged_page_is_returned_as_is(self, fast_sanitizer):
         # No script and no quote: every output node copies its input

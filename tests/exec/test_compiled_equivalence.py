@@ -25,10 +25,13 @@ from repro.automata import STA, rule
 from repro.exec.compiled import (
     CompiledSTTR,
     _attrs_source,
+    _is_chain,
     _Namespace,
     run_compiled_checked,
 )
-from repro.guard import Budget, scope
+from repro.guard import Budget, StepBudgetExceeded, scope
+from repro.obs import config as obs_config
+from repro.obs import metrics as obs_metrics
 from repro.obs import provenance as prov
 from repro.smt import INT, REAL, mk_add, mk_eq, mk_gt, mk_int, mk_real, mk_var
 from repro.transducers import OutApply, OutNode, STTR, Transducer, run_checked, trule
@@ -61,6 +64,8 @@ LA = STA(
 )
 
 STATES = ("p", "q")
+
+_DISPATCH = obs_metrics.counter("exec.dispatch")
 
 #: Output attribute tuples; ``y`` and ``z`` are copied or recomputed,
 #: so their Python types flow from the input node into the output
@@ -118,6 +123,12 @@ RANK = {"L": 0, "U": 1, "B": 2}
 def sttrs(draw):
     n_rules = draw(st.integers(min_value=1, max_value=8))
     rules = []
+
+    def reads(state):
+        # Often only the rule's own state, so that ``(state, U)`` groups
+        # are chain groups, which ``walk_one`` runs in a loop of their own.
+        return (state,) if draw(st.booleans()) else STATES
+
     for _ in range(n_rules):
         state = draw(st.sampled_from(STATES))
         ctor = draw(st.sampled_from(("L", "U", "B")))
@@ -129,7 +140,7 @@ def sttrs(draw):
             trule(
                 state,
                 ctor,
-                _outputs_for(ctor, draw, STATES),
+                _outputs_for(ctor, draw, reads(state)),
                 guard=guard,
                 lookahead=la,
             )
@@ -139,7 +150,7 @@ def sttrs(draw):
     for state in STATES:
         for ctor, rank in RANK.items():
             if draw(st.booleans()):
-                out = _outputs_for(ctor, draw, STATES)
+                out = _outputs_for(ctor, draw, reads(state))
                 rules.append(trule(state, ctor, out, rank=rank))
     return STTR("rand", ET, ET, "p", tuple(rules), lookahead_sta=LA)
 
@@ -172,11 +183,12 @@ def _twin(values):
 
 
 @st.composite
-def trees(draw):
+def trees(draw, chains=False):
     """Random trees over a few leaves, whose inner nodes take children
     from the last few subtrees built, so one subtree object often
     occurs several times.  A node may take the twin of an earlier
-    node's attributes: equal values, different Python types."""
+    node's attributes: equal values, different Python types.  With
+    ``chains``, runs of unary nodes are drawn as well."""
     drawn: list[tuple] = []
 
     def node_attrs():
@@ -188,7 +200,14 @@ def trees(draw):
 
     pool = [Tree("L", node_attrs()) for _ in range(draw(st.integers(1, 3)))]
     for _ in range(draw(st.integers(min_value=0, max_value=8))):
-        ctor = draw(st.sampled_from(("U", "B")))
+        ctor = draw(st.sampled_from(("U", "B", "chain") if chains else ("U", "B")))
+        if ctor == "chain":
+            t = draw(st.sampled_from(pool[-3:]))
+            for _ in range(draw(st.integers(2, 5))):
+                if t.size() < MAX_UNFOLDED:
+                    t = Tree("U", node_attrs(), (t,))
+            pool.append(t)
+            continue
         kids = tuple(draw(st.sampled_from(pool[-3:])) for _ in range(RANK[ctor]))
         if sum(k.size() for k in kids) < MAX_UNFOLDED:
             pool.append(Tree(ctor, node_attrs(), kids))
@@ -262,6 +281,114 @@ TWO_STATES = _sttr(
 _SHARED = node("U", (1, 0, 0), node("L", (2, 1, 0)))
 SHARED_DAG = node("B", (0, 0, 0), _SHARED, _SHARED)
 
+# Chain groups: a unary constructor whose rules all read just the child
+# in the rule's own state, with no lookahead.  ``walk_one`` enters a run
+# of such nodes in one loop.
+
+def _u_chain(depth, below, x_value=1):
+    """``depth`` unary nodes over ``below``, ``x`` alternating from ``x_value``
+    down by one, from the bottom up."""
+    for i in range(depth):
+        below = node("U", (x_value - i % 2, 0, 0), below)
+    return below
+
+
+_COPY_B = trule(
+    "p", "B", OutNode("B", (x, y, z), (OutApply("p", 0), OutApply("p", 1))), rank=2
+)
+_COPY_L = trule("p", "L", OutNode("L", (x, y, z), ()), rank=0)
+
+#: ``(p, U)`` applies only where ``x < 2``: a chain stops at the first
+#: node without a rule, and nothing below that node is visited.
+CHAIN_GUARD = _sttr(
+    trule(
+        "p",
+        "U",
+        OutNode("U", (x, y, z), (OutApply("p", 0),)),
+        guard=mk_gt(mk_int(2), x),
+        rank=1,
+    ),
+    _COPY_B,
+    _COPY_L,
+)
+#: U[0](U[1](U[5](U[1](L)))): (p, U) fails at the third node.
+GUARD_CHAIN = _u_chain(2, node("U", (5, 0, 0), _u_chain(1, node("L", (1, 0, 0)))))
+
+#: Two chain rules: where ``x > 0`` both apply and their outputs differ,
+#: so ``limit=1`` cuts, and the taint climbs the chain.
+TWO_CHAIN_RULES = _sttr(
+    trule(
+        "p",
+        "U",
+        OutNode("U", (mk_add(x, mk_int(1)), y, z), (OutApply("p", 0),)),
+        guard=mk_gt(x, mk_int(0)),
+        rank=1,
+    ),
+    trule("p", "U", OutApply("p", 0), rank=1),
+    _COPY_B,
+    _COPY_L,
+)
+
+#: ``(p, U)`` reads its child in ``p`` and in ``q``, so it is no chain
+#: group; ``(q, U)`` reads only ``q`` and is one.
+MIXED_READS = _sttr(
+    trule("p", "U", OutNode("U", (x, y, z), (OutApply("p", 0),)), rank=1),
+    trule(
+        "p",
+        "U",
+        OutNode("U", (mk_add(x, mk_int(1)), y, z), (OutApply("q", 0),)),
+        rank=1,
+    ),
+    trule("q", "U", OutNode("U", (x, y, z), (OutApply("q", 0),)), rank=1),
+    trule(
+        "q", "B", OutNode("B", (x, y, z), (OutApply("q", 0), OutApply("p", 1))), rank=2
+    ),
+    _COPY_B,
+    _COPY_L,
+    trule("q", "L", OutNode("L", (mk_add(x, mk_int(1)), y, z), ()), rank=0),
+)
+
+#: A chain rule under lookahead: its child is tested first, so ``(p, U)``
+#: is no chain group.
+LOOKAHEAD_READS = STTR(
+    "hand",
+    ET,
+    ET,
+    "p",
+    (
+        trule(
+            "p", "U", OutNode("U", (x, y, z), (OutApply("p", 0),)), lookahead=[("a",)]
+        ),
+        _COPY_B,
+        _COPY_L,
+    ),
+    lookahead_sta=LA,
+)
+
+CHAIN_STTRS = {
+    "identity": IDENTITY,
+    "guard": CHAIN_GUARD,
+    "two_rules": TWO_CHAIN_RULES,
+    "mixed": MIXED_READS,
+    "lookahead": LOOKAHEAD_READS,
+}
+
+
+#: Two chains that end in one shared tail object.
+_TAIL = _u_chain(3, node("L", (-1, 0, 0)))
+SHARED_TAIL = node("B", (0, 0, 0), _u_chain(2, _TAIL), _u_chain(1, _TAIL, 2))
+#: A chain head under two parents: the root, and a unary node above it.
+_HEAD = _u_chain(3, node("L", (1, 0, 0)))
+HEAD_TWO_PARENTS = node("B", (0, 0, 0), _u_chain(1, _HEAD), _HEAD)
+HEAD_TWO_PARENTS_SWAPPED = node("B", (0, 0, 0), _HEAD, _u_chain(1, _HEAD))
+
+CHAIN_TREES = {
+    "guard_chain": GUARD_CHAIN,
+    "shared_tail": SHARED_TAIL,
+    "head_two_parents": HEAD_TWO_PARENTS,
+    "head_two_parents_swapped": HEAD_TWO_PARENTS_SWAPPED,
+}
+
 
 def _run_notes(collector):
     return [s.title for s in collector.root.walk() if s.kind == "run"]
@@ -275,24 +402,60 @@ def _run_notes(collector):
 @example(sttr=TWO_STATES, tree=SHARED_DAG, limit=1)
 @settings(max_examples=150, deadline=None)
 def test_compiled_matches_interpreter(sttr, tree, limit):
-    interp_budget = Budget()
-    with scope(interp_budget), prov.collecting() as interp_prov:
-        expected_outputs, expected_truncated = run_checked(
-            sttr, tree, limit=limit
-        )
+    _both_tiers(sttr, tree, limit)
+
+
+@pytest.mark.parametrize("limit", [None, 1, 2])
+@pytest.mark.parametrize("tree", CHAIN_TREES.values(), ids=CHAIN_TREES)
+@pytest.mark.parametrize("sttr", CHAIN_STTRS.values(), ids=CHAIN_STTRS)
+def test_chain_groups_match_interpreter(sttr, tree, limit):
+    _both_tiers(sttr, tree, limit)
+
+
+def _chain_groups(sttr):
     compiled = CompiledSTTR(sttr)
-    compiled_budget = Budget()
-    with scope(compiled_budget), prov.collecting() as compiled_prov:
-        actual_outputs, actual_truncated = run_compiled_checked(
-            compiled, tree, limit=limit
-        )
-    assert actual_outputs == expected_outputs
-    assert repr(actual_outputs) == repr(expected_outputs)
-    assert actual_truncated == expected_truncated
-    # Same guard-budget charges: caching classification must not change
-    # what a budget-governed run is billed.
-    assert compiled_budget.steps == interp_budget.steps
-    assert _run_notes(compiled_prov) == _run_notes(interp_prov)
+    return {
+        (state, ctor)
+        for (state, ctor), rules in compiled.rules_by_key.items()
+        if _is_chain(compiled, compiled.state_index[state], ctor, rules)
+    }
+
+
+def test_chain_groups_are_the_unary_self_reads():
+    assert _chain_groups(IDENTITY) == {("p", "U")}
+    assert _chain_groups(CHAIN_GUARD) == {("p", "U")}
+    assert _chain_groups(TWO_CHAIN_RULES) == {("p", "U")}
+    assert _chain_groups(MIXED_READS) == {("q", "U")}
+    assert _chain_groups(LOOKAHEAD_READS) == set()
+    assert _chain_groups(TWO_STATES) == set()
+
+
+@pytest.mark.parametrize(
+    "sttr, limit",
+    # Unlimited, the two rules would double the outputs at every third node.
+    [(IDENTITY, None), (IDENTITY, 1), (TWO_CHAIN_RULES, 1)],
+    ids=["identity-all", "identity-one", "two-one"],
+)
+def test_budget_exhausted_mid_chain(sttr, limit):
+    """A step budget shorter than a 3,000-deep chain stops both tiers
+    after the same number of ticks."""
+    steps = []
+    tiers = ((run_checked, sttr), (run_compiled_checked, CompiledSTTR(sttr)))
+    for run, program in tiers:
+        budget = Budget(max_steps=1000)
+        with scope(budget), pytest.raises(StepBudgetExceeded):
+            run(program, _chain(3000), limit=limit)
+        steps.append(budget.steps)
+    assert steps == [1001, 1001]
+
+
+@given(sttr=sttrs(), tree=trees(chains=True), limit=st.sampled_from([1, 2]))
+@settings(max_examples=100, deadline=None)
+def test_chain_runs_match_interpreter(sttr, tree, limit):
+    """Runs of unary nodes, which ``walk_one`` enters in one loop.  The
+    limit caps each pair's outputs: unlimited, a duplicating rule squares
+    them at every node of a run."""
+    _both_tiers(sttr, tree, limit)
 
 
 def test_hand_examples_reach_their_cases():
@@ -308,6 +471,12 @@ def test_hand_examples_reach_their_cases():
     # (p, root), (p|q, shared U), (p|q, shared leaf): five tasks.
     assert _run_notes(collector) == [
         "ran hand from state p: 5 tasks, 1 output(s)"
+    ]
+    # The third node has no rule, so the two below it are never visited.
+    with prov.collecting() as collector:
+        assert run_checked(CHAIN_GUARD, GUARD_CHAIN, limit=1) == ([], False)
+    assert _run_notes(collector) == [
+        "ran hand from state p: 3 tasks, 0 output(s)"
     ]
 
 
@@ -360,17 +529,26 @@ def test_facade_routes_through_compiled_tier(monkeypatch):
 
 
 def _both_tiers(sttr, tree, limit):
-    """Run both tiers under a budget and provenance; assert they agree."""
+    """Run both tiers under a budget and provenance; assert they agree:
+    outputs (also by ``repr``), truncation flag, budget steps and run
+    notes.  The compiled run counts ``exec.dispatch`` once per task."""
     interp_budget = Budget()
     with scope(interp_budget), prov.collecting() as interp_prov:
         expected = run_checked(sttr, tree, limit=limit)
     compiled_budget = Budget()
+    dispatched = _DISPATCH.snapshot()
     with scope(compiled_budget), prov.collecting() as compiled_prov:
-        actual = run_compiled_checked(CompiledSTTR(sttr), tree, limit=limit)
+        with obs_config.observed(True):
+            actual = run_compiled_checked(CompiledSTTR(sttr), tree, limit=limit)
+    dispatched = _DISPATCH.snapshot() - dispatched
     assert actual == expected
     assert repr(actual) == repr(expected)
+    # Same guard-budget charges: caching classification must not change
+    # what a budget-governed run is billed.
     assert compiled_budget.steps == interp_budget.steps
-    assert _run_notes(compiled_prov) == _run_notes(interp_prov)
+    notes = _run_notes(compiled_prov)
+    assert notes == _run_notes(interp_prov)
+    assert [f": {dispatched} tasks," in note for note in notes] == [True]
     return actual
 
 
