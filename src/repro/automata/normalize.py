@@ -16,7 +16,7 @@ frozenset accepts every tree of the type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ..guard.budget import tick as _tick
 from ..smt import builders as smt
@@ -60,23 +60,7 @@ def normalize(
     done: set[NormState] = set()
     work: list[NormState] = list(start_states)
     out_rules: list[STARule] = []
-    # Per-call memos: the same original states and guard pairs recur in
-    # many merged states (terms are interned, so the result is the same).
-    sort_keys: dict[State, str] = {}
-    conjunctions: dict[tuple[Term, Term], Term] = {}
-
-    def sort_key(s: State) -> str:
-        key = sort_keys.get(s)
-        if key is None:
-            key = sort_keys[s] = repr(s)
-        return key
-
-    def conjoin(left: Term, right: Term) -> Term:
-        key = (left, right)
-        both = conjunctions.get(key)
-        if both is None:
-            both = conjunctions[key] = smt.mk_and(left, right)
-        return both
+    merged = MergedRules(sta, solver)
 
     while work:
         q = work.pop()
@@ -84,10 +68,8 @@ def normalize(
             continue
         _tick(kind="normalize.state")
         done.add(q)
-        ordered = sorted(q, key=sort_key)
         for ctor in sta.tree_type.constructors:
-            merged = _merged_rules(sta, ordered, ctor.name, ctor.rank, solver, conjoin)
-            for guard, children in merged:
+            for guard, children in merged(q, ctor.name):
                 out_rules.append(
                     STARule(
                         q,
@@ -103,39 +85,75 @@ def normalize(
     return NormalizedSTA(STA(sta.tree_type, tuple(out_rules)), tuple(start_states))
 
 
-def _merged_rules(
-    sta: STA,
-    states: list[State],
-    ctor: str,
-    rank: int,
-    solver: Solver,
-    conjoin: Callable[[Term, Term], Term],
-):
-    """The merge ``!`` of one rule per state in ``states`` (delta^f), the
-    states in a fixed order and ``conjoin`` the guards' ``mk_and``."""
-    if not states:
-        # L^emptyset accepts everything: one unconstrained rule.
-        yield smt.TRUE, tuple(frozenset() for _ in range(rank))
-        return
-    rule_choices = [sta.rules_from(s, ctor) for s in states]
-    if any(not rc for rc in rule_choices):
-        return  # some state has no rule for this symbol: conjunction fails
+class MergedRules:
+    """The merged rules of ``sta`` per (merged state, symbol), each
+    list built on first use.
 
-    # DFS over the rule product with incremental conjunction: syntactic
-    # contradictions (e.g. the complementary guards of a deterministic
-    # split) prune whole subtrees before any solver call.
-    empty_children = tuple(frozenset() for _ in range(rank))
+    ``merged(q, f)`` is the merge ``!`` of one ``f``-rule per state in
+    ``q`` (delta^f): ``(guard, children)`` pairs with a satisfiable
+    guard and one merged state per child.
+    """
 
-    def rec(idx: int, guard, children):
-        if idx == len(rule_choices):
-            if solver.is_sat(guard):
-                yield guard, children
+    def __init__(self, sta: STA, solver: Solver) -> None:
+        self.sta = sta
+        self.solver = solver
+        self._ranks = {c.name: c.rank for c in sta.tree_type.constructors}
+        self._rules: dict[tuple[NormState, str], list] = {}
+        # The same original states and guard pairs recur in many merged
+        # states (terms are interned, so the result is the same).
+        self._sort_keys: dict[State, str] = {}
+        self._conjunctions: dict[tuple[Term, Term], Term] = {}
+
+    def __call__(
+        self, state: NormState, ctor: str
+    ) -> list[tuple[Term, tuple[NormState, ...]]]:
+        key = (state, ctor)
+        rules = self._rules.get(key)
+        if rules is None:
+            ordered = sorted(state, key=self._sort_key)
+            rules = self._rules[key] = list(
+                self._merge(ordered, self._ranks[ctor], ctor)
+            )
+        return rules
+
+    def _sort_key(self, s: State) -> str:
+        key = self._sort_keys.get(s)
+        if key is None:
+            key = self._sort_keys[s] = repr(s)
+        return key
+
+    def _conjoin(self, left: Term, right: Term) -> Term:
+        key = (left, right)
+        both = self._conjunctions.get(key)
+        if both is None:
+            both = self._conjunctions[key] = smt.mk_and(left, right)
+        return both
+
+    def _merge(self, states: list[State], rank: int, ctor: str):
+        if not states:
+            # L^emptyset accepts everything: one unconstrained rule.
+            yield smt.TRUE, tuple(frozenset() for _ in range(rank))
             return
-        for r in rule_choices[idx]:
-            g2 = conjoin(guard, r.guard)
-            if g2 == smt.FALSE:
-                continue
-            merged = tuple(c | l for c, l in zip(children, r.lookahead))
-            yield from rec(idx + 1, g2, merged)
+        rule_choices = [self.sta.rules_from(s, ctor) for s in states]
+        if any(not rc for rc in rule_choices):
+            return  # some state has no rule for this symbol: conjunction fails
 
-    yield from rec(0, smt.TRUE, empty_children)
+        # DFS over the rule product with incremental conjunction:
+        # syntactic contradictions (e.g. the complementary guards of a
+        # deterministic split) prune whole subtrees before any solver call.
+        empty_children = tuple(frozenset() for _ in range(rank))
+        conjoin, is_sat = self._conjoin, self.solver.is_sat
+
+        def rec(idx: int, guard, children):
+            if idx == len(rule_choices):
+                if is_sat(guard):
+                    yield guard, children
+                return
+            for r in rule_choices[idx]:
+                g2 = conjoin(guard, r.guard)
+                if g2 == smt.FALSE:
+                    continue
+                merged = tuple(c | l for c, l in zip(children, r.lookahead))
+                yield from rec(idx + 1, g2, merged)
+
+        yield from rec(0, smt.TRUE, empty_children)

@@ -15,7 +15,7 @@ from .output_terms import (
 )
 from .preimage import PreimageBuilder, preimage
 from .properties import composition_is_exact, is_deterministic, is_linear, single_valued
-from .restrict import identity_sttr, restrict_input, restrict_output, restricted_identity
+from .restrict import identity_sttr, restrict_input, restrict_output
 from .run import OutputTruncated, TransductionError, run, run_checked, run_one
 from .sttr import STTR, STTRRule, TransducerError, trule
 from .testing import Inequivalence, equivalent_up_to, find_inequivalence
@@ -48,7 +48,6 @@ __all__ = [
     "equivalent_up_to",
     "find_inequivalence",
     "restrict_output",
-    "restricted_identity",
     "run",
     "run_checked",
     "run_one",

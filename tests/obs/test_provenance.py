@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.automata import Language, STA, rule
+from repro import obs
 from repro.guard import Budget
 from repro.obs import provenance as prov
 from repro.smt import (
@@ -30,6 +31,8 @@ from repro.transducers import (
     STTR,
     Transducer,
     compose,
+    restrict_input,
+    restrict_output,
     trule,
 )
 from repro.trees import make_tree_type, node
@@ -230,6 +233,50 @@ class TestCompositionDerivation:
             s for s in col.root.walk() if "composed rule fired:" in s.title
         ]
         assert len(fired) <= compose_mod._MAX_RULE_NOTES
+
+
+class TestRestrictionDerivation:
+    """Paper §3.5: a restriction is its own step and span, not a compose."""
+
+    BT = TestCompositionDerivation.BT
+    x = TestCompositionDerivation.x
+
+    def _pos(self):
+        return Language.build(
+            self.BT,
+            "pos",
+            [
+                rule("pos", "L", mk_gt(self.x, mk_int(0))),
+                rule("pos", "N", None, [["pos"], ["pos"]]),
+            ],
+        )
+
+    @pytest.mark.parametrize(
+        "restrict, side", [(restrict_input, "input"), (restrict_output, "output")]
+    )
+    def test_restrict_records_a_restrict_step_and_span(self, solver, restrict, side):
+        ident = TestCompositionDerivation()._ident("f", "q")
+        obs.enabled(True)
+        obs.reset()
+        try:
+            with prov.collecting() as col:
+                restricted = restrict(ident, self._pos(), solver)
+            (span,) = obs.trace()
+        finally:
+            obs.enabled(False)
+            obs.reset()
+        assert span.name == "restrict"
+        step = col.root.find(kind="restrict")
+        assert step is not None and f"restrict f {side}" in step.title
+        assert col.root.find(kind="compose") is None
+        size = dict(
+            states=len(restricted.states),
+            rules=len(restricted.rules),
+            lookahead_rules=len(restricted.lookahead_sta.rules),
+        )
+        assert {k: step.detail[k] for k in size} == size
+        assert {k: span.attrs[k] for k in size} == size
+        assert span.attrs["side"] == side
 
 
 class TestTypeCheckDerivation:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata import STA, rule
+from repro.automata import STA, Language, rule
 from repro.smt import (
     BOOL,
     INT,
@@ -32,6 +32,7 @@ from repro.smt import (
     mk_lt,
     mk_mod,
     mk_neg,
+    mk_not,
     mk_var,
 )
 from repro.transducers import (
@@ -41,6 +42,7 @@ from repro.transducers import (
     Transducer,
     compose,
     composition_is_exact,
+    restrict_output,
     run,
     trule,
 )
@@ -273,6 +275,33 @@ class TestTheorem4:
         # ... and here strictly: mixed copies are not sequentially possible.
         mixed = node("N", 0, node("L", 1), node("L", 5))
         assert mixed in composed and mixed not in sequential
+
+    def test_restrict_out_of_nondeterministic_f_is_exact(self, solver):
+        # Example 9's f chooses per leaf; ``bad`` tells the two leaves
+        # apart.  The product keeps exactly the outputs of f in ``bad``,
+        # however the choices at the two leaves combine.
+        f = self.make_f()
+        bad = Language.build(
+            BT,
+            "bad",
+            [
+                rule("bad", "N", None, [["ne5"], ["eq5"]]),
+                rule("ne5", "L", mk_not(mk_eq(x, mk_int(5)))),
+                rule("eq5", "L", mk_eq(x, mk_int(5))),
+            ],
+        )
+        restricted = restrict_output(f, bad, solver)
+        for t in (
+            node("N", 0, node("L", 1), node("L", 2)),
+            node("N", 0, node("L", 5), node("L", 5)),
+            node("N", 0, node("N", 0, node("L", 1), node("L", 1)), node("L", 2)),
+            node("L", 1),
+        ):
+            expected = {u for u in run(f, t) if bad.accepts(u)}
+            assert set(run(restricted, t)) == expected
+        assert run(restricted, node("N", 0, node("L", 1), node("L", 2))) == [
+            node("N", 0, node("L", 1), node("L", 5))
+        ]
 
     def test_exact_when_second_linear(self, solver):
         f = self.make_f()

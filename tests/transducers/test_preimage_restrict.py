@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata import Language, STA, rule, accepts
+from repro.exec.compiled import CompiledSTTR, run_compiled_checked
 from repro.smt import (
     INT,
     Solver,
@@ -23,13 +24,17 @@ from repro.transducers import (
     STTR,
     Transducer,
     identity_sttr,
+    compose,
     preimage,
-    restricted_identity,
+    restrict_input,
+    restrict_output,
     run,
     trule,
     type_check,
 )
 from repro.trees import make_tree_type, node
+
+from .test_lookahead_pruning import GUARDS, TREES, sttrs
 
 BT = make_tree_type("BT", [("x", INT)], {"L": 0, "N": 2})
 x = mk_var("x", INT)
@@ -198,7 +203,7 @@ class TestPreimage:
 
 class TestRestrict:
     def test_restricted_identity_is_single_valued_and_linear(self, solver):
-        ident = restricted_identity(POS, solver)
+        ident = restrict_input(identity_sttr(BT), POS, solver)
         assert ident.is_linear()
         t = node("N", 0, node("L", 1), node("L", 2))
         assert run(ident, t) == [t]
@@ -236,6 +241,72 @@ class TestRestrict:
         restricted = inc.restrict_out(ODD)
         expected = [u for u in run(inc.sttr, t) if ODD.accepts(u)]
         assert restricted.apply(t) == expected
+
+
+#: Languages over ``BT`` at state ``a`` whose ``N`` rules constrain each
+#: child by a set of states: ``{a, b}`` asks for both (alternation).
+LANG_STATES = ("a", "b")
+LANG_SETS = ((), ("a",), ("b",), ("a", "b"))
+_leaf_rules = st.builds(
+    lambda s, g: rule(s, "L", g),
+    st.sampled_from(LANG_STATES),
+    st.sampled_from(GUARDS),
+)
+_node_rules = st.builds(
+    lambda s, g, l0, l1: rule(s, "N", g, [l0, l1]),
+    st.sampled_from(LANG_STATES),
+    st.sampled_from(GUARDS),
+    st.sampled_from(LANG_SETS),
+    st.sampled_from(LANG_SETS),
+)
+languages = st.builds(
+    lambda leaves, nodes: Language.build(BT, "a", leaves + nodes),
+    st.lists(_leaf_rules, min_size=1, max_size=3),
+    st.lists(_node_rules, min_size=1, max_size=3),
+)
+
+#: Every third enumerated tree of depth <= 3 (all trees of depth <= 2
+#: among them): enough to tell the languages apart, few enough to keep
+#: the property fast.
+SAMPLE_TREES = [t for i, t in enumerate(TREES) if i % 3 == 0 or t.size() <= 3]
+
+
+def both_tiers(sttr, compiled, tree):
+    """The outputs of the interpreter and of the compiled walk."""
+    outputs, truncated = run_compiled_checked(compiled, tree)
+    assert not truncated
+    return run(sttr, tree), outputs
+
+
+def assert_same_outputs(actual, expected):
+    assert len(actual) == len(set(actual))
+    assert set(actual) == set(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    first=sttrs("s"),
+    second=sttrs("t"),
+    composed=st.booleans(),
+    lang=languages,
+)
+def test_restrictions_are_exact(first, second, composed, lang):
+    """``restrict t l`` is ``t`` on inputs in ``l`` and nothing elsewhere;
+    ``restrict-out t l`` keeps exactly the outputs of ``t`` in ``l``.
+    ``t`` may delete, swap, copy or choose; composed, it has lookahead."""
+    solver = Solver()
+    t = compose(first, second, solver) if composed else first
+    on_input = restrict_input(t, lang, solver)
+    on_output = restrict_output(t, lang, solver)
+    compiled_input, compiled_output = CompiledSTTR(on_input), CompiledSTTR(on_output)
+    for tree in SAMPLE_TREES:
+        outputs = run(t, tree)
+        inside = lang.accepts(tree)
+        for got in both_tiers(on_input, compiled_input, tree):
+            assert_same_outputs(got, outputs if inside else [])
+        kept = [u for u in outputs if lang.accepts(u)]
+        for got in both_tiers(on_output, compiled_output, tree):
+            assert_same_outputs(got, kept)
 
 
 class TestTypeCheck:
