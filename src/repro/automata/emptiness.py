@@ -1,7 +1,7 @@
 """Emptiness and witness generation (paper Proposition 1).
 
-Emptiness of an alternating STA: normalize lazily, drop unsatisfiable
-guards (the solver already did), then run the classical bottom-up
+Emptiness of an alternating STA: normalize lazily (which drops the
+rules with unsatisfiable guards), then run the classical bottom-up
 fixpoint for tree-automata non-emptiness over the merged states.  A
 witness tree is assembled on the way: each newly non-empty state records
 one rule plus a model of its guard.

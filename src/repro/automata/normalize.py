@@ -3,10 +3,13 @@
 A normalized STA has singleton lookahead sets: child constraints are a
 single state, which is what the bottom-up algorithms (emptiness,
 determinization) need.  The paper's ``Normalize`` builds merged rules
-over set-states via the merge operator on rules; as footnote 7 advises,
-we compute merged rules **lazily** from the requested start sets,
-eliminate unsatisfiable guards eagerly, and only materialize reachable
-merged states.
+over set-states via the merge operator on rules.  That operator is
+:class:`MergedRules`, computed **lazily** per merged state and symbol
+(footnote 7); ``normalize`` materializes only the merged states reachable
+from its start sets and drops the rules the solver refutes.  The
+restriction product (:mod:`repro.transducers.restrict`), which also
+builds ``pre-image`` and the ``Look`` of ``compose``, uses the same
+merged rules.
 
 A merged state is a ``frozenset`` of original states; the language of
 ``frozenset({q1, q2})`` is ``L^{q1}`` intersect ``L^{q2}``, and the empty
@@ -60,7 +63,7 @@ def normalize(
     done: set[NormState] = set()
     work: list[NormState] = list(start_states)
     out_rules: list[STARule] = []
-    merged = MergedRules(sta, solver)
+    merged = MergedRules(sta)
 
     while work:
         q = work.pop()
@@ -70,6 +73,8 @@ def normalize(
         done.add(q)
         for ctor in sta.tree_type.constructors:
             for guard, children in merged(q, ctor.name):
+                if not solver.is_sat(guard):
+                    continue
                 out_rules.append(
                     STARule(
                         q,
@@ -90,13 +95,15 @@ class MergedRules:
     list built on first use.
 
     ``merged(q, f)`` is the merge ``!`` of one ``f``-rule per state in
-    ``q`` (delta^f): ``(guard, children)`` pairs with a satisfiable
-    guard and one merged state per child.
+    ``q`` (delta^f): ``(guard, children)`` pairs, one merged state per
+    child.  Only syntactically false guards are dropped: the caller asks
+    the solver about the guard it actually uses (``normalize`` the
+    guard itself, the restriction product the guard instantiated and
+    conjoined with a transducer guard), so one question is asked, not two.
     """
 
-    def __init__(self, sta: STA, solver: Solver) -> None:
+    def __init__(self, sta: STA) -> None:
         self.sta = sta
-        self.solver = solver
         self._ranks = {c.name: c.rank for c in sta.tree_type.constructors}
         self._rules: dict[tuple[NormState, str], list] = {}
         # The same original states and guard pairs recur in many merged
@@ -142,12 +149,11 @@ class MergedRules:
         # syntactic contradictions (e.g. the complementary guards of a
         # deterministic split) prune whole subtrees before any solver call.
         empty_children = tuple(frozenset() for _ in range(rank))
-        conjoin, is_sat = self._conjoin, self.solver.is_sat
+        conjoin = self._conjoin
 
         def rec(idx: int, guard, children):
             if idx == len(rule_choices):
-                if is_sat(guard):
-                    yield guard, children
+                yield guard, children
                 return
             for r in rule_choices[idx]:
                 g2 = conjoin(guard, r.guard)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
+from ..errors import ReproError
 from ..smt import builders as smt
 from ..smt.terms import Term
 from ..trees.types import TreeType
@@ -22,7 +23,7 @@ from ..trees.types import TreeType
 State = Hashable
 
 
-class AutomatonError(Exception):
+class AutomatonError(ReproError):
     """Structural errors in automaton construction."""
 
 

@@ -11,6 +11,7 @@ to outcomes by family instead of pattern-matching messages:
 * resource exhaustion — :class:`repro.guard.BudgetExceeded` and the
   other :class:`repro.guard.GuardError` degradations — exit code 3;
 * backend errors — :class:`repro.smt.terms.SmtError`,
+  :class:`repro.automata.sta.AutomatonError`,
   :class:`repro.transducers.sttr.TransducerError` — exit code 4.
 
 Errors that know where they came from carry a :class:`SourceLocation`;

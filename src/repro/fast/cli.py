@@ -87,7 +87,8 @@ exit codes:
   2  error — the file could not be read, parsed, or compiled
   3  budget exhausted — --timeout/--max-solver-queries/--max-steps ran
      out before an answer was reached (the result is unknown)
-  4  internal error — a solver or transducer invariant failed
+  4  internal error — a solver, automaton or transducer invariant
+     failed, or the program crashed
 
 batch: 1 only if some file FAILed an assertion; 2 if none failed but
 some were permanent errors; 0 otherwise (UNKNOWNs do not fail a batch).
@@ -614,6 +615,9 @@ def main(argv: list[str] | None = None) -> int:
         except ReproError as exc:
             print(f"internal error: {exc}", file=sys.stderr)
             return EXIT_INTERNAL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         # Observability outputs are emitted on every exit path,
         # including uncaught exceptions.

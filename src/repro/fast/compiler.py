@@ -470,6 +470,7 @@ class Compiler:
         if isinstance(e, ast.LBinop):
             left = self.eval_lang(e.left)
             right = self.eval_lang(e.right)
+            _same_type(e.op, e.pos, left.tree_type, right.tree_type)
             if e.op == "intersect":
                 return left.intersect(right)
             if e.op == "union":
@@ -487,6 +488,7 @@ class Compiler:
         if isinstance(e, ast.LPreImage):
             trans = self.eval_trans(e.trans)
             lang = self.eval_lang(e.lang)
+            _same_type("pre-image", e.pos, trans.output_type, lang.tree_type)
             return trans.pre_image(lang)
         raise FastTypeError(f"bad language expression {e!r}", e.pos)
 
@@ -498,14 +500,27 @@ class Compiler:
         if isinstance(e, ast.TCompose):
             first = self.eval_trans(e.first)
             second = self.eval_trans(e.second)
+            _same_type("compose", e.pos, first.output_type, second.input_type)
             return first.compose(second)
         if isinstance(e, ast.TRestrict):
             trans = self.eval_trans(e.trans)
             lang = self.eval_lang(e.lang)
             if e.kind == "restrict":
+                _same_type(e.kind, e.pos, trans.input_type, lang.tree_type)
                 return trans.restrict(lang)
+            _same_type(e.kind, e.pos, trans.output_type, lang.tree_type)
             return trans.restrict_out(lang)
         raise FastTypeError(f"bad transduction expression {e!r}", e.pos)
+
+    def eval_type_check(self, a: ast.ATypeCheck) -> Tree | None:
+        """``type-check l1 t l2``: None, or an input in ``l1`` that ``t``
+        maps outside ``l2``."""
+        input_lang = self.eval_lang(a.input_lang)
+        trans = self.eval_trans(a.trans)
+        output_lang = self.eval_lang(a.output_lang)
+        _same_type("type-check", a.pos, trans.input_type, input_lang.tree_type)
+        _same_type("type-check", a.pos, trans.output_type, output_lang.tree_type)
+        return trans.type_check(input_lang, output_lang)
 
     def eval_tree(self, e: ast.TreeExpr, tree_type: TreeType) -> Tree:
         if isinstance(e, ast.TreeRef):
@@ -562,6 +577,14 @@ class Compiler:
         if d.name in self.env.trees:
             raise FastNameError(f"tree {d.name} defined twice", d.pos)
         self.env.trees[d.name] = tree
+
+
+def _same_type(op: str, pos, expected: TreeType, got: TreeType) -> None:
+    """The operands of ``op`` must range over the same tree type."""
+    if got != expected:
+        raise FastTypeError(
+            f"{op}: operand over {got.name}, expected {expected.name}", pos
+        )
 
 
 def compile_program(program: ast.Program, solver: Solver | None = None) -> CompiledProgram:

@@ -275,16 +275,9 @@ def _assertion_plan(
         )
     if isinstance(a, ast.ATypeCheck):
         tc = a
-
-        def check_tc() -> Optional[Tree]:
-            input_lang = compiler.eval_lang(tc.input_lang)
-            trans = compiler.eval_trans(tc.trans)
-            output_lang = compiler.eval_lang(tc.output_lang)
-            return trans.type_check(input_lang, output_lang)
-
         return (
             "(type-check <lang> <trans> <lang>)",
-            check_tc,
+            lambda: compiler.eval_type_check(tc),
             "transduction type-checks",
             "counterexample input found",
         )

@@ -13,9 +13,8 @@ from .output_terms import (
     states_at,
     substitute_attrs,
 )
-from .preimage import PreimageBuilder, preimage
 from .properties import composition_is_exact, is_deterministic, is_linear, single_valued
-from .restrict import identity_sttr, restrict_input, restrict_output
+from .restrict import identity_sttr, preimage, restrict_input, restrict_output
 from .run import OutputTruncated, TransductionError, run, run_checked, run_one
 from .sttr import STTR, STTRRule, TransducerError, trule
 from .testing import Inequivalence, equivalent_up_to, find_inequivalence
@@ -25,7 +24,6 @@ __all__ = [
     "OutApply",
     "OutNode",
     "OutputTerm",
-    "PreimageBuilder",
     "STTR",
     "STTRRule",
     "TApp",

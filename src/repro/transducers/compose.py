@@ -18,17 +18,19 @@ Structure, mirroring the paper:
   (``lookahead[i] ∪ St(i, t_out)`` — this is what keeps constraints on
   *deleted* subtrees, the whole point of regular lookahead, Section 3.4),
   then substitutes and keeps reducing.
-* ``Look`` is shared with the pre-image construction
-  (:class:`~repro.transducers.preimage.PreimageBuilder`) instantiated at
-  ``M = d(T)``: the composed transducer's lookahead automaton consists of
-  ``S``'s own lookahead plus pre-image states ``("pre", p', R)`` with
-  ``R`` a set of ``d(T)`` states.
+* ``Look`` is the output walk of the ``restrict-out`` product
+  (:class:`~repro.transducers.restrict.Product`) of ``S`` against
+  ``d(T)``: each ``p'~(y_i)`` it meets adds ``("q", (p', R))`` to the
+  lookahead on ``y_i``, ``R`` the merged ``d(T)`` state the child must
+  land in.  The product then runs from those pairs, and its domain rules
+  are the composed lookahead automaton, as they are ``pre-image``'s.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+from ..automata.sta import STA, STARule
 from ..guard.budget import tick as _tick
 from ..obs import config as obs_config
 from ..obs import metrics as obs_metrics
@@ -37,10 +39,13 @@ from ..obs import tracer as obs_tracer
 from ..smt import builders as smt
 from ..smt.solver import Solver
 from ..smt.terms import Term
-from .domain import domain_sta
-from .output_terms import OutApply, OutNode, OutputTerm, TApp, states_at
-from .preimage import LookTuple, PreimageBuilder
+from .domain import applied, domain_sta, tagged
+from .output_terms import OutApply, OutNode, OutputTerm, TApp
+from .restrict import Product
 from .sttr import STTR, STTRRule, State, TransducerError
+
+#: Lookahead sets, one per child.
+Lookahead = tuple[frozenset, ...]
 
 #: Cap on per-rule provenance notes recorded by one compose() call.
 _MAX_RULE_NOTES = 25
@@ -68,11 +73,15 @@ def compose(
             "(Compose/Reduce/Look, paper Section 4)",
         ) as st:
             dt_sta, _ = domain_sta(second)
-            builder = PreimageBuilder(first, dt_sta, solver)
-            composer = _Composer(first, second, builder, solver)
+            product = Product(first, dt_sta, solver)
+            composer = _Composer(first, second, product, solver)
             composer.run()
-            builder.ensure()
-            lookahead_sta = builder.sta()
+            # Build the pair states (p, R) the composed rules' lookahead names.
+            product.run(
+                s for r in composer.rules for l in r.lookahead for tag, s in l
+                if tag == "q"
+            )
+            lookahead_sta = STA(first.input_type, tuple(product.domain_rules()))
             composed = STTR(
                 name or f"({first.name} ; {second.name})",
                 first.input_type,
@@ -125,7 +134,6 @@ def prune_trivial_lookahead(sttr: STTR, solver: Solver) -> STTR:
     language while a run no longer classifies the subtrees it named.
     """
     from ..automata.cleanup import reachable_lookahead_rules, universal_states
-    from ..automata.sta import STA, STARule
 
     universal = universal_states(sttr.lookahead_sta, solver)
     if not universal:
@@ -165,11 +173,11 @@ def prune_trivial_lookahead(sttr: STTR, solver: Solver) -> STTR:
 
 class _Composer:
     def __init__(
-        self, first: STTR, second: STTR, builder: PreimageBuilder, solver: Solver
+        self, first: STTR, second: STTR, product: Product, solver: Solver
     ) -> None:
         self.S = first
         self.T = second
-        self.builder = builder
+        self.product = product
         self.solver = solver
         self.rules: list[STTRRule] = []
         self.states_explored = 0
@@ -198,20 +206,19 @@ class _Composer:
         """The paper's ``Compose(p, q, f)`` over all symbols ``f``."""
         for s_rule in self.S.rules_from(p):
             rank = len(s_rule.lookahead)
-            empty: LookTuple = tuple(frozenset() for _ in range(rank))
+            empty = tuple(frozenset() for _ in range(rank))
             start = TApp(q, s_rule.output)
             for guard, extra, out in self._reduce(s_rule.guard, empty, start):
                 lookahead = tuple(
-                    frozenset(("la", s) for s in l) | e
-                    for l, e in zip(s_rule.lookahead, extra)
+                    l | e for l, e in zip(tagged("la", s_rule.lookahead), extra)
                 )
                 yield STTRRule(("pair", p, q), s_rule.ctor, guard, lookahead, out)
 
     # -- Reduce -----------------------------------------------------------------
 
     def _reduce(
-        self, guard: Term, lookahead: LookTuple, term: OutputTerm
-    ) -> Iterator[tuple[Term, LookTuple, OutputTerm]]:
+        self, guard: Term, lookahead: Lookahead, term: OutputTerm
+    ) -> Iterator[tuple[Term, Lookahead, OutputTerm]]:
         if isinstance(term, TApp):
             q = term.state
             arg = term.arg
@@ -238,47 +245,42 @@ class _Composer:
         raise TransducerError(f"bad term {term!r}")
 
     def _reduce_node(
-        self, guard: Term, lookahead: LookTuple, q: State, node: OutNode
-    ) -> Iterator[tuple[Term, LookTuple, OutputTerm]]:
+        self, guard: Term, lookahead: Lookahead, q: State, node: OutNode
+    ) -> Iterator[tuple[Term, Lookahead, OutputTerm]]:
         """Reduce line 2: ``q~(g[e(x)](u1..un))`` — apply a ``T``-rule."""
         attr_map = dict(zip(self._t_in_fields, node.attr_exprs))
         for t_rule in self.T.rules_from(q, node.ctor):
             g1 = smt.mk_and(guard, t_rule.guard.substitute(attr_map))
             if g1 == smt.FALSE or not self.solver.is_sat(g1):
                 continue
-            # Domain-automaton lookahead of this T-rule (Definition 6):
-            # explicit lookahead plus the states its output applies to
-            # each child — run Look over *all* children of the consumed
-            # node so deleted subtrees keep their constraints.
-            dom_targets = [
-                frozenset(("la", s) for s in t_rule.lookahead[i])
-                | frozenset(("q", s) for s in states_at(t_rule.output, i))
-                for i in range(len(node.children))
-            ]
+            # The d(T) rule of this T-rule (Definition 6): Look runs over
+            # *all* children of the consumed node, so deleted subtrees
+            # keep their constraints.
+            dom_targets = applied(tagged("la", t_rule.lookahead), t_rule.output)
 
-            def fold(idx: int, g: Term, la: LookTuple) -> Iterator:
+            def fold(idx: int, g: Term, la: Lookahead) -> Iterator:
                 if idx == len(node.children):
                     instantiated = self._instantiate(
                         t_rule.output, attr_map, node.children
                     )
                     yield from self._reduce(g, la, instantiated)
                     return
-                for g2, la2 in self.builder.look(
-                    g, la, dom_targets[idx], node.children[idx]
+                for g2, paired in self.product.look(
+                    g, dom_targets[idx], node.children[idx]
                 ):
-                    yield from fold(idx + 1, g2, la2)
+                    yield from fold(idx + 1, g2, applied(la, paired))
 
             yield from fold(0, g1, lookahead)
 
     def _reduce_children(
         self,
         guard: Term,
-        lookahead: LookTuple,
+        lookahead: Lookahead,
         node: OutNode,
         children: list[OutputTerm],
         idx: int,
         acc: list[OutputTerm],
-    ) -> Iterator[tuple[Term, LookTuple, OutputTerm]]:
+    ) -> Iterator[tuple[Term, Lookahead, OutputTerm]]:
         if idx == len(children):
             yield guard, lookahead, OutNode(node.ctor, node.attr_exprs, tuple(acc))
             return

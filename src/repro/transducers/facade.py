@@ -19,8 +19,7 @@ from ..trees.tree import Tree
 from . import properties
 from .compose import compose as _compose
 from .domain import domain as _domain
-from .preimage import preimage as _preimage
-from .restrict import restrict_input, restrict_output
+from .restrict import preimage as _preimage, restrict_input, restrict_output
 from .run import OutputTruncated, run_checked as _run_checked
 from .sttr import STTR
 from .typecheck import type_check as _type_check

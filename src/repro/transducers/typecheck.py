@@ -17,7 +17,7 @@ from ..obs import provenance as prov
 from ..obs import tracer as obs_tracer
 from ..smt.solver import Solver
 from ..trees.tree import Tree, format_tree
-from .preimage import preimage
+from .restrict import preimage
 from .sttr import STTR
 
 

@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.fast.cli import EXIT_ASSERTION_FAILED, EXIT_ERROR, EXIT_OK, main
+from repro.fast import cli
+from repro.fast.cli import (
+    EXIT_ASSERTION_FAILED,
+    EXIT_ERROR,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    main,
+)
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "fast_programs"
 
@@ -76,6 +83,49 @@ class TestExitCodes:
         assert main(["run", program(FAILING_ASSERT)]) != main(
             ["run", program("syntax error !")]
         )
+
+
+#: Two tree types and one language and transducer over each.
+TWO_TYPES = """\
+type BT[v : Int]{L(0), N(2)}
+type UT[v : Int]{nil(0), cons(1)}
+lang pos : BT { N(l, r) where (v > 0) given (pos l) (pos r) | L() }
+lang any : UT { nil() | cons(y) }
+trans id : BT -> BT { L() to (L [v]) | N(l, r) to (N [v] (id l) (id r)) }
+trans ul : UT -> UT { nil() to (nil [v]) | cons(y) to (cons [v] (ul y)) }
+"""
+
+#: One use per operator of a BT operand with a UT one.
+MIXED_TYPES = {
+    "compose": "def c : BT -> BT := (compose id ul)",
+    "restrict": "def c : BT -> BT := (restrict id any)",
+    "restrict-out": "def c : BT -> BT := (restrict-out id any)",
+    "pre-image": "def c : BT := (pre-image id any)",
+    "type-check": "assert-true (type-check pos id any)",
+    "intersect": "def c : BT := (intersect pos any)",
+    "union": "def c : BT := (union pos any)",
+    "difference": "def c : BT := (difference pos any)",
+}
+
+
+class TestOperandTypes:
+    @pytest.mark.parametrize("op", sorted(MIXED_TYPES))
+    def test_mixed_tree_types_are_a_type_error(self, op, program, capsys):
+        path = program(TWO_TYPES + MIXED_TYPES[op] + "\n")
+        # `check` evaluates definitions, not assertions.
+        commands = ["run"] if op == "type-check" else ["run", "check"]
+        for command in commands:
+            assert main([command, path]) == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert f"error: {op}: operand over UT, expected BT (line 7" in err
+
+    def test_uncaught_exception_is_internal(self, program, capsys, monkeypatch):
+        def crash(source):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_program", crash)
+        assert main(["run", program(PASSING)]) == EXIT_INTERNAL
+        assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
 
 class TestDefaultCommand:

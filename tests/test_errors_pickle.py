@@ -16,6 +16,7 @@ import pickle
 
 import pytest
 
+from repro.automata.sta import AutomatonError
 from repro.errors import ParseDepthError, ReproError, SourceLocation
 from repro.fast.errors import (
     FastNameError,
@@ -83,6 +84,7 @@ _CASES = [
     (lambda: EvaluationError("eval"), "EvaluationError"),
     (lambda: ModPresentError("mod present"), "ModPresentError"),
     (lambda: UnsupportedRealFragment("mixed atoms"), "UnsupportedRealFragment"),
+    (lambda: AutomatonError("structure"), "AutomatonError"),
     (lambda: TransducerError("structure"), "TransducerError"),
     (lambda: TransductionError("invariant"), "TransductionError"),
     (

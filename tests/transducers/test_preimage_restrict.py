@@ -292,12 +292,14 @@ def assert_same_outputs(actual, expected):
 )
 def test_restrictions_are_exact(first, second, composed, lang):
     """``restrict t l`` is ``t`` on inputs in ``l`` and nothing elsewhere;
-    ``restrict-out t l`` keeps exactly the outputs of ``t`` in ``l``.
+    ``restrict-out t l`` keeps exactly the outputs of ``t`` in ``l``, and
+    ``pre-image t l`` accepts exactly the inputs with such an output.
     ``t`` may delete, swap, copy or choose; composed, it has lookahead."""
     solver = Solver()
     t = compose(first, second, solver) if composed else first
     on_input = restrict_input(t, lang, solver)
     on_output = restrict_output(t, lang, solver)
+    pre = preimage(t, lang, solver)
     compiled_input, compiled_output = CompiledSTTR(on_input), CompiledSTTR(on_output)
     for tree in SAMPLE_TREES:
         outputs = run(t, tree)
@@ -307,6 +309,7 @@ def test_restrictions_are_exact(first, second, composed, lang):
         kept = [u for u in outputs if lang.accepts(u)]
         for got in both_tiers(on_output, compiled_output, tree):
             assert_same_outputs(got, kept)
+        assert pre.accepts(tree) == bool(kept)
 
 
 class TestTypeCheck:
